@@ -327,10 +327,10 @@ namespace {
 
 // Binary extended GCD (HAC 14.61 style) — no divisions, so much faster
 // than Euclid for the odd moduli that dominate REED (field primes, RSA
-// moduli). Requires m odd and > 1.
-BigInt BinaryInverseOdd(const BigInt& a, const BigInt& m) {
+// moduli). Requires m odd and > 1; nullopt when gcd(a, m) != 1.
+std::optional<BigInt> BinaryInverseOdd(const BigInt& a, const BigInt& m) {
   BigInt u = a % m;
-  if (u.IsZero()) throw Error("BigInt::InverseMod: not invertible");
+  if (u.IsZero()) return std::nullopt;
   BigInt v = m;
   BigInt x1(1), x2;  // invariants: x1*a ≡ u, x2*a ≡ v (mod m)
 
@@ -359,11 +359,11 @@ BigInt BinaryInverseOdd(const BigInt& a, const BigInt& m) {
     if (u >= v) {
       u -= v;
       sub_mod(x1, x2);
-      if (u.IsZero()) throw Error("BigInt::InverseMod: not invertible");
+      if (u.IsZero()) return std::nullopt;
     } else {
       v -= u;
       sub_mod(x2, x1);
-      if (v.IsZero()) throw Error("BigInt::InverseMod: not invertible");
+      if (v.IsZero()) return std::nullopt;
     }
   }
   return u.IsOne() ? x1 % m : x2 % m;
@@ -372,6 +372,12 @@ BigInt BinaryInverseOdd(const BigInt& a, const BigInt& m) {
 }  // namespace
 
 BigInt BigInt::InverseMod(const BigInt& a, const BigInt& m) {
+  std::optional<BigInt> inv = TryInverseMod(a, m);
+  if (!inv) throw Error("BigInt::InverseMod: not invertible");
+  return std::move(*inv);
+}
+
+std::optional<BigInt> BigInt::TryInverseMod(const BigInt& a, const BigInt& m) {
   // Extended Euclid tracking only the coefficient of `a`, with signs
   // handled by parity bookkeeping: invariants r0 = s0*a (mod m), r1 = s1*a.
   if (m.IsZero()) throw Error("BigInt::InverseMod: zero modulus");
@@ -404,7 +410,7 @@ BigInt BigInt::InverseMod(const BigInt& a, const BigInt& m) {
     s1 = std::move(s2);
     neg1 = neg2;
   }
-  if (!r0.IsOne()) throw Error("BigInt::InverseMod: not invertible");
+  if (!r0.IsOne()) return std::nullopt;
   BigInt inv = s0 % m;
   if (neg0 && !inv.IsZero()) inv = m - inv;
   return inv;

@@ -10,6 +10,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,9 @@ class BigInt {
 
   // Modular inverse via extended Euclid; throws Error if gcd(a, m) != 1.
   static BigInt InverseMod(const BigInt& a, const BigInt& m);
+  // As InverseMod, but nullopt when gcd(a, m) != 1, for callers that draw
+  // again instead of failing.
+  static std::optional<BigInt> TryInverseMod(const BigInt& a, const BigInt& m);
 
   // Uniform random value in [0, bound) / exact bit length.
   static BigInt Random(crypto::Rng& rng, const BigInt& bound);
@@ -105,8 +109,11 @@ inline BigInt BigInt::operator%(const BigInt& d) const {
 }
 
 // Montgomery context for a fixed odd modulus: fast repeated modular
-// multiplication (CIOS) and exponentiation. Shared across operations on the
-// same field/modulus (each RSA key and the pairing field keep one).
+// multiplication and exponentiation. Building one costs two full-width
+// divisions (R mod n, R^2 mod n), so code that works modulo one value many
+// times keeps a context: the pairing field does, and so do the OPRF's
+// blind-signature client (mod N) and server (mod p and q for CRT).
+// BigInt::PowMod builds a fresh context on every call.
 class Montgomery {
  public:
   explicit Montgomery(const BigInt& modulus);

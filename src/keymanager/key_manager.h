@@ -5,7 +5,8 @@
 // round trips — Fig. 5(b)); the manager answers with blind signatures,
 // rate-limited per client identity to blunt online brute-force attacks.
 // The manager never learns fingerprints (OPRF obliviousness) and never
-// stores anything per chunk.
+// stores anything per chunk. Each batch is signed across a pool with one
+// thread per core.
 #pragma once
 
 #include <memory>
@@ -16,6 +17,7 @@
 #include "net/wire.h"
 #include "rsa/blind_signature.h"
 #include "util/rate_limiter.h"
+#include "util/thread_pool.h"
 #include "util/thread_annotations.h"
 
 namespace reed::keymanager {
@@ -55,8 +57,9 @@ class KeyManager {
   const rsa::RsaPublicKey& public_key() const { return server_.public_key(); }
   const Options& options() const { return options_; }
 
-  // Signs a batch of blinded fingerprints for `client_id`. Throws
-  // RateLimitedError when the client exceeds its budget.
+  // Signs a batch of blinded fingerprints for `client_id`, in order, across
+  // the signing pool. Throws RateLimitedError when the client exceeds its
+  // budget. Safe to call from several threads at once.
   [[nodiscard]] std::vector<BigInt> SignBatch(const std::string& client_id,
                                 const std::vector<BigInt>& blinded);
 
@@ -89,6 +92,9 @@ class KeyManager {
       REED_GUARDED_BY(mu_);
   std::chrono::steady_clock::time_point epoch_;
   Stats stats_ REED_GUARDED_BY(mu_);
+  // Signing pool, sized to the core count. Declared last so its workers
+  // are joined before anything they read is destroyed.
+  ThreadPool pool_;
 };
 
 }  // namespace reed::keymanager

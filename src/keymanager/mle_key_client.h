@@ -6,6 +6,10 @@
 // Adjacent backup uploads share most chunks, so the cache turns repeat
 // uploads from key-manager-bound into network-bound — the effect Fig. 7
 // measures.
+//
+// An MleKeyClient serves one caller at a time. Within a GetKeys call it
+// draws blinding factors serially from the caller's RNG, then blinds and
+// unblinds each batch across its own pool (one thread per core).
 #pragma once
 
 #include <memory>
@@ -16,6 +20,7 @@
 #include "rsa/blind_signature.h"
 #include "util/lru_cache.h"
 #include "util/secret.h"
+#include "util/thread_pool.h"
 
 namespace reed::keymanager {
 
@@ -72,6 +77,9 @@ class MleKeyClient {
   // Secret values wipe themselves on LRU eviction.
   LruCache<chunk::Fingerprint, Secret, chunk::FingerprintHash> cache_;
   Stats stats_;
+  // Blinding/unblinding pool. Declared last so its workers are joined
+  // before anything they read is destroyed.
+  ThreadPool pool_;
 };
 
 }  // namespace reed::keymanager

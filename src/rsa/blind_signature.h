@@ -11,6 +11,8 @@
 // anyone without d, defeating offline brute force on predictable chunks).
 #pragma once
 
+#include <optional>
+
 #include "rsa/rsa.h"
 #include "util/secret.h"
 
@@ -26,33 +28,49 @@ struct BlindedRequest {
 class BlindSignatureClient {
  public:
   explicit BlindSignatureClient(RsaPublicKey manager_key)
-      : key_(std::move(manager_key)) {}
+      : key_(std::move(manager_key)), mont_n_(key_.n) {}
 
   const RsaPublicKey& manager_key() const { return key_; }
 
-  // Blinds a chunk fingerprint for the key manager.
+  // Draws a blinding factor r, uniform in [1, N). This is the only step that
+  // touches the RNG, so a batch draws its factors serially and in order.
+  [[nodiscard]] BigInt DrawFactor(crypto::Rng& rng) const;
+
+  // Blinds a chunk fingerprint with factor r. Pure and thread-safe. Returns
+  // nullopt when r is not invertible mod N (r then shares a prime with N,
+  // which a random draw hits with negligible probability); the caller draws
+  // again.
+  [[nodiscard]] std::optional<BlindedRequest> BlindWith(ByteSpan fingerprint,
+                                                        const BigInt& r) const;
+
+  // DrawFactor + BlindWith, drawing again until r is invertible.
   [[nodiscard]] BlindedRequest Blind(ByteSpan fingerprint, crypto::Rng& rng) const;
 
   // Unblinds the manager's signature and verifies it; returns the 32-byte
   // MLE key H(h^d) as a Secret. Throws Error if the signature does not
-  // verify.
+  // verify. Thread-safe.
   [[nodiscard]] Secret Unblind(const BlindedRequest& request, const BigInt& signature) const;
 
  private:
   RsaPublicKey key_;
+  bigint::Montgomery mont_n_;  // for r^e, both multiplies and s^e == h
 };
 
 class BlindSignatureServer {
  public:
-  explicit BlindSignatureServer(RsaPrivateKey key) : key_(std::move(key)) {}
+  explicit BlindSignatureServer(RsaPrivateKey key)
+      : key_(std::move(key)), mont_p_(key_.p), mont_q_(key_.q) {}
 
   const RsaPublicKey& public_key() const { return key_.pub; }
 
-  // Signs a blinded value: y = x^d mod N. The server never sees h or fp.
+  // Signs a blinded value: y = x^d mod N (CRT). The server never sees h or
+  // fp. Thread-safe.
   [[nodiscard]] BigInt Sign(const BigInt& blinded) const;
 
  private:
   RsaPrivateKey key_;
+  bigint::Montgomery mont_p_;
+  bigint::Montgomery mont_q_;
 };
 
 }  // namespace reed::rsa

@@ -196,6 +196,10 @@ TEST(BigIntTest, InverseModCorrectness) {
     EXPECT_TRUE(BigInt::MulMod(a, inv, m).IsOne());
   }
   EXPECT_THROW(BigInt::InverseMod(BigInt(4), BigInt(8)), Error);
+  EXPECT_FALSE(BigInt::TryInverseMod(BigInt(4), BigInt(8)).has_value());
+  // Odd (binary-inverse) path: 21 shares the factor 3 with 15 * 7.
+  EXPECT_FALSE(BigInt::TryInverseMod(BigInt(21), BigInt(105)).has_value());
+  EXPECT_EQ(BigInt::TryInverseMod(BigInt(2), BigInt(105)), BigInt(53));
 }
 
 TEST(MontgomeryTest, MatchesNaiveModMul) {
@@ -236,6 +240,36 @@ TEST(MontgomeryTest, PowMatchesSquareAndMultiply) {
       if (e.Bit(bit)) ref = BigInt::MulMod(ref, a, m);
     }
     EXPECT_EQ(mont.Pow(a, e), ref);
+  }
+}
+
+// The OPRF keeps contexts for p, q (CRT-sized) and N, and feeds them values
+// that are not reduced: a blinded x < N goes into the mod-p and mod-q
+// contexts, and a signature off the wire may be >= N.
+TEST(MontgomeryTest, KeptContextsMatchPowModAndMulModOnUnreducedInputs) {
+  DeterministicRng rng(9);
+  BigInt e(65537);
+  BigInt p = GenerateRsaPrime(512, e, rng);
+  BigInt q = GenerateRsaPrime(512, e, rng);
+  BigInt n = p * q;
+  ASSERT_GE(n.BitLength(), 1023u);  // p, q of exactly 512 bits each
+  for (const BigInt& m : {p, q, n}) {
+    Montgomery mont(m);
+    for (int i = 0; i < 8; ++i) {
+      // Up to twice the modulus width, so most inputs exceed m.
+      BigInt a = BigInt::RandomBits(rng, 2 * m.BitLength() - i);
+      BigInt b = BigInt::RandomBits(rng, m.BitLength() + 1 + i);
+      BigInt exp = BigInt::RandomBits(rng, m.BitLength());
+      EXPECT_EQ(mont.Pow(a, exp), BigInt::PowMod(a, exp, m));
+      EXPECT_EQ(mont.Mul(a, b), BigInt::MulMod(a, b, m));
+      // Independent of Montgomery: square-and-multiply over MulMod.
+      BigInt ref(1);
+      for (std::size_t bit = e.BitLength(); bit-- > 0;) {
+        ref = BigInt::MulMod(ref, ref, m);
+        if (e.Bit(bit)) ref = BigInt::MulMod(ref, a, m);
+      }
+      EXPECT_EQ(mont.Pow(a, e), ref);
+    }
   }
 }
 

@@ -2,7 +2,8 @@
 //
 // These tests exist to give TSan (and ASan) interleavings to chew on:
 // every shared component that the multi-threaded client/server paths use —
-// ThreadPool, LruCache, TokenBucket, TcpServer — is hammered from many
+// ThreadPool, LruCache, TokenBucket, TcpServer, the key manager's signing
+// pool and the MLE key client's blinding pool — is hammered from many
 // threads at once. Under TSan everything runs 5-15x slower, so iteration
 // counts scale down when REED_TSAN is defined (set by the build when
 // REED_SANITIZE=thread).
@@ -18,6 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/random.h"
+#include "keymanager/key_manager.h"
+#include "keymanager/mle_key_client.h"
+#include "net/rpc.h"
 #include "net/tcp.h"
 #include "net/tcp_server.h"
 #include "util/lru_cache.h"
@@ -161,6 +166,59 @@ TEST(RateLimiterStress, ConcurrentAcquireNeverOverAdmits) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(admitted.load(), static_cast<int>(kBurst));
   EXPECT_LT(bucket.tokens(), 1.0);
+}
+
+TEST(OprfStress, ClientsShareOneKeyManager) {
+  // Each thread owns its MleKeyClient (a client serves one caller), and all
+  // of them fan blinding out to their own pools while the shared key
+  // manager signs their batches on its pool. One client id for all, so the
+  // threads also race on a single rate-limit bucket.
+  crypto::DeterministicRng key_rng(77);
+  keymanager::KeyManager::Options kopts;
+  kopts.rsa_bits = 512;
+  kopts.rate_limit_per_sec = 1e6;
+  kopts.rate_limit_burst = 1e6;
+  keymanager::KeyManager km(kopts, key_rng);
+  auto channel = std::make_shared<net::LocalChannel>(
+      [&km](ByteSpan req) { return km.HandleRequest(req); });
+
+  const int kThreads = 4;
+  const int kFingerprints = 24 * kScale;
+  std::vector<chunk::Fingerprint> fps;
+  crypto::DeterministicRng fp_rng(78);
+  for (int i = 0; i < kFingerprints; ++i) {
+    fps.push_back(chunk::Fingerprint::Of(fp_rng.Generate(64)));
+  }
+
+  std::vector<std::vector<Secret>> keys(kThreads);
+  std::vector<std::uint64_t> misses(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      keymanager::MleKeyClient::Options opts;
+      opts.batch_size = 5;  // several uneven batches per call
+      keymanager::MleKeyClient client("shared", km.public_key(), channel,
+                                      opts);
+      crypto::DeterministicRng rng(100 + static_cast<std::uint64_t>(t));
+      keys[t] = client.GetKeys(fps, rng);
+      (void)client.GetKeys(fps, rng);  // served from the cache
+      misses[t] = client.stats().cache_misses;
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::uint64_t total_misses = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    total_misses += misses[t];
+    ASSERT_EQ(keys[t].size(), fps.size());
+    for (std::size_t i = 0; i < fps.size(); ++i) {
+      EXPECT_TRUE(keys[t][i].ConstantTimeEquals(keys[0][i]))
+          << "thread " << t << " key " << i;
+    }
+  }
+  EXPECT_EQ(total_misses, static_cast<std::uint64_t>(kThreads) * fps.size());
+  EXPECT_EQ(km.stats().signatures, total_misses);
+  EXPECT_EQ(km.stats().rejected, 0u);
 }
 
 Bytes EchoRequest(int client, int seq) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "crypto/random.h"
+#include "crypto/sha256.h"
 #include "keymanager/key_manager.h"
 #include "keymanager/mle_key_client.h"
+#include "obs/metrics.h"
 
 namespace reed::keymanager {
 namespace {
@@ -47,6 +49,48 @@ TEST(KeyManagerTest, SignBatchProducesValidSignatures) {
   EXPECT_EQ(bc.Unblind(req, sigs[0]).size(), 32u);
   EXPECT_EQ(km.stats().batches, 1u);
   EXPECT_EQ(km.stats().signatures, 1u);
+}
+
+std::vector<BigInt> RandomBlindedValues(int n, std::uint64_t seed) {
+  DeterministicRng rng(seed);
+  std::vector<BigInt> values;
+  while (values.size() < static_cast<std::size_t>(n)) {
+    BigInt v = BigInt::Random(rng, SharedTestKeys().pub.n);
+    if (!v.IsZero()) values.push_back(std::move(v));
+  }
+  return values;
+}
+
+TEST(KeyManagerTest, ParallelSignBatchMatchesPrivateApplyInOrder) {
+  KeyManager km = MakeManager();
+  // 67 is prime, so the signing pool's partitions are uneven.
+  std::vector<BigInt> blinded = RandomBlindedValues(67, 40);
+  std::vector<BigInt> sigs = km.SignBatch("alice", blinded);
+  ASSERT_EQ(sigs.size(), blinded.size());
+  for (std::size_t i = 0; i < blinded.size(); ++i) {
+    EXPECT_EQ(sigs[i], rsa::PrivateApply(SharedTestKeys().priv, blinded[i]))
+        << "element " << i;
+  }
+  EXPECT_EQ(km.stats().signatures, 67u);
+}
+
+TEST(KeyManagerTest, OutOfRangeElementRejectsWholeBatch) {
+  KeyManager km = MakeManager();
+  std::size_t nbytes = km.public_key().ByteLength();
+  (void)km.SignBatch("alice", RandomBlindedValues(3, 41));
+  const KeyManager::Stats before = km.stats();
+
+  std::vector<BigInt> blinded = RandomBlindedValues(66, 42);
+  blinded.push_back(km.public_key().n);  // x = N is out of range
+  Bytes response =
+      km.HandleRequest(KeyManager::EncodeRequest("alice", blinded, nbytes));
+  ASSERT_FALSE(response.empty());
+  EXPECT_EQ(response[0], 2);
+
+  const KeyManager::Stats after = km.stats();
+  EXPECT_EQ(after.batches, before.batches);
+  EXPECT_EQ(after.signatures, before.signatures);
+  EXPECT_EQ(after.rejected, before.rejected);
 }
 
 TEST(KeyManagerTest, RateLimitingRejectsExcessRequests) {
@@ -217,6 +261,89 @@ TEST(MleKeyClientTest, RateLimitErrorPropagates) {
   DeterministicRng rng(14);
   auto fps = MakeFingerprints(5, 15);
   EXPECT_THROW(client.GetKeys(fps, rng), Error);
+}
+
+TEST(MleKeyClientTest, RequestFramesMatchSerialBlindLoop) {
+  KeyManager km = MakeManager();
+  std::size_t nbytes = km.public_key().ByteLength();
+  std::vector<Bytes> frames;
+  auto recording = std::make_shared<net::LocalChannel>([&](ByteSpan req) {
+    frames.emplace_back(req.begin(), req.end());
+    return km.HandleRequest(req);
+  });
+  MleKeyClient::Options opts;
+  opts.batch_size = 7;
+  MleKeyClient client("alice", km.public_key(), recording, opts);
+  auto fps = MakeFingerprints(20, 31);
+  DeterministicRng rng(30);
+  (void)client.GetKeys(fps, rng);
+
+  // The same batches, blinded one by one from an identically seeded RNG.
+  rsa::BlindSignatureClient bc(km.public_key());
+  DeterministicRng serial_rng(30);
+  std::vector<Bytes> expected;
+  for (std::size_t start = 0; start < fps.size(); start += opts.batch_size) {
+    std::vector<BigInt> blinded;
+    for (std::size_t i = start; i < std::min(fps.size(), start + opts.batch_size); ++i) {
+      blinded.push_back(bc.Blind(fps[i].AsSpan(), serial_rng).blinded);
+    }
+    expected.push_back(KeyManager::EncodeRequest("alice", blinded, nbytes));
+  }
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames, expected);
+}
+
+TEST(MleKeyClientTest, KeysAreHashOfFdhToTheD) {
+  KeyManager km = MakeManager();
+  const rsa::RsaKeyPair& keys = SharedTestKeys();
+  std::size_t nbytes = keys.pub.ByteLength();
+  auto fps = MakeFingerprints(300, 33);
+  for (std::size_t batch : {1u, 7u, 256u}) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch));
+    MleKeyClient::Options opts;
+    opts.batch_size = batch;
+    MleKeyClient client("alice", km.public_key(), DirectChannel(km), opts);
+    DeterministicRng rng(34);
+    auto got = client.GetKeys(fps, rng);
+    ASSERT_EQ(got.size(), fps.size());
+    for (std::size_t i = 0; i < fps.size(); ++i) {
+      BigInt s = rsa::PrivateApply(
+          keys.priv, rsa::FullDomainHash(fps[i].AsSpan(), keys.pub.n));
+      EXPECT_TRUE(got[i].ConstantTimeEquals(
+          crypto::Sha256::HashToBytes(s.ToBytesPadded(nbytes))))
+          << "key " << i;
+    }
+  }
+}
+
+TEST(MleKeyClientTest, OprfTimersRecordOncePerBatch) {
+  auto& reg = obs::Registry::Global();
+  const char* kClientTimers[] = {"oprf.client.blind_us",
+                                 "oprf.client.roundtrip_us",
+                                 "oprf.client.unblind_us"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : kClientTimers) {
+    before.push_back(reg.GetHistogram(name).count());
+  }
+  std::uint64_t sign_before = reg.GetHistogram("oprf.server.sign_us").count();
+
+  KeyManager km = MakeManager();
+  MleKeyClient::Options opts;
+  opts.batch_size = 8;
+  MleKeyClient client("alice", km.public_key(), DirectChannel(km), opts);
+  DeterministicRng rng(35);
+  auto fps = MakeFingerprints(20, 36);
+  (void)client.GetKeys(fps, rng);
+  (void)client.GetKeys(fps, rng);  // all cache hits: no batch, no sample
+  ASSERT_EQ(client.stats().batches_sent, 3u);
+
+  for (std::size_t t = 0; t < before.size(); ++t) {
+    EXPECT_EQ(reg.GetHistogram(kClientTimers[t]).count() - before[t],
+              client.stats().batches_sent)
+        << kClientTimers[t];
+  }
+  EXPECT_EQ(reg.GetHistogram("oprf.server.sign_us").count() - sign_before,
+            km.stats().batches);
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ struct KeygenSetup {
 
   std::shared_ptr<net::RpcChannel> Channel() {
     keymanager::KeyManager* raw = km.get();
-    return std::make_shared<net::SimulatedChannel>(
+    return std::make_shared<net::LocalChannel>(
         [raw](ByteSpan req) { return raw->HandleRequest(req); }, link);
   }
 };

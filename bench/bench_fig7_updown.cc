@@ -26,9 +26,10 @@ using namespace reed::bench;
 
 namespace {
 
-// depth/channels = 1/1 pins the legacy serial data path, keeping the
-// historical updown/aggregate series comparable across releases; the
-// dedicated pipeline series below turns the overlapped path on.
+// depth/channels = 1/1 pins the upload pipeline to a window of one (encode
+// and transfer alternate), keeping the historical updown/aggregate series
+// comparable across releases; the dedicated pipeline series below turns
+// the overlap on.
 client::ClientOptions BenchClient(aont::Scheme scheme, std::size_t chunk_kb,
                                   std::size_t depth = 1,
                                   std::size_t channels = 1) {
@@ -39,7 +40,7 @@ client::ClientOptions BenchClient(aont::Scheme scheme, std::size_t chunk_kb,
   opts.pipeline.depth = depth;
   opts.pipeline.channels_per_server = channels;
   // Smaller batches give the overlapped pipeline enough units in flight;
-  // the serial path keeps the paper's 4 MB batching.
+  // a window of one keeps the paper's 4 MB batching.
   if (depth > 1) opts.upload_batch_bytes = 1u << 20;
   opts.rng_seed = 42;
   return opts;
@@ -155,9 +156,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n--- Pipelined data path: serial vs overlapped (enhanced, 8 KB) ---\n");
-  // DESIGN.md §10: depth-1 is the legacy serial reference (sequential
-  // per-server RPCs, encode and transfer alternating); the overlapped
-  // config fans RPCs out concurrently over 2 channels/server and keeps
+  // DESIGN.md §10: depth 1 is a window of one (encode and transfer
+  // alternate); the overlapped config stripes 2 channels/server and keeps
   // depth-1 batches on the wire while the next batch encodes. A slightly
   // larger file than the smoke default amortizes per-file fixed costs
   // (CP-ABE wrap, metadata) that neither mode can overlap.

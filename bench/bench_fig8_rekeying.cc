@@ -54,7 +54,7 @@ struct RekeyBench {
     server = std::make_unique<server::StorageServer>("s");
     link = std::make_shared<net::SimulatedLink>(1e9, 1e-3);
     server::StorageServer* raw = server.get();
-    auto channel = std::make_shared<net::SimulatedChannel>(
+    auto channel = std::make_shared<net::LocalChannel>(
         [raw](ByteSpan req) { return raw->HandleRequest(req); }, link);
     storage = std::make_unique<client::StorageClient>(
         std::vector<std::shared_ptr<net::RpcChannel>>{channel}, channel);

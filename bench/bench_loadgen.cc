@@ -1,15 +1,14 @@
-// Massive-client load generator: async epoll front end vs thread-per-
-// connection under identical paced workloads, plus an adversarial rekey
-// storm (DESIGN.md §13, EXPERIMENTS.md).
+// Massive-client load generator for the async epoll front end: paced
+// workloads at two connection counts, plus an adversarial rekey storm
+// (DESIGN.md §13, EXPERIMENTS.md).
 //
 // Phases (every phase re-creates its server and re-seeds an identical
 // corpus, so dedup state is fair):
-//   threadconn @ C    TcpServer, C clients at the target aggregate rate
-//   async @ C         AsyncServer, same client count and rate
+//   async @ C         AsyncServer, C clients at the target aggregate rate
 //   async @ 4C        AsyncServer, 4x the clients, same aggregate rate —
-//                     the acceptance phase: the async front end must hold
-//                     p99 at or near the thread-per-conn baseline while
-//                     carrying 4x the connection count
+//                     the acceptance phase: p99 must hold at or near the
+//                     async @ C figure while carrying 4x the connection
+//                     count
 //   rekey storm @ 4C  closed-loop 100%-rekey burst through per-tenant
 //                     admission control; the security oracle then checks
 //                     that no stored package changed (PackageDigest) and
@@ -27,7 +26,6 @@
 #include "bench/bench_util.h"
 #include "bench/loadgen_util.h"
 #include "net/async_server.h"
-#include "net/tcp_server.h"
 #include "server/storage_server.h"
 
 using namespace reed;
@@ -36,7 +34,7 @@ using namespace reed::bench;
 namespace {
 
 struct Scale {
-  std::size_t clients;         // C: the thread-per-conn fleet
+  std::size_t clients;         // C: the base client fleet
   std::size_t total_ops;       // per capacity phase, split across clients
   double rate;                 // aggregate ops/sec
   std::size_t files;
@@ -89,67 +87,42 @@ int main(int argc, char** argv) {
   int failures = 0;
 
   // --- capacity phases ---
-  LoadgenReport threadconn;
-  {
-    server::StorageServer storage("loadgen-threadconn");
-    net::TcpServer server(0, handler_for(storage));
-    threadconn =
-        RunPhase("threadconn@C", server.port(), ConfigFor(scale, scale.clients));
-    json.Add("capacity", {{"mode", 0},
-                          {"clients", (double)scale.clients},
-                          {"ops_rate", threadconn.ops_per_sec},
-                          {"p50_us", (double)threadconn.p50_us},
-                          {"p99_us", (double)threadconn.p99_us}});
-  }
-  LoadgenReport async_c;
-  {
-    server::StorageServer storage("loadgen-async");
-    net::AsyncServer::Options options;
-    options.loops = 2;
-    options.workers = 4;
-    net::AsyncServer server(0, handler_for(storage), options);
-    async_c =
-        RunPhase("async@C", server.port(), ConfigFor(scale, scale.clients));
-    json.Add("capacity", {{"mode", 1},
-                          {"clients", (double)scale.clients},
-                          {"ops_rate", async_c.ops_per_sec},
-                          {"p50_us", (double)async_c.p50_us},
-                          {"p99_us", (double)async_c.p99_us}});
-  }
-  LoadgenReport async_4c;
-  {
-    server::StorageServer storage("loadgen-async4");
-    net::AsyncServer::Options options;
-    options.loops = 2;
-    options.workers = 4;
-    net::AsyncServer server(0, handler_for(storage), options);
-    async_4c = RunPhase("async@4C", server.port(),
-                        ConfigFor(scale, scale.clients * 4));
-    json.Add("capacity", {{"mode", 1},
-                          {"clients", (double)(scale.clients * 4)},
-                          {"ops_rate", async_4c.ops_per_sec},
-                          {"p50_us", (double)async_4c.p50_us},
-                          {"p99_us", (double)async_4c.p99_us}});
-  }
+  net::AsyncServer::Options front_end;
+  front_end.loops = 2;
+  front_end.workers = 4;
+  auto capacity_phase = [&](const char* label, const char* server_name,
+                            std::size_t clients) {
+    server::StorageServer storage(server_name);
+    net::AsyncServer server(0, handler_for(storage), front_end);
+    LoadgenReport r = RunPhase(label, server.port(), ConfigFor(scale, clients));
+    json.Add("capacity", {{"clients", (double)clients},
+                          {"ops_rate", r.ops_per_sec},
+                          {"p50_us", (double)r.p50_us},
+                          {"p99_us", (double)r.p99_us}});
+    return r;
+  };
+  LoadgenReport async_c =
+      capacity_phase("async@C", "loadgen-async", scale.clients);
+  LoadgenReport async_4c =
+      capacity_phase("async@4C", "loadgen-async4", scale.clients * 4);
 
-  // The tentpole claim: 4x the concurrent clients at equal-or-better p99.
+  // The acceptance claim: 4x the concurrent clients at equal-or-better p99.
   // Bucketed percentiles quantize coarsely, so allow one interpolation
   // step of slack; a real regression (a wedged loop, lost wakeups,
   // outbox stalls) blows p99 out by orders of magnitude, not 30%.
-  double p99_ratio = threadconn.p99_us > 0
-                         ? (double)async_4c.p99_us / (double)threadconn.p99_us
+  double p99_ratio = async_c.p99_us > 0
+                         ? (double)async_4c.p99_us / (double)async_c.p99_us
                          : 0;
-  bool p99_held = async_4c.p99_us <= threadconn.p99_us ||
-                  p99_ratio <= 1.30;
+  bool p99_held = async_4c.p99_us <= async_c.p99_us || p99_ratio <= 1.30;
   std::printf("verdict: async@4C carried %zux clients, p99 %llu us vs "
-              "threadconn %llu us (ratio %.2f) -> %s\n",
+              "async@C %llu us (ratio %.2f) -> %s\n",
               (size_t)4, (unsigned long long)async_4c.p99_us,
-              (unsigned long long)threadconn.p99_us, p99_ratio,
+              (unsigned long long)async_c.p99_us, p99_ratio,
               p99_held ? "PASS" : "WARN");
 
   // Lost ops are a hard failure in every capacity phase: nothing should
   // drop connections or fail in-protocol at these rates.
-  for (const LoadgenReport* r : {&threadconn, &async_c, &async_4c}) {
+  for (const LoadgenReport* r : {&async_c, &async_4c}) {
     if (r->net_errors != 0 || r->op_errors != 0 || r->throttled != 0) {
       std::printf("FAIL: capacity phase dropped ops (net=%llu op=%llu "
                   "thr=%llu)\n",
@@ -163,9 +136,7 @@ int main(int argc, char** argv) {
   // --- rekey storm through admission control ---
   {
     server::StorageServer storage("loadgen-storm");
-    net::AsyncServer::Options options;
-    options.loops = 2;
-    options.workers = 4;
+    net::AsyncServer::Options options = front_end;
     // Generous per-tenant rate: the storm mostly flows, but bursts clip —
     // both the admitted and the throttled path stay hot.
     options.tenant_rate_per_sec = scale.rate;

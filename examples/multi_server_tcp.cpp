@@ -12,9 +12,9 @@
 #include "crypto/random.h"
 #include "keymanager/key_manager.h"
 #include "keymanager/mle_key_client.h"
+#include "net/async_server.h"
 #include "net/rpc.h"
 #include "net/tcp.h"
-#include "net/tcp_server.h"
 #include "server/storage_server.h"
 #include "util/stopwatch.h"
 
@@ -33,12 +33,12 @@ int main() {
         i < 4 ? "data-" + std::to_string(i) : "key-server"));
   }
 
-  net::TcpServer km_service(
+  net::AsyncServer km_service(
       0, [&km](ByteSpan req) { return km.HandleRequest(req); });
-  std::vector<std::unique_ptr<net::TcpServer>> storage_services;
+  std::vector<std::unique_ptr<net::AsyncServer>> storage_services;
   for (auto& s : servers) {
     server::StorageServer* raw = s.get();
-    storage_services.push_back(std::make_unique<net::TcpServer>(
+    storage_services.push_back(std::make_unique<net::AsyncServer>(
         0, [raw](ByteSpan req) { return raw->HandleRequest(req); }));
   }
   std::printf("key manager on tcp:%u, servers on tcp:", km_service.port());
@@ -105,6 +105,5 @@ int main() {
                 ToMiB(servers[i]->stats().physical_bytes));
   }
   std::printf("\n");
-  std::fflush(stdout);
-  std::_Exit(0);  // demo: skip graceful teardown of live connections
+  return 0;
 }

@@ -199,9 +199,9 @@ UploadResult ReedClient::UploadChunked(
   // thread produces (keygen → parallel encode+fingerprint → in-order recipe
   // and stub assembly) while up to depth-1 previously produced batches ride
   // the wire on consumer tasks. Recipe order, stub order, and dedup stats
-  // are byte-identical to the serial depth=1 path: assembly happens here in
-  // batch order, and per-chunk dedup outcomes are order-independent (the
-  // server's ingest stripes make lookup+insert atomic per fingerprint).
+  // are byte-identical across depths: assembly happens here in batch order,
+  // and per-chunk dedup outcomes are order-independent (the server's ingest
+  // stripes make lookup+insert atomic per fingerprint).
   //
   // Thread discipline: keys_ (MleKeyClient) and rng_ are NOT thread-safe and
   // are touched only by this producer thread; consumer tasks see only
@@ -286,30 +286,24 @@ UploadResult ReedClient::UploadChunked(
       batch.emplace_back(package_fps[i], std::move(sealed[i].trimmed_package));
     }
 
-    if (depth <= 1) {
-      REED_FAULT_POINT("client.upload.store");
-      obs::ScopedTimer store_timer(*m.store_us);
-      StorageClient::PutStats stats = storage_->PutChunks(batch);
-      (void)store_timer.Stop();
-      result.duplicate_chunks += stats.duplicates;
-      result.stored_chunks += stats.stored;
-      result.stored_bytes += stats.stored_bytes;
-    } else {
-      while (inflight.size() >= depth - 1) harvest();
-      obs::GaugeGuard guard(*m.pipeline_inflight);
-      inflight.emplace_back(
-          std::async(std::launch::async,
-                     [storage = storage_, &m,
-                      moved = std::move(batch)]() -> StorageClient::PutStats {
-                       // Fires on the consumer thread; surfaces at harvest()
-                       // via the future (pipelined sweep coverage).
-                       REED_FAULT_POINT("client.upload.store");
-                       schedfuzz::Perturb("client.upload.store");
-                       obs::ScopedTimer store_timer(*m.store_us);
-                       return storage->PutChunks(moved);
-                     }),
-          std::move(guard));
-    }
+    // Window: at most depth-1 batches stay on the wire while the next one
+    // is produced. Depth 1 is a window of one: its batch is harvested
+    // before the next keygen starts, so encode and transfer alternate.
+    while (!inflight.empty() && inflight.size() >= depth - 1) harvest();
+    obs::GaugeGuard guard(*m.pipeline_inflight);
+    inflight.emplace_back(
+        std::async(std::launch::async,
+                   [storage = storage_, &m,
+                    moved = std::move(batch)]() -> StorageClient::PutStats {
+                     // Fires on the consumer thread; surfaces at harvest()
+                     // via the future.
+                     REED_FAULT_POINT("client.upload.store");
+                     schedfuzz::Perturb("client.upload.store");
+                     obs::ScopedTimer store_timer(*m.store_us);
+                     return storage->PutChunks(moved);
+                   }),
+        std::move(guard));
+    if (inflight.size() >= depth) harvest();
     start = end;
   }
 

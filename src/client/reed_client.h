@@ -32,8 +32,9 @@ namespace reed::client {
 
 // Overlapped data-path knobs (DESIGN.md §10). depth is the number of upload
 // batches allowed in flight at once: the producer thread encodes batch i+1
-// while up to depth-1 earlier batches are on the wire. depth = 1 reproduces
-// the legacy serial path (encode and transfer strictly alternate). On
+// while up to depth-1 earlier batches are on the wire. depth = 1 is the same
+// pipeline with a window of one: each batch is stored before the next one's
+// keygen starts, so encode and transfer strictly alternate. On
 // download, depth >= 2 prefetches the next fetch batch while the pool
 // decodes the current one.
 struct PipelineOptions {

@@ -40,7 +40,7 @@ std::size_t TotalChannels(
 
 StorageClient::StorageClient(
     std::vector<std::shared_ptr<net::RpcChannel>> data_servers,
-    std::shared_ptr<net::RpcChannel> key_server, bool concurrent_fanout)
+    std::shared_ptr<net::RpcChannel> key_server)
     : StorageClient(
           [&data_servers] {
             std::vector<std::vector<std::shared_ptr<net::RpcChannel>>> striped;
@@ -48,14 +48,13 @@ StorageClient::StorageClient(
             for (auto& ch : data_servers) striped.push_back({std::move(ch)});
             return striped;
           }(),
-          std::move(key_server), concurrent_fanout) {}
+          std::move(key_server)) {}
 
 StorageClient::StorageClient(
     std::vector<std::vector<std::shared_ptr<net::RpcChannel>>> data_servers,
-    std::shared_ptr<net::RpcChannel> key_server, bool concurrent_fanout)
+    std::shared_ptr<net::RpcChannel> key_server)
     : data_servers_(std::move(data_servers)),
       key_server_(std::move(key_server)),
-      concurrent_fanout_(concurrent_fanout),
       // One worker per channel lets every stripe of every server carry a
       // request at once; the cap only guards against pathological configs.
       pool_(std::min<std::size_t>(32, TotalChannels(data_servers_))) {
@@ -113,8 +112,8 @@ template <typename F>
 void StorageClient::ForEachTarget(const std::vector<std::size_t>& targets,
                                   F&& task) {
   if (targets.empty()) return;
-  if (targets.size() == 1 || !concurrent_fanout_) {
-    for (std::size_t s : targets) task(s);
+  if (targets.size() == 1) {
+    task(targets.front());
     return;
   }
   std::vector<std::future<void>> futures;

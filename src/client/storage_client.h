@@ -25,20 +25,15 @@ namespace reed::client {
 
 class StorageClient {
  public:
-  // One channel per data server (no striping). concurrent_fanout = false
-  // reproduces the legacy serial data path: per-server requests issue one
-  // after another on the calling thread (the depth-1 reference mode of
-  // ClientOptions::pipeline).
+  // One channel per data server (no striping).
   StorageClient(std::vector<std::shared_ptr<net::RpcChannel>> data_servers,
-                std::shared_ptr<net::RpcChannel> key_server,
-                bool concurrent_fanout = true);
+                std::shared_ptr<net::RpcChannel> key_server);
 
   // Striped form: data_servers[s] holds N parallel channels to server s,
   // picked round-robin per call. Every inner vector must be non-empty.
   StorageClient(
       std::vector<std::vector<std::shared_ptr<net::RpcChannel>>> data_servers,
-      std::shared_ptr<net::RpcChannel> key_server,
-      bool concurrent_fanout = true);
+      std::shared_ptr<net::RpcChannel> key_server);
 
   std::size_t data_server_count() const { return data_servers_.size(); }
 
@@ -79,7 +74,6 @@ class StorageClient {
 
   std::vector<std::vector<std::shared_ptr<net::RpcChannel>>> data_servers_;
   std::shared_ptr<net::RpcChannel> key_server_;
-  bool concurrent_fanout_;
   std::atomic<std::uint64_t> next_stripe_{0};
   ThreadPool pool_;
 };

@@ -83,12 +83,13 @@ std::unique_ptr<client::ReedClient> ReedSystem::CreateClient(
     throw Error("ReedSystem: user not registered: " + user_id);
   }
 
-  auto make_channel = [&](server::StorageServer* srv,
-                          std::shared_ptr<net::SimulatedLink> link)
+  // A null link (no simulated network) makes the channel a direct call.
+  auto make_channel = [](server::StorageServer* srv,
+                         std::shared_ptr<net::SimulatedLink> link)
       -> std::shared_ptr<net::RpcChannel> {
-    auto handler = [srv](ByteSpan req) { return srv->HandleRequest(req); };
-    if (link) return std::make_shared<net::SimulatedChannel>(handler, link);
-    return std::make_shared<net::LocalChannel>(handler);
+    return std::make_shared<net::LocalChannel>(
+        [srv](ByteSpan req) { return srv->HandleRequest(req); },
+        std::move(link));
   };
 
   // Striped channels per server (DESIGN.md §10): the stripes of a simulated
@@ -108,21 +109,13 @@ std::unique_ptr<client::ReedClient> ReedSystem::CreateClient(
     }
     data_channels.push_back(std::move(server_stripes));
   }
-  // depth 1 is the legacy serial reference: per-server requests issue
-  // sequentially, exactly like the pre-pipeline client.
   auto storage = std::make_shared<client::StorageClient>(
       std::move(data_channels),
-      make_channel(key_server_.get(), key_server_link_),
-      /*concurrent_fanout=*/options.pipeline.depth > 1);
+      make_channel(key_server_.get(), key_server_link_));
 
   keymanager::KeyManager* km = key_manager_.get();
-  auto km_handler = [km](ByteSpan req) { return km->HandleRequest(req); };
-  std::shared_ptr<net::RpcChannel> km_channel;
-  if (km_link_) {
-    km_channel = std::make_shared<net::SimulatedChannel>(km_handler, km_link_);
-  } else {
-    km_channel = std::make_shared<net::LocalChannel>(km_handler);
-  }
+  auto km_channel = std::make_shared<net::LocalChannel>(
+      [km](ByteSpan req) { return km->HandleRequest(req); }, km_link_);
   auto keys = std::make_shared<keymanager::MleKeyClient>(
       user_id, key_manager_->public_key(), std::move(km_channel),
       options.key_options);

@@ -78,24 +78,17 @@ AsyncServer::AsyncServer(std::uint16_t port, LocalChannel::Handler handler,
   if (options_.loops == 0) options_.loops = 1;
   SetNonBlocking(listener_->fd());
   for (std::size_t i = 0; i < options_.loops; ++i) {
+    // The Loop owns its fds from the moment they exist, so a throw below
+    // closes them along with those of every loop built before it.
     auto loop = std::make_unique<Loop>();
     loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     if (loop->epoll_fd < 0) ThrowErrno("AsyncServer: epoll_create1");
     loop->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->event_fd < 0) {
-      int saved = errno;
-      ::close(loop->epoll_fd);
-      errno = saved;
-      ThrowErrno("AsyncServer: eventfd");
-    }
+    if (loop->event_fd < 0) ThrowErrno("AsyncServer: eventfd");
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = kEventId;
     if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->event_fd, &ev) != 0) {
-      int saved = errno;
-      ::close(loop->event_fd);
-      ::close(loop->epoll_fd);
-      errno = saved;
       ThrowErrno("AsyncServer: epoll_ctl(eventfd)");
     }
     if (i == 0) {
@@ -105,10 +98,6 @@ AsyncServer::AsyncServer(std::uint16_t port, LocalChannel::Handler handler,
       lev.data.u64 = kListenerId;
       if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, listener_->fd(), &lev) !=
           0) {
-        int saved = errno;
-        ::close(loop->event_fd);
-        ::close(loop->epoll_fd);
-        errno = saved;
         ThrowErrno("AsyncServer: epoll_ctl(listener)");
       }
     }
@@ -122,18 +111,19 @@ AsyncServer::AsyncServer(std::uint16_t port, LocalChannel::Handler handler,
   }
 }
 
+AsyncServer::Loop::~Loop() {
+  if (event_fd >= 0) ::close(event_fd);
+  if (epoll_fd >= 0) ::close(epoll_fd);
+}
+
 AsyncServer::~AsyncServer() {
   stopping_.store(true);
   for (auto& loop : loops_) WakeLoop(*loop);
   Wait();
   // Workers may still be finishing dispatched handlers; they push
   // completions (dropped — the loops are gone) and write the eventfds, so
-  // the pool must drain before any fd below closes.
+  // the pool must drain before loops_ is destroyed and closes those fds.
   pool_.reset();
-  for (auto& loop : loops_) {
-    if (loop->event_fd >= 0) ::close(loop->event_fd);
-    if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
-  }
 }
 
 void AsyncServer::Wait() {
@@ -235,8 +225,8 @@ void AsyncServer::RunLoop(std::size_t index) {
 
 void AsyncServer::HandleAccept(Loop& loop) {
   static obs::Counter* accepted = &NamedCounter("server.net.conns_accepted");
-  // Satellite of the accept-loop hygiene pass: accept failures on the async
-  // path are counted, mirroring TcpServer's errors.swallowed.net_accept.
+  // Accept failures other than EAGAIN are counted, not thrown: the loop has
+  // no caller to rethrow to.
   static obs::Counter* accept_errors =
       &NamedCounter("errors.swallowed.net_async_accept");
   for (;;) {

@@ -1,5 +1,6 @@
-// Epoll-based async RPC front end: the massive-client alternative to
-// TcpServer's thread-per-connection model (DESIGN.md §13).
+// Epoll-based async RPC front end: the one TCP server of the tree. Both
+// daemons (reed_serverd, reed_keymanagerd), the examples and the load
+// generator serve through it (DESIGN.md §13).
 //
 // N event-loop threads each own an epoll instance; accepted fds are sharded
 // across loops round-robin and every per-connection structure is touched by
@@ -117,7 +118,12 @@ class AsyncServer {
     std::uint64_t conn_id = 0;
     Bytes response;
   };
+  // Owns its epoll and event fds: the destructor closes them.
   struct Loop {
+    Loop() = default;
+    ~Loop();
+    Loop(const Loop&) = delete;
+    Loop& operator=(const Loop&) = delete;
     int epoll_fd = -1;
     int event_fd = -1;
     std::thread thread;

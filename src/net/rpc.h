@@ -2,11 +2,11 @@
 //
 // Every REED service (key manager, storage servers) exposes a
 // HandleRequest(bytes) -> bytes entry point; clients reach it through an
-// RpcChannel. Three implementations cover the deployment spectrum:
-//   * LocalChannel      — direct call, zero cost (unit tests)
-//   * SimulatedChannel  — direct call + SimulatedLink costs both ways
-//                         (testbed-shaped benchmarks)
-//   * TcpChannel        — frames over a real socket (deployment/example)
+// RpcChannel. Two implementations cover the deployment spectrum:
+//   * LocalChannel — direct call, optionally paying SimulatedLink costs both
+//                    ways (unit tests, testbed-shaped benchmarks)
+//   * TcpChannel   — frames over a real socket to an AsyncServer
+//                    (deployment/example)
 #pragma once
 
 #include <functional>
@@ -27,31 +27,19 @@ class RpcChannel {
   [[nodiscard]] virtual Bytes Call(ByteSpan request) = 0;
 };
 
-// Wraps any handler function as a channel.
+// Wraps any handler function as a channel. With a link, the request and the
+// response each pay the link's simulated transfer cost around the call; a
+// null link is a plain direct call.
 class LocalChannel : public RpcChannel {
  public:
   using Handler = std::function<Bytes(ByteSpan)>;
-  explicit LocalChannel(Handler handler) : handler_(std::move(handler)) {}
-
-  [[nodiscard]] Bytes Call(ByteSpan request) override {
-    REED_FAULT_POINT("net.rpc.call");
-    return handler_(request);
-  }
-
- private:
-  Handler handler_;
-};
-
-// Pays simulated network costs for the request and the response around a
-// direct handler call.
-class SimulatedChannel : public RpcChannel {
- public:
-  SimulatedChannel(LocalChannel::Handler handler,
-                   std::shared_ptr<SimulatedLink> link)
+  explicit LocalChannel(Handler handler,
+                        std::shared_ptr<SimulatedLink> link = nullptr)
       : handler_(std::move(handler)), link_(std::move(link)) {}
 
   [[nodiscard]] Bytes Call(ByteSpan request) override {
     REED_FAULT_POINT("net.rpc.call");
+    if (!link_) return handler_(request);
     link_->Transfer(request.size());
     Bytes response = handler_(request);
     link_->Transfer(response.size());
@@ -59,7 +47,7 @@ class SimulatedChannel : public RpcChannel {
   }
 
  private:
-  LocalChannel::Handler handler_;
+  Handler handler_;
   std::shared_ptr<SimulatedLink> link_;
 };
 
@@ -83,16 +71,5 @@ class TcpChannel : public RpcChannel {
   IoSerialMutex mu_;
   TcpTransport transport_ REED_GUARDED_BY(mu_);
 };
-
-// Serves a handler over an accepted TCP transport until the peer closes
-// (or the transport is Shutdown() from another thread). Send failures and
-// NetError from the handler end the session instead of escaping into the
-// serving thread.
-void ServeTransport(TcpTransport& transport,
-                    const LocalChannel::Handler& handler);
-
-// Owning convenience overload.
-void ServeTransport(TcpTransport&& transport,
-                    const LocalChannel::Handler& handler);
 
 }  // namespace reed::net

@@ -6,10 +6,10 @@
 // key states, metadata); the data store and the key store are two
 // ObjectStore instances (paper §V "Storage backend" separates them).
 //
-// Both are sharded N-ways by key hash (DESIGN.md §10): the multi-session
-// TcpServer and the client's concurrent RPC fan-out hammer these maps from
-// many threads at once, and a single mutex would serialize the whole data
-// path. Each shard carries its own lock; cross-shard invariants do not
+// Both are sharded N-ways by key hash (DESIGN.md §10): AsyncServer's
+// handler workers and the client's concurrent RPC fan-out hammer these maps
+// from many threads at once, and a single mutex would serialize the whole
+// data path. Each shard carries its own lock; cross-shard invariants do not
 // exist (a key lives in exactly one shard), so the public API is unchanged
 // and per-call results are identical to the unsharded store. Lock
 // contention per store is observable via the store.*.shard_contention

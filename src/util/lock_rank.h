@@ -61,10 +61,9 @@ enum class LockRank : std::uint16_t {
   kCryptoRng = 450,  // process-wide secure RNG
 
   // net bookkeeping (not the wire itself)
-  kNetServerSessions = 500,  // TcpServer session list
-  kNetLink = 510,            // SimulatedLink bandwidth model
-  kNetAsyncLoop = 520,       // AsyncServer per-loop handoff/completion queues
-  kNetTenantMap = 530,       // AsyncServer tenant -> TokenBucket map
+  kNetLink = 510,       // SimulatedLink bandwidth model
+  kNetAsyncLoop = 520,  // AsyncServer per-loop handoff/completion queues
+  kNetTenantMap = 530,  // AsyncServer tenant -> TokenBucket map
 
   // fault injection: site registration happens lazily at the first
   // traversal of a REED_FAULT_POINT, which may sit anywhere on the data
@@ -112,8 +111,6 @@ constexpr const char* LockRankName(LockRank rank) {
       return "util.rate_limiter";
     case LockRank::kCryptoRng:
       return "crypto.rng";
-    case LockRank::kNetServerSessions:
-      return "net.server_sessions";
     case LockRank::kNetLink:
       return "net.link";
     case LockRank::kNetAsyncLoop:
@@ -132,17 +129,16 @@ constexpr const char* LockRankName(LockRank rank) {
 
 // Every rank except kUnranked, for eager metric registration
 // (obs/lock_metrics.cc resolves one wait + one held histogram per rank).
-inline constexpr std::array<LockRank, 19> kAllLockRanks = {
-    LockRank::kServerStats,      LockRank::kServerIngest,
-    LockRank::kStoreShard,       LockRank::kStoreContainer,
-    LockRank::kStoreSegment,     LockRank::kStoreWal,
-    LockRank::kKeyManagerState,  LockRank::kAbeAttrCache,
-    LockRank::kThreadPool,       LockRank::kLruCache,
-    LockRank::kRateLimiter,      LockRank::kCryptoRng,
-    LockRank::kNetServerSessions, LockRank::kNetLink,
-    LockRank::kNetAsyncLoop,     LockRank::kNetTenantMap,
-    LockRank::kFaultRegistry,    LockRank::kObsRegistry,
-    LockRank::kIoChannel,
+inline constexpr std::array<LockRank, 18> kAllLockRanks = {
+    LockRank::kServerStats,     LockRank::kServerIngest,
+    LockRank::kStoreShard,      LockRank::kStoreContainer,
+    LockRank::kStoreSegment,    LockRank::kStoreWal,
+    LockRank::kKeyManagerState, LockRank::kAbeAttrCache,
+    LockRank::kThreadPool,      LockRank::kLruCache,
+    LockRank::kRateLimiter,     LockRank::kCryptoRng,
+    LockRank::kNetLink,         LockRank::kNetAsyncLoop,
+    LockRank::kNetTenantMap,    LockRank::kFaultRegistry,
+    LockRank::kObsRegistry,     LockRank::kIoChannel,
 };
 
 }  // namespace reed

@@ -7,19 +7,25 @@
 // TCP nondeterminism. The behavioural tests (backpressure, idle sweep,
 // tenant admission, slow readers) go over real loopback TCP because they
 // depend on socket-buffer dynamics. The stress test runs the same
-// deterministic client tapes against a thread-per-connection TcpServer and
-// an AsyncServer backed by separate StorageServers and requires
+// deterministic client tapes through direct LocalChannel calls and through
+// an AsyncServer, each backed by its own StorageServer, and requires
 // byte-identical transcripts plus equal package digests — the async front
-// end must be a pure transport swap.
+// end must be a pure transport.
 
 #include "net/async_server.h"
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <functional>
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,7 +34,6 @@
 #include "gtest/gtest.h"
 #include "net/rpc.h"
 #include "net/tcp.h"
-#include "net/tcp_server.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "server/storage_server.h"
@@ -295,13 +300,68 @@ TEST(AsyncServerTest, TenantAdmissionThrottlesPerTenant) {
   EXPECT_GE(CounterValue("server.net.throttled"), throttled_before + 1);
 }
 
-// --- differential stress: async front end vs thread-per-connection ---
+// --- construction failure ---
+
+// Open fds of this process. The directory handle used for the listing is
+// closed again by the time the caller looks, so it is filtered out.
+std::vector<int> OpenFds() {
+  std::vector<int> listed;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    listed.push_back(std::stoi(entry.path().filename().string()));
+  }
+  std::vector<int> open;
+  for (int fd : listed) {
+    if (::fcntl(fd, F_GETFD) != -1) open.push_back(fd);
+  }
+  return open;
+}
+
+TEST(AsyncServerTest, FailedConstructionLeaksNoFds) {
+  // The constructor opens the listener, then two fds (epoll + eventfd) per
+  // loop. New fds take the lowest free numbers, so capping RLIMIT_NOFILE at
+  // the 7th free number lets the listener and loops 0-1 build, gives loop 2
+  // its epoll fd, and fails loop 2's eventfd: loop 3 of 8 fails mid-build.
+  const std::vector<int> before = OpenFds();
+  const std::set<int> used(before.begin(), before.end());
+  int free_seen = 0;
+  int cap = 0;
+  for (int fd = 0; free_seen < 7; ++fd) {
+    if (!used.contains(fd)) {
+      ++free_seen;
+      cap = fd;
+    }
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(cap);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  AsyncServer::Options options;
+  options.loops = 8;
+  options.workers = 1;
+  bool threw = false;
+  try {
+    AsyncServer server(0, EchoHandler, options);
+  } catch (const NetError& e) {
+    threw = true;
+    EXPECT_NE(std::string(e.what()).find("eventfd"), std::string::npos)
+        << e.what();
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(OpenFds().size(), before.size());
+}
+
+// --- differential stress: async front end vs direct handler calls ---
 //
 // Runs under TSan in the concurrency lane (tests/CMakeLists.txt widens its
-// budget there): many client threads, two server stacks, one shared
-// StorageServer implementation. Each client replays a deterministic op tape
-// and records every response; the transcripts and the final package digests
-// must match between the two front ends exactly.
+// budget there): many client threads, two StorageServers, one reached by
+// direct calls and one over sockets through the AsyncServer. Each client
+// replays a deterministic op tape and records every response; the
+// transcripts and the final package digests must match exactly.
 
 Bytes ClientChunk(unsigned client, unsigned i, unsigned j) {
   Bytes data = ToBytes("chunk-c" + std::to_string(client) + "-i" +
@@ -310,13 +370,12 @@ Bytes ClientChunk(unsigned client, unsigned i, unsigned j) {
   return data;
 }
 
-// One client's scripted session against `port`; returns every response
+// One client's scripted session over `channel`; returns every response
 // frame in order. Shared chunks (same bytes from every client) race the
 // dedup path, so their PutChunks *responses* are schedule-dependent and are
 // deliberately not recorded — the GetChunks payloads that follow are.
-std::vector<Bytes> RunClientTape(std::uint16_t port, unsigned client) {
+std::vector<Bytes> RunClientTape(RpcChannel& channel, unsigned client) {
   std::vector<Bytes> transcript;
-  auto channel = TcpChannel(TcpTransport::Connect("127.0.0.1", port));
   for (unsigned i = 0; i < 8; ++i) {
     // Private object: put, then read back.
     std::string name = "c" + std::to_string(client) + "-obj" + std::to_string(i);
@@ -362,26 +421,32 @@ std::vector<Bytes> RunClientTape(std::uint16_t port, unsigned client) {
   return transcript;
 }
 
-std::vector<std::vector<Bytes>> RunAllClients(std::uint16_t port,
-                                              unsigned clients) {
+// Runs every client tape concurrently, each over its own channel.
+std::vector<std::vector<Bytes>> RunAllClients(
+    unsigned clients,
+    const std::function<std::unique_ptr<RpcChannel>()>& connect) {
   std::vector<std::vector<Bytes>> transcripts(clients);
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (unsigned c = 0; c < clients; ++c) {
-    threads.emplace_back(
-        [&, c] { transcripts[c] = RunClientTape(port, c); });
+    threads.emplace_back([&, c] {
+      std::unique_ptr<RpcChannel> channel = connect();
+      transcripts[c] = RunClientTape(*channel, c);
+    });
   }
   for (std::thread& t : threads) t.join();
   return transcripts;
 }
 
-TEST(AsyncServerStressTest, ByteIdenticalWithThreadPerConnection) {
+TEST(AsyncServerStressTest, ByteIdenticalWithDirectHandler) {
   constexpr unsigned kClients = 8;
 
-  StorageServer serial_storage("stress-serial");
-  TcpServer serial_server(
-      0, [&](ByteSpan request) { return serial_storage.HandleRequest(request); });
-  auto serial = RunAllClients(serial_server.port(), kClients);
+  StorageServer direct_storage("stress-direct");
+  auto direct = RunAllClients(kClients, [&] {
+    return std::make_unique<LocalChannel>([&](ByteSpan request) {
+      return direct_storage.HandleRequest(request);
+    });
+  });
 
   StorageServer async_storage("stress-async");
   AsyncServer::Options options;
@@ -390,17 +455,20 @@ TEST(AsyncServerStressTest, ByteIdenticalWithThreadPerConnection) {
   AsyncServer async_server(
       0, [&](ByteSpan request) { return async_storage.HandleRequest(request); },
       options);
-  auto async = RunAllClients(async_server.port(), kClients);
+  auto async = RunAllClients(kClients, [&] {
+    return std::make_unique<TcpChannel>(
+        TcpTransport::Connect("127.0.0.1", async_server.port()));
+  });
 
-  ASSERT_EQ(serial.size(), async.size());
+  ASSERT_EQ(direct.size(), async.size());
   for (unsigned c = 0; c < kClients; ++c) {
-    ASSERT_EQ(serial[c].size(), async[c].size()) << "client " << c;
-    for (std::size_t i = 0; i < serial[c].size(); ++i) {
-      EXPECT_EQ(serial[c][i], async[c][i]) << "client " << c << " op " << i;
+    ASSERT_EQ(direct[c].size(), async[c].size()) << "client " << c;
+    for (std::size_t i = 0; i < direct[c].size(); ++i) {
+      EXPECT_EQ(direct[c][i], async[c][i]) << "client " << c << " op " << i;
     }
   }
-  EXPECT_EQ(serial_storage.PackageDigest(), async_storage.PackageDigest());
-  EXPECT_TRUE(serial_storage.CheckConsistency().ok);
+  EXPECT_EQ(direct_storage.PackageDigest(), async_storage.PackageDigest());
+  EXPECT_TRUE(direct_storage.CheckConsistency().ok);
   EXPECT_TRUE(async_storage.CheckConsistency().ok);
 }
 

@@ -2,13 +2,14 @@
 //
 // These tests exist to give TSan (and ASan) interleavings to chew on:
 // every shared component that the multi-threaded client/server paths use —
-// ThreadPool, LruCache, TokenBucket, TcpServer, the key manager's signing
+// ThreadPool, LruCache, TokenBucket, AsyncServer, the key manager's signing
 // pool and the MLE key client's blinding pool — is hammered from many
 // threads at once. Under TSan everything runs 5-15x slower, so iteration
 // counts scale down when REED_TSAN is defined (set by the build when
 // REED_SANITIZE=thread).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -22,9 +23,10 @@
 #include "crypto/random.h"
 #include "keymanager/key_manager.h"
 #include "keymanager/mle_key_client.h"
+#include "net/async_server.h"
 #include "net/rpc.h"
 #include "net/tcp.h"
-#include "net/tcp_server.h"
+#include "obs/metrics.h"
 #include "util/lru_cache.h"
 #include "util/rate_limiter.h"
 #include "util/thread_pool.h"
@@ -227,9 +229,9 @@ Bytes EchoRequest(int client, int seq) {
   return Bytes(s.begin(), s.end());
 }
 
-TEST(TcpServerStress, ManyConcurrentClients) {
+TEST(AsyncServerStress, ManyConcurrentClients) {
   std::atomic<std::uint64_t> served{0};
-  net::TcpServer server(0, [&served](ByteSpan req) {
+  net::AsyncServer server(0, [&served](ByteSpan req) {
     served.fetch_add(1, std::memory_order_relaxed);
     return Bytes(req.begin(), req.end());  // echo
   });
@@ -259,16 +261,16 @@ TEST(TcpServerStress, ManyConcurrentClients) {
                                static_cast<std::uint64_t>(kRequests));
 }
 
-TEST(TcpServerStress, DestructionWithLiveConnections) {
+TEST(AsyncServerStress, DestructionWithLiveConnections) {
   // Clients connect, make one call, then sit blocked in Receive() while the
-  // server is destroyed. The old implementation detached session threads
-  // here, leaving them to race the destroyed handler; the rewrite must shut
-  // every session down and join it.
+  // server is destroyed. The destructor must close every live connection
+  // (each blocked client sees EOF) and join its loops and workers before the
+  // handler goes away.
   for (int round = 0; round < 3 * kScale; ++round) {
     std::vector<std::thread> clients;
     std::atomic<int> disconnected{0};
     {
-      auto server = std::make_unique<net::TcpServer>(0, [](ByteSpan req) {
+      auto server = std::make_unique<net::AsyncServer>(0, [](ByteSpan req) {
         return Bytes(req.begin(), req.end());
       });
       std::atomic<int> ready{0};
@@ -288,19 +290,24 @@ TEST(TcpServerStress, DestructionWithLiveConnections) {
         });
       }
       while (ready.load() < kClients) std::this_thread::yield();
-      server.reset();  // must unblock and join every session
+      server.reset();  // must close every connection and join every thread
     }
     for (auto& t : clients) t.join();
     EXPECT_EQ(disconnected.load(), 4);
   }
 }
 
-TEST(TcpServerStress, ChurningClientsWhileServing) {
+TEST(AsyncServerStress, ChurningClientsWhileServing) {
   // Connection churn: short-lived clients connecting/disconnecting while
-  // others are mid-conversation exercises session reaping in the accept loop.
-  net::TcpServer server(0, [](ByteSpan req) {
-    return Bytes(req.begin(), req.end());
-  });
+  // others are mid-conversation exercises accept sharding across loops and
+  // connection teardown on EOF.
+  obs::Gauge& active =
+      obs::Registry::Global().GetGauge("server.net.active_conns");
+  const std::int64_t active_before = active.value();
+  net::AsyncServer::Options options;
+  options.loops = 2;
+  net::AsyncServer server(
+      0, [](ByteSpan req) { return Bytes(req.begin(), req.end()); }, options);
   const int kChurners = 6;
   const int kConnectsEach = 20 * kScale;
   std::atomic<int> failures{0};
@@ -321,6 +328,12 @@ TEST(TcpServerStress, ChurningClientsWhileServing) {
   }
   for (auto& t : churners) t.join();
   EXPECT_EQ(failures.load(), 0);
+  // Every churned connection is closed on the server side once its client
+  // hangs up; the loops see the EOFs asynchronously, so poll briefly.
+  for (int i = 0; i < 500 && active.value() != active_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(active.value(), active_before);
 }
 
 }  // namespace

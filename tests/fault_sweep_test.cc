@@ -12,9 +12,10 @@
 //   4. an immediate disarmed retry of the same drive succeeds and
 //      round-trips the file byte-identically.
 //
-// The sweep runs twice — serial data path (pipeline depth 1) and overlapped
-// pipelined path (depth 3, striped channels, concurrent fan-out) — because
-// the two propagate failures differently (direct throw vs. future rethrow).
+// The sweep runs twice over the one upload pipeline — a window of one
+// (depth 1: each batch stored before the next keygen) and an overlapped
+// window (depth 3, striped channels) — because the two settings unwind
+// with different amounts of work in flight when a fault fires.
 // A clean drive first checks coverage: the drive must traverse every
 // manifest site, and must traverse no site missing from the manifest.
 #include <gtest/gtest.h>
@@ -252,7 +253,7 @@ TEST(FaultSweepTest, PartialFanoutPutChunksLeavesRetryableState) {
 // Async front-end sweep: the four net.async.* sites live on AsyncServer's
 // event-loop threads behind real sockets, so they get their own drive (a
 // TcpChannel round trip against an in-process AsyncServer) instead of the
-// SimulatedChannel drive above. The contract per site: the client observes a
+// LocalChannel drive above. The contract per site: the client observes a
 // typed NetError (the connection is the blast radius — it closes), the
 // fault.<site>.fired counter proves the injection, the server's net gauges
 // drain back to zero, the storage state stays consistent, and a disarmed

@@ -4,10 +4,9 @@
 // protocol run over real TCP sockets.
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "core/reed_system.h"
 #include "crypto/random.h"
+#include "net/async_server.h"
 #include "net/tcp.h"
 #include "trace/trace.h"
 
@@ -371,31 +370,24 @@ TEST_F(IntegrationTest, StorageStatsAccounting) {
 // --------------------------- over real TCP ---------------------------
 
 TEST(TcpIntegrationTest, FullProtocolOverLoopbackSockets) {
-  // Stand up the key manager and one storage server behind real TCP
-  // listeners, then run a complete upload/download through sockets.
+  // Stand up the key manager and one storage server behind AsyncServer
+  // front ends, then run a complete upload/download through sockets.
   DeterministicRng rng(500);
   keymanager::KeyManager::Options km_opts;
   km_opts.rsa_bits = 512;
   keymanager::KeyManager km(rsa::GenerateKeyPair(512, rng), km_opts);
   server::StorageServer storage("tcp-server");
 
-  net::TcpListener km_listener(0);
-  net::TcpListener storage_listener(0);
-  std::thread km_thread([&] {
-    net::ServeTransport(km_listener.Accept(),
-                        [&](ByteSpan req) { return km.HandleRequest(req); });
-  });
-  std::thread storage_thread([&] {
-    net::ServeTransport(storage_listener.Accept(), [&](ByteSpan req) {
-      return storage.HandleRequest(req);
-    });
-  });
+  net::AsyncServer km_server(
+      0, [&](ByteSpan req) { return km.HandleRequest(req); });
+  net::AsyncServer storage_server(
+      0, [&](ByteSpan req) { return storage.HandleRequest(req); });
 
   {
     auto km_channel = std::make_shared<net::TcpChannel>(
-        net::TcpTransport::Connect("127.0.0.1", km_listener.port()));
+        net::TcpTransport::Connect("127.0.0.1", km_server.port()));
     auto storage_channel = std::make_shared<net::TcpChannel>(
-        net::TcpTransport::Connect("127.0.0.1", storage_listener.port()));
+        net::TcpTransport::Connect("127.0.0.1", storage_server.port()));
 
     auto pairing = std::make_shared<const pairing::TypeAPairing>(
         pairing::TypeAParams::Default());
@@ -422,9 +414,7 @@ TEST(TcpIntegrationTest, FullProtocolOverLoopbackSockets) {
     auto rekey = alice.Rekey("tcp-file", {"alice"}, RevocationMode::kActive);
     EXPECT_TRUE(rekey.stub_reencrypted);
     EXPECT_EQ(alice.Download("tcp-file"), file);
-  }  // channels close -> server loops exit
-  km_thread.join();
-  storage_thread.join();
+  }
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ struct HarnessOptions {
   std::uint64_t seed = 1;
   std::size_t num_ops = 40;
   std::size_t num_users = 3;
-  std::size_t pipeline_depth = 2;  // 1 = legacy serial data path
+  std::size_t pipeline_depth = 2;  // 1 = upload window of one
   Bug bug = Bug::kNone;
   std::string repro_dir = ".";
   bool verbose = false;

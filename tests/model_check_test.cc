@@ -144,7 +144,7 @@ TEST(ModelCheckTest, SequentialPipelinedMatchesModel) {
 
 TEST(ModelCheckTest, SequentialSerialPathMatchesModel) {
   HarnessOptions options = QuickOptions(202);
-  options.pipeline_depth = 1;  // legacy serial data path
+  options.pipeline_depth = 1;  // upload pipeline with a window of one
   RunReport report = modelcheck::RunSequential(options);
   EXPECT_TRUE(report.ok) << report.divergence;
 }

@@ -5,10 +5,10 @@
 #include <atomic>
 #include <thread>
 
+#include "net/async_server.h"
 #include "net/link.h"
 #include "net/rpc.h"
 #include "net/tcp.h"
-#include "net/tcp_server.h"
 #include "net/wire.h"
 #include "util/stopwatch.h"
 
@@ -101,31 +101,36 @@ TEST(SimulatedLinkTest, ConcurrentSendersShareBandwidth) {
   EXPECT_GT(elapsed, 0.08);
 }
 
-TEST(RpcChannelTest, LocalChannelInvokesHandler) {
-  LocalChannel channel([](ByteSpan req) {
+TEST(RpcChannelTest, LocalChannelWithAndWithoutLink) {
+  auto echo = [](ByteSpan req) {
     Bytes resp = ToBytes("echo:");
     Append(resp, req);
     return resp;
-  });
-  EXPECT_EQ(channel.Call(ToBytes("hi")), ToBytes("echo:hi"));
-}
+  };
+  // No link: a direct call.
+  LocalChannel direct(echo);
+  EXPECT_EQ(direct.Call(ToBytes("hi")), ToBytes("echo:hi"));
 
-TEST(RpcChannelTest, SimulatedChannelChargesBothDirections) {
+  // A link charges the request and the response.
   auto link = std::make_shared<SimulatedLink>(0, 0);  // accounting only
-  SimulatedChannel channel([](ByteSpan) { return Bytes(100, 0); }, link);
-  (void)channel.Call(Bytes(50, 0));
-  EXPECT_EQ(link->total_bytes(), 150u);
+  LocalChannel linked(echo, link);
+  EXPECT_EQ(linked.Call(Bytes(50, 0)).size(), 55u);
+  EXPECT_EQ(link->total_bytes(), 105u);
 }
 
 TEST(TcpTest, FramedEchoOverLoopback) {
   TcpListener listener(0);
   std::thread server([&] {
     TcpTransport conn = listener.Accept();
-    ServeTransport(std::move(conn), [](ByteSpan req) {
-      Bytes resp = ToBytes("ok:");
-      Append(resp, req);
-      return resp;
-    });
+    // Echo frames until the client closes (Receive then throws).
+    try {
+      for (;;) {
+        Bytes resp = ToBytes("ok:");
+        Append(resp, conn.Receive());
+        conn.Send(resp);
+      }
+    } catch (const NetError&) {
+    }
   });
 
   {
@@ -140,8 +145,8 @@ TEST(TcpTest, FramedEchoOverLoopback) {
   server.join();
 }
 
-TEST(TcpServerTest, ServesMultipleConcurrentClients) {
-  TcpServer server(0, [](ByteSpan req) {
+TEST(AsyncServerTcpTest, ServesMultipleConcurrentClients) {
+  AsyncServer server(0, [](ByteSpan req) {
     Bytes resp = ToBytes("srv:");
     Append(resp, req);
     return resp;
@@ -163,10 +168,11 @@ TEST(TcpServerTest, ServesMultipleConcurrentClients) {
   EXPECT_EQ(ok.load(), 40);
 }
 
-TEST(TcpServerTest, DestructorStopsAcceptor) {
+TEST(AsyncServerTcpTest, DestructorStopsAcceptor) {
   std::uint16_t port;
   {
-    TcpServer server(0, [](ByteSpan req) { return Bytes(req.begin(), req.end()); });
+    AsyncServer server(0,
+                       [](ByteSpan req) { return Bytes(req.begin(), req.end()); });
     port = server.port();
   }
   // After destruction the port no longer accepts connections.

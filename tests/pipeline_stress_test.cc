@@ -4,14 +4,21 @@
 // while batch i is on the wire) but must not reorder RESULTS: recipes,
 // dedup statistics, and downloaded bytes have to match the serial path
 // exactly. The first test pins that equivalence on twin same-seed systems;
-// the rest hammer one shared cluster from many pipelined clients at once —
-// sized to stay cheap enough for TSan, which is the point of the exercise.
+// the window test pins the upload schedule each depth promises; the rest
+// hammer one shared cluster from many pipelined clients at once — sized to
+// stay cheap enough for TSan, which is the point of the exercise.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "core/reed_system.h"
 #include "crypto/random.h"
+#include "keymanager/key_manager.h"
+#include "keymanager/mle_key_client.h"
+#include "net/rpc.h"
+#include "server/storage_server.h"
 
 namespace reed {
 namespace {
@@ -147,6 +154,117 @@ TEST(PipelineStressTest, ConcurrentIdenticalUploadsKeepDedupExact) {
   // And everyone can read their copy back.
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(clients[c]->Download("shared-" + std::to_string(c)), shared);
+  }
+}
+
+// Shared between the recording channels of one client: how many PutChunks
+// and key-manager calls are in progress, the PutChunks peak, and whether a
+// key-manager call ever ran while a PutChunks was in progress.
+struct WindowRecord {
+  std::atomic<int> puts{0};
+  std::atomic<int> peak_puts{0};
+  std::atomic<int> km_calls{0};
+  std::atomic<bool> km_overlapped_put{false};
+};
+
+// Storage side: counts concurrent PutChunks, holding each one briefly so
+// any overlap the schedule allows actually shows.
+class PutRecordingChannel : public net::RpcChannel {
+ public:
+  PutRecordingChannel(std::shared_ptr<net::RpcChannel> inner,
+                      WindowRecord& record)
+      : inner_(std::move(inner)), record_(record) {}
+
+  [[nodiscard]] Bytes Call(ByteSpan request) override {
+    bool put = !request.empty() && request[0] == static_cast<std::uint8_t>(
+                                       server::Opcode::kPutChunks);
+    if (!put) return inner_->Call(request);
+    int now = record_.puts.fetch_add(1) + 1;
+    int peak = record_.peak_puts.load();
+    while (now > peak && !record_.peak_puts.compare_exchange_weak(peak, now)) {
+    }
+    if (record_.km_calls.load() > 0) record_.km_overlapped_put = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    Bytes response = inner_->Call(request);
+    record_.puts.fetch_sub(1);
+    return response;
+  }
+
+ private:
+  std::shared_ptr<net::RpcChannel> inner_;
+  WindowRecord& record_;
+};
+
+// Key-manager side: flags any GetKeys round trip that overlaps a PutChunks.
+// Both channels raise their own counter before reading the other's, so an
+// overlap is seen by at least one side.
+class KmRecordingChannel : public net::RpcChannel {
+ public:
+  KmRecordingChannel(std::shared_ptr<net::RpcChannel> inner,
+                     WindowRecord& record)
+      : inner_(std::move(inner)), record_(record) {}
+
+  [[nodiscard]] Bytes Call(ByteSpan request) override {
+    record_.km_calls.fetch_add(1);
+    if (record_.puts.load() > 0) record_.km_overlapped_put = true;
+    Bytes response = inner_->Call(request);
+    record_.km_calls.fetch_sub(1);
+    return response;
+  }
+
+ private:
+  std::shared_ptr<net::RpcChannel> inner_;
+  WindowRecord& record_;
+};
+
+TEST(PipelineWindowTest, PutChunksInFlightStaysWithinDepthWindow) {
+  DeterministicRng rng(31);
+  keymanager::KeyManager::Options km_opts;
+  km_opts.rsa_bits = 512;
+  keymanager::KeyManager km(rsa::GenerateKeyPair(512, rng), km_opts);
+  auto pairing = std::make_shared<const pairing::TypeAPairing>(
+      pairing::TypeAParams::Default());
+  auto abe = std::make_shared<const abe::CpAbe>(pairing);
+  auto setup = abe->Setup(rng);
+  auto access_key = abe->KeyGen(setup.pk, setup.mk, {"user:alice"}, rng);
+  auto derivation = rsa::GenerateKeyPair(512, rng);
+
+  for (std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    // One data server, one stripe: every batch is exactly one PutChunks.
+    server::StorageServer storage("window-" + std::to_string(depth));
+    WindowRecord record;
+    auto direct = std::make_shared<net::LocalChannel>(
+        [&storage](ByteSpan req) { return storage.HandleRequest(req); });
+    auto data_channel =
+        std::make_shared<PutRecordingChannel>(direct, record);
+    auto km_channel = std::make_shared<KmRecordingChannel>(
+        std::make_shared<net::LocalChannel>(
+            [&km](ByteSpan req) { return km.HandleRequest(req); }),
+        record);
+    auto storage_client = std::make_shared<client::StorageClient>(
+        std::vector<std::shared_ptr<net::RpcChannel>>{data_channel}, direct);
+    auto keys = std::make_shared<keymanager::MleKeyClient>(
+        "alice", km.public_key(), km_channel,
+        keymanager::MleKeyClient::Options{});
+    ReedClient alice("alice", PipelinedOptions(depth, 1), storage_client, keys,
+                     abe, setup.pk, access_key, derivation);
+
+    // Fresh content: every batch misses the key cache, so every batch makes
+    // a key-manager round trip.
+    Bytes data = TestFile(256 * 1024, 600 + depth);
+    auto result = alice.Upload("window", data, {"alice"});
+    EXPECT_EQ(result.stored_chunks, result.chunk_count);
+    EXPECT_EQ(alice.Download("window"), data);
+
+    if (depth == 1) {
+      EXPECT_EQ(record.peak_puts.load(), 1);
+      EXPECT_FALSE(record.km_overlapped_put.load())
+          << "depth 1 started a keygen while a batch was on the wire";
+    } else {
+      EXPECT_GE(record.peak_puts.load(), 1);
+      EXPECT_LE(record.peak_puts.load(), static_cast<int>(depth - 1));
+    }
   }
 }
 

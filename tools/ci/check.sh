@@ -53,7 +53,7 @@
 #             plus the concurrent explainability mode, and the WILL_FAIL
 #             injected-bug fixtures that prove the checker still bites.
 #   loadgen   async-front-end load smoke: bench_loadgen --smoke drives the
-#             thread-per-connection and epoll front ends plus the rekey
+#             epoll front end at C and 4C clients plus the rekey
 #             storm through per-tenant admission; the binary's exit code
 #             carries the oracle verdicts (lost ops, package-digest drift,
 #             dedup-state consistency). Shares the plain build tree.

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "keymanager/key_manager.h"
-#include "net/tcp_server.h"
+#include "net/async_server.h"
 #include "tools/cli_util.h"
 
 using namespace reed;
@@ -49,8 +49,13 @@ int main(int argc, char** argv) {
     cli::WriteFile(pub_path, rsa::SerializePublicKey(keys.pub));
 
     keymanager::KeyManager manager(std::move(keys), opts);
-    net::TcpServer server(
-        port, [&manager](ByteSpan req) { return manager.HandleRequest(req); });
+    // Same front end and loop/worker counts as reed_serverd's defaults.
+    net::AsyncServer::Options net_opts;
+    net_opts.loops = 2;
+    net_opts.workers = 4;
+    net::AsyncServer server(
+        port, [&manager](ByteSpan req) { return manager.HandleRequest(req); },
+        net_opts);
     std::printf("reed_keymanagerd listening on 127.0.0.1:%u "
                 "(public key: %s, rate limit: %s)\n",
                 server.port(), pub_path.c_str(),

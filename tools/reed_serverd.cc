@@ -4,20 +4,20 @@
 //
 //   reed_serverd --port 7101 --name data-0 [--seek-ms 0]
 //       [--data-dir /var/reed/data-0 --fsync grouped --commit-window-us 500]
-//       [--async --loops 2 --workers 4 --idle-timeout-ms 0
+//       [--loops 2 --workers 4 --idle-timeout-ms 0
 //        --tenant-rate 0 --tenant-burst 0]
 //
 // --data-dir makes the store durable (DESIGN.md §12): startup recovers from
 // whatever the directory holds. --fsync picks the crash contract: none
 // (process crashes only), grouped (machine crashes, batched fsync), always.
-// --async serves with the epoll front end (DESIGN.md §13) instead of the
-// thread-per-connection fallback; --tenant-rate enables per-tenant token-
-// bucket admission (requests carrying the tenant envelope; 0 = off).
+// Requests are served by the epoll front end (DESIGN.md §13) with --loops
+// event loops and --workers handler threads; --tenant-rate enables
+// per-tenant token-bucket admission (requests carrying the tenant envelope;
+// 0 = off).
 #include <chrono>
 #include <cstdio>
 
 #include "net/async_server.h"
-#include "net/tcp_server.h"
 #include "server/storage_server.h"
 #include "tools/cli_util.h"
 
@@ -58,29 +58,21 @@ int main(int argc, char** argv) {
     auto handler = [&storage](ByteSpan req) {
       return storage.HandleRequest(req);
     };
-    if (args.Has("async")) {
-      net::AsyncServer::Options net_opts;
-      net_opts.loops = static_cast<std::size_t>(args.GetInt("loops", 2));
-      net_opts.workers = static_cast<std::size_t>(args.GetInt("workers", 4));
-      net_opts.idle_timeout =
-          std::chrono::milliseconds(args.GetInt("idle-timeout-ms", 0));
-      net_opts.tenant_rate_per_sec =
-          static_cast<double>(args.GetInt("tenant-rate", 0));
-      net_opts.tenant_burst =
-          static_cast<double>(args.GetInt("tenant-burst", 0));
-      net::AsyncServer server(port, handler, net_opts);
-      std::printf(
-          "reed_serverd '%s' listening on 127.0.0.1:%u (async, %zu loops)\n",
-          storage.name().c_str(), server.port(), net_opts.loops);
-      std::fflush(stdout);
-      server.Wait();
-    } else {
-      net::TcpServer server(port, handler);
-      std::printf("reed_serverd '%s' listening on 127.0.0.1:%u\n",
-                  storage.name().c_str(), server.port());
-      std::fflush(stdout);
-      server.Wait();
-    }
+    net::AsyncServer::Options net_opts;
+    net_opts.loops = static_cast<std::size_t>(args.GetInt("loops", 2));
+    net_opts.workers = static_cast<std::size_t>(args.GetInt("workers", 4));
+    net_opts.idle_timeout =
+        std::chrono::milliseconds(args.GetInt("idle-timeout-ms", 0));
+    net_opts.tenant_rate_per_sec =
+        static_cast<double>(args.GetInt("tenant-rate", 0));
+    net_opts.tenant_burst = static_cast<double>(args.GetInt("tenant-burst", 0));
+    net::AsyncServer server(port, handler, net_opts);
+    std::printf(
+        "reed_serverd '%s' listening on 127.0.0.1:%u (%zu loops, %zu workers)\n",
+        storage.name().c_str(), server.port(), net_opts.loops,
+        net_opts.workers);
+    std::fflush(stdout);
+    server.Wait();
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "reed_serverd: %s\n", e.what());

@@ -3,12 +3,28 @@
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
 
 namespace reed::abe {
 
 namespace {
 constexpr std::size_t kIvSize = 16;
 constexpr std::size_t kMacSize = 32;
+
+// Wall time of each hybrid encrypt/decrypt, the whole CP-ABE cost of a
+// key-state wrap or unwrap. Resolved once per process, like the client's
+// stage metrics.
+struct AbeMetrics {
+  obs::Histogram* encrypt_us;
+  obs::Histogram* decrypt_us;
+};
+
+AbeMetrics& Metrics() {
+  auto& reg = obs::Registry::Global();
+  static AbeMetrics m{&reg.GetHistogram("abe.encrypt_us"),
+                      &reg.GetHistogram("abe.decrypt_us")};
+  return m;
+}
 }  // namespace
 
 std::vector<std::string> PrivateKey::Attributes() const {
@@ -25,14 +41,27 @@ CpAbe::CpAbe(std::shared_ptr<const TypeAPairing> pairing)
 
 G1Point CpAbe::AttributePoint(const std::string& attribute) const {
   {
-    MutexLock lock(attr_cache_mu_);
+    MutexLock lock(memo_mu_);
     auto it = attr_cache_.find(attribute);
     if (it != attr_cache_.end()) return it->second;
   }
   G1Point pt = pairing_->HashToGroup(ToBytes("reed/abe-attr:" + attribute));
-  MutexLock lock(attr_cache_mu_);
+  MutexLock lock(memo_mu_);
   attr_cache_.emplace(attribute, pt);
   return pt;
+}
+
+Fp2 CpAbe::GeneratorPairing(const G1Point& g) const {
+  {
+    MutexLock lock(memo_mu_);
+    if (e_gg_cache_.has_value() && e_gg_cache_->first == g) {
+      return e_gg_cache_->second;
+    }
+  }
+  Fp2 e_gg = pairing_->Pair(g, g);
+  MutexLock lock(memo_mu_);
+  e_gg_cache_.emplace(g, e_gg);
+  return e_gg;
 }
 
 CpAbe::SetupResult CpAbe::Setup(crypto::Rng& rng) const {
@@ -59,8 +88,8 @@ PrivateKey CpAbe::KeyGen(const PublicKey& pk, const MasterKey& mk,
   BigInt beta_inv = BigInt::InverseMod(mk.beta, r);
 
   PrivateKey sk;
-  sk.d = mk.g_alpha.Add(pk.g.ScalarMul(t)).ScalarMul(beta_inv);
   G1Point g_t = pk.g.ScalarMul(t);
+  sk.d = mk.g_alpha.Add(g_t).ScalarMul(beta_inv);
   for (const auto& attr : attributes) {
     BigInt tj = pairing_->RandomScalar(rng);
     AttributeKey comp;
@@ -112,6 +141,9 @@ Ciphertext CpAbe::EncryptElement(const PublicKey& pk, const Fp2& message,
   ct.c = pk.h.ScalarMul(s);
   ct.leaves.reserve(shares.size());
 
+  // A threshold-1 (OR) gate hands every child the same share, so compute
+  // each distinct share's g-multiple once.
+  std::map<BigInt, G1Point> g_share;
   // Walk leaves in the same DFS order ShareSecret used.
   std::size_t next = 0;
   struct Frame {
@@ -124,7 +156,9 @@ Ciphertext CpAbe::EncryptElement(const PublicKey& pk, const Fp2& message,
     if (f.node->IsLeaf()) {
       const BigInt& share = shares[next++];
       CiphertextLeaf leaf;
-      leaf.c = pk.g.ScalarMul(share);
+      auto [it, fresh] = g_share.try_emplace(share);
+      if (fresh) it->second = pk.g.ScalarMul(share);
+      leaf.c = it->second;
       leaf.c_prime = AttributePoint(f.node->attribute()).ScalarMul(share);
       ct.leaves.push_back(std::move(leaf));
       frames.pop_back();
@@ -149,10 +183,10 @@ std::optional<Fp2> CpAbe::DecryptNode(const PolicyNode& node,
     auto it = sk.components.find(node.attribute());
     if (it == sk.components.end()) return std::nullopt;
     const CiphertextLeaf& leaf = ct.leaves.at(idx);
-    // e(D_j, C_y) / e(D'_j, C'_y) = e(g,g)^{t·λ_y}
-    Fp2 num = pairing_->Pair(it->second.d, leaf.c);
-    Fp2 den = pairing_->Pair(it->second.d_prime, leaf.c_prime);
-    return num * den.Inverse();
+    // e(D_j, C_y) / e(D'_j, C'_y) = e(g,g)^{t·λ_y}, as Miller values:
+    // the division is e(−D'_j, C'_y), and the caller exponentiates once.
+    return pairing_->MillerLoop(it->second.d, leaf.c) *
+           pairing_->MillerLoop(it->second.d_prime.Neg(), leaf.c_prime);
   }
 
   // Evaluate every child (leaf_index bookkeeping requires full traversal),
@@ -187,16 +221,19 @@ std::optional<Fp2> CpAbe::DecryptElement(const PrivateKey& sk,
   std::size_t leaf_index = 0;
   std::optional<Fp2> a = DecryptNode(ct.policy, sk, ct, leaf_index);
   if (!a.has_value()) return std::nullopt;
-  // M = C̃ · A / e(C, D)
-  Fp2 e_cd = pairing_->Pair(ct.c, sk.d);
-  return ct.c_tilde * *a * e_cd.Inverse();
+  // M = C̃ · A / e(C, D), with A and e(C, D)⁻¹ = e(−C, D) still Miller
+  // values: the final exponentiation is a homomorphism, so the whole
+  // product pays it once.
+  Fp2 f = *a * pairing_->MillerLoop(ct.c.Neg(), sk.d);
+  return ct.c_tilde * pairing_->FinalExponentiation(f);
 }
 
 Secret CpAbe::EncryptBytes(const PublicKey& pk, const PolicyNode& policy,
                            const Secret& plaintext, crypto::Rng& rng) const {
+  obs::ScopedTimer timer(*Metrics().encrypt_us);
   // Random GT element via e(g,g)^z; its hash keys the symmetric layer.
   BigInt z = pairing_->RandomScalar(rng);
-  Fp2 m = pairing_->Pair(pk.g, pk.g).Pow(z);
+  Fp2 m = GeneratorPairing(pk.g).Pow(z);
   Ciphertext ct = EncryptElement(pk, m, policy, rng);
 
   Bytes kek = crypto::Sha256::HashToBytes(m.ToBytes());
@@ -222,6 +259,7 @@ Secret CpAbe::EncryptBytes(const PublicKey& pk, const PolicyNode& policy,
 }
 
 Secret CpAbe::DecryptBytes(const PrivateKey& sk, ByteSpan blob) const {
+  obs::ScopedTimer timer(*Metrics().decrypt_us);
   if (blob.size() < 4) throw Error("CpAbe::DecryptBytes: truncated");
   std::uint32_t ct_len = GetU32(blob);
   if (blob.size() < 4 + ct_len + kIvSize + kMacSize) {

@@ -121,17 +121,23 @@ class CpAbe {
   // H(attribute) with a per-instance memo: attribute points recur across
   // keygen/encrypt calls (every rekey re-encrypts under user attributes).
   G1Point AttributePoint(const std::string& attribute) const;
+  // e(g, g) for the public key's generator, memoised: every EncryptBytes
+  // draws its random G_T element as a power of it.
+  Fp2 GeneratorPairing(const G1Point& g) const;
 
   void ShareSecret(const PolicyNode& node, const BigInt& value,
                    crypto::Rng& rng, std::vector<BigInt>& leaf_shares) const;
+  // The node's blinded value e(g,g)^{t·q(0)} as a Miller-loop value, i.e.
+  // before the final exponentiation (which DecryptElement applies once).
   std::optional<Fp2> DecryptNode(const PolicyNode& node, const PrivateKey& sk,
                                  const Ciphertext& ct,
                                  std::size_t& leaf_index) const;
 
   std::shared_ptr<const TypeAPairing> pairing_;
-  mutable Mutex attr_cache_mu_{LockRank::kAbeAttrCache};
-  mutable std::map<std::string, G1Point> attr_cache_
-      REED_GUARDED_BY(attr_cache_mu_);
+  mutable Mutex memo_mu_{LockRank::kAbeAttrCache};
+  mutable std::map<std::string, G1Point> attr_cache_ REED_GUARDED_BY(memo_mu_);
+  mutable std::optional<std::pair<G1Point, Fp2>> e_gg_cache_
+      REED_GUARDED_BY(memo_mu_);
 };
 
 }  // namespace reed::abe

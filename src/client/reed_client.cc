@@ -354,17 +354,25 @@ store::KeyStateRecord ReedClient::FetchKeyStateRecord(
       storage_->GetObject(server::StoreId::kKey, StateName(storage_id)));
 }
 
-rsa::KeyState ReedClient::UnwrapKeyState(const store::KeyStateRecord& record) {
+rsa::KeyState ReedClient::UnwrapKeyState(
+    const store::KeyStateRecord& record,
+    std::map<std::string, Secret>* wrap_keys) {
   Secret state_blob;
   if (record.group_wrap_id.empty()) {
     state_blob = abe_->DecryptBytes(access_key_, record.wrapped_state);
   } else {
     // Group-wrapped: CP-ABE protects the group wrap key; the state itself
     // is wrapped symmetrically under it.
-    Secret wrap_key = abe_->DecryptBytes(
-        access_key_,
-        storage_->GetObject(server::StoreId::kKey, record.group_wrap_id));
-    state_blob = aont::UnwrapKeyBlob(record.wrapped_state, wrap_key);
+    std::map<std::string, Secret> uncached;
+    if (!wrap_keys) wrap_keys = &uncached;
+    auto it = wrap_keys->find(record.group_wrap_id);
+    if (it == wrap_keys->end()) {
+      Secret wrap_key = abe_->DecryptBytes(
+          access_key_,
+          storage_->GetObject(server::StoreId::kKey, record.group_wrap_id));
+      it = wrap_keys->emplace(record.group_wrap_id, std::move(wrap_key)).first;
+    }
+    state_blob = aont::UnwrapKeyBlob(record.wrapped_state, it->second);
   }
   rsa::RsaPublicKey derivation_key =
       rsa::DeserializePublicKey(record.derivation_public_key);
@@ -559,13 +567,18 @@ std::vector<RekeyResult> ReedClient::RekeyGroup(
   rsa::KeyRegressionOwner& owner = regression_owner_;
   std::vector<RekeyResult> results;
   results.reserve(file_ids.size());
+  // Files already group-wrapped share their old wrap key: unwrap each wrap
+  // id once in this call. Nothing outlives the call, so a later rekey (or a
+  // revocation) always decrypts afresh, and the per-file write order below
+  // is unchanged.
+  std::map<std::string, Secret> old_wrap_keys;
   for (const std::string& file_id : file_ids) {
     const std::string sid = StorageId(file_id);
     store::KeyStateRecord record = FetchKeyStateRecord(sid);
     if (record.owner_id != user_id_) {
       throw Error("ReedClient::RekeyGroup: only the owner may rekey " + file_id);
     }
-    rsa::KeyState current = UnwrapKeyState(record);
+    rsa::KeyState current = UnwrapKeyState(record, &old_wrap_keys);
     rsa::KeyState next = owner.Wind(current);
 
     record.key_version = next.version;

@@ -16,6 +16,7 @@
 // trimmed packages.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -157,7 +158,13 @@ class ReedClient {
   // obfuscation is configured).
   std::string StorageId(const std::string& file_id) const;
   store::KeyStateRecord FetchKeyStateRecord(const std::string& storage_id);
-  rsa::KeyState UnwrapKeyState(const store::KeyStateRecord& record);
+  // CP-ABE-decrypts the record's key state. A group-wrapped record needs
+  // its group's wrap key; `wrap_keys`, when given, memoises those by wrap id
+  // for the length of one caller (RekeyGroup), so each group blob is fetched
+  // and decrypted once per call.
+  rsa::KeyState UnwrapKeyState(
+      const store::KeyStateRecord& record,
+      std::map<std::string, Secret>* wrap_keys = nullptr);
 
   std::string user_id_;
   ClientOptions options_;

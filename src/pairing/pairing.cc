@@ -62,11 +62,36 @@ BigInt TypeAPairing::RandomScalar(crypto::Rng& rng) const {
 
 namespace {
 
-// Evaluates the (denominator-free) line through the Miller loop at the
-// distorted point φ(Q) = (−xq, i·yq): value = (λ(xq + xv) − yv) + yq·i.
-inline Fp2 LineValue(const Fp& lambda, const Fp& xv, const Fp& yv,
-                     const Fp& xq, const Fp& yq) {
-  return Fp2(lambda * (xq + xv) - yv, yq);
+// The Miller loop's running point V in Jacobian coordinates: (X, Y, Z)
+// stands for the affine point (X/Z², Y/Z³), so no step needs a field
+// inversion. Once a vertical line sends V to infinity it stays there.
+struct MillerPoint {
+  Fp x, y, z;
+  bool infinity = false;
+};
+
+// Doubles V (Y ≠ 0) in place and returns the tangent line at the old V,
+// evaluated at φ(Q) = (−xq, i·yq) and scaled by 2YZ³ ∈ F_p*. With
+// λ = M/(2YZ), M = 3X² + Z⁴, the affine line λ(xq + X/Z²) − Y/Z³ + yq·i
+// times 2YZ³ is  M·(xq·Z² + X) − 2Y²  +  (2YZ·Z²·yq)·i.
+Fp2 DoubleStep(MillerPoint& v, const Fp& xq, const Fp& yq) {
+  Fp x2 = v.x.Square();
+  Fp y2 = v.y.Square();
+  Fp z2 = v.z.Square();
+  Fp m = x2 + x2 + x2 + z2.Square();  // 3X² + Z⁴
+  Fp z3 = (v.y + v.y) * v.z;          // 2YZ
+  Fp two_y2 = y2 + y2;
+  Fp2 line(m * (xq * z2 + v.x) - two_y2, z3 * z2 * yq);
+
+  Fp s = v.x * two_y2;
+  s = s + s;  // 4XY²
+  Fp x3 = m.Square() - (s + s);
+  Fp eight_y4 = two_y2.Square();
+  eight_y4 = eight_y4 + eight_y4;
+  v.y = m * (s - x3) - eight_y4;
+  v.x = std::move(x3);
+  v.z = std::move(z3);
+  return line;
 }
 
 }  // namespace
@@ -76,37 +101,52 @@ Fp2 TypeAPairing::MillerLoop(const G1Point& p, const G1Point& q) const {
   Fp2 result = Fp2::One(f);
   if (p.is_infinity() || q.is_infinity()) return result;
 
+  const Fp& xp = p.x();
+  const Fp& yp = p.y();
   const Fp& xq = q.x();
   const Fp& yq = q.y();
-  Fp one = Fp::One(f);
-  Fp three = Fp::FromU64(f, 3);
+  Fp xq_plus_xp = xq + xp;
 
-  G1Point v = p;
+  MillerPoint v{xp, yp, Fp::One(f)};
   const BigInt& r = params_.r;
   for (std::size_t i = r.BitLength() - 1; i-- > 0;) {
     result = result.Square();
-    if (!v.is_infinity()) {
-      if (v.y().IsZero()) {
-        // Vertical tangent: contributes an F_p value, killed by the final
-        // exponentiation — just move to infinity.
-        v = G1Point::Infinity();
+    if (!v.infinity) {
+      if (v.y.IsZero()) {
+        // Vertical tangent: its value lies in F_p and the final
+        // exponentiation kills it, so V just moves to infinity.
+        v.infinity = true;
       } else {
-        Fp lambda = (three * v.x().Square() + one) * (v.y() + v.y()).Inverse();
-        result = result * LineValue(lambda, v.x(), v.y(), xq, yq);
-        v = v.Double();
+        result = result * DoubleStep(v, xq, yq);
       }
     }
-    if (r.Bit(i) && !v.is_infinity()) {
-      if (v.x() == p.x()) {
-        // Chord is vertical (V == −P, or V == P needing a tangent — the
-        // latter cannot occur for P of prime order r within the loop).
-        v = v.Add(p);
+    if (!r.Bit(i) || v.infinity) continue;
+    // Mixed addition V + P with P affine: H = xp·Z² − X, R = yp·Z³ − Y.
+    Fp z2 = v.z.Square();
+    Fp h = xp * z2 - v.x;
+    Fp rr = yp * z2 * v.z - v.y;
+    if (h.IsZero()) {
+      // Vertical chord, no line. V = −P goes to infinity; V = P (only
+      // possible when P lies outside the order-r subgroup) doubles.
+      if (!rr.IsZero() || v.y.IsZero()) {
+        v.infinity = true;
       } else {
-        Fp lambda = (p.y() - v.y()) * (p.x() - v.x()).Inverse();
-        result = result * LineValue(lambda, v.x(), v.y(), xq, yq);
-        v = v.Add(p);
+        (void)DoubleStep(v, xq, yq);
       }
+      continue;
     }
+    // With λ = R/(Z·H), the chord through V and P at φ(Q) is
+    // λ(xq + xp) − yp + yq·i; scaled by Z3 = Z·H ∈ F_p* it is
+    // R·(xq + xp) − yp·Z3  +  (yq·Z3)·i.
+    Fp z3 = v.z * h;
+    result = result * Fp2(rr * xq_plus_xp - yp * z3, yq * z3);
+    Fp h2 = h.Square();
+    Fp h3 = h2 * h;
+    Fp u1h2 = v.x * h2;
+    Fp x3 = rr.Square() - h3 - (u1h2 + u1h2);
+    v.y = rr * (u1h2 - x3) - v.y * h3;
+    v.x = std::move(x3);
+    v.z = std::move(z3);
   }
   return result;
 }

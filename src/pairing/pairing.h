@@ -6,9 +6,17 @@
 //     p ≡ 3 mod 4  (so #E(F_p) = p + 1 = h·r),
 //   * E: y² = x³ + x over F_p (supersingular),
 //   * distortion map φ(x, y) = (−x, i·y) into E(F_p²),
-//   * ê(P, Q) = Tate(P, φ(Q)) via a denominator-free Miller loop and final
-//     exponentiation (p²−1)/r = (p−1)·h applied as a Frobenius-assisted
-//     conjugate/inverse step followed by one h-bit exponentiation.
+//   * ê(P, Q) = Tate(P, φ(Q)) via a Miller loop and final exponentiation
+//     (p²−1)/r = (p−1)·h applied as a Frobenius-assisted conjugate/inverse
+//     step followed by one h-bit exponentiation.
+//
+// The Miller loop keeps V in Jacobian coordinates, so no step inverts a
+// field element. Each tangent or chord line is evaluated at φ(Q) times a
+// nonzero F_p factor (2YZ³ for a tangent, Z·H for a chord) that clears its
+// denominators. Vertical lines are skipped outright, as their values lie in
+// F_p too. All of these factors vanish in the final exponentiation: any
+// c ∈ F_p* has c^(p−1) = 1, so the loop's value changes but ê does not,
+// byte for byte.
 #pragma once
 
 #include <memory>
@@ -50,10 +58,15 @@ class TypeAPairing {
   // The pairing ê(P, Q); both inputs must lie in the order-r subgroup.
   Fp2 Pair(const G1Point& p, const G1Point& q) const;
 
- private:
+  // The two halves of Pair: ê(P, Q) = FinalExponentiation(MillerLoop(P, Q)).
+  // The final exponentiation is a homomorphism, so a product of pairings
+  // multiplies Miller values (and powers of them) and exponentiates once;
+  // ê(P, Q)⁻¹ = ê(−P, Q). A Miller value alone is defined only up to an
+  // F_p factor: compare results only after FinalExponentiation.
   Fp2 MillerLoop(const G1Point& p, const G1Point& q) const;
   Fp2 FinalExponentiation(const Fp2& f) const;
 
+ private:
   TypeAParams params_;
   std::unique_ptr<FpField> field_;
   G1Point generator_;

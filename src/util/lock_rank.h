@@ -50,7 +50,7 @@ enum class LockRank : std::uint16_t {
   kKeyManagerState = 300,  // KeyManager buckets_ + stats_
 
   // abe
-  kAbeAttrCache = 350,  // CpAbe attribute-point memo cache
+  kAbeAttrCache = 350,  // CpAbe memos (attribute points, e(g,g))
 
   // util components shared across modules
   kThreadPool = 400,   // ThreadPool queue + condvar mutex

@@ -1,9 +1,11 @@
 // CP-ABE tests: policy-tree logic, end-to-end encrypt/decrypt over GT and
-// bytes, threshold gates, revocation semantics, serialization.
+// bytes, threshold gates, revocation semantics, serialization, and
+// known-answer ciphertexts for seeded RNG streams.
 #include <gtest/gtest.h>
 
 #include "abe/cpabe.h"
 #include "crypto/random.h"
+#include "crypto/sha256.h"
 
 namespace reed::abe {
 namespace {
@@ -274,6 +276,63 @@ TEST_F(CpAbeTest, RevocationByPolicyChange) {
 TEST_F(CpAbeTest, EmptyAttributeSetRejected) {
   DeterministicRng rng(11);
   EXPECT_THROW(abe_->KeyGen(setup_->pk, setup_->mk, {}, rng), Error);
+}
+
+// --------------------------- known answers ---------------------------
+//
+// SHA-256 of the public key and of EncryptBytes output for fixed RNG seeds.
+// Stored key-state envelopes depend on these bytes, so a faster scheme
+// implementation must reproduce them exactly for the same RNG stream.
+
+std::string DigestHex(ByteSpan bytes) {
+  return HexEncode(crypto::Sha256::HashToBytes(bytes));
+}
+
+std::vector<std::string> Users(std::size_t n) {
+  std::vector<std::string> users;
+  for (std::size_t i = 0; i < n; ++i) users.push_back("u" + std::to_string(i));
+  return users;
+}
+
+TEST_F(CpAbeTest, SetupPublicKeyKnownAnswer) {
+  Bytes pk = abe_->SerializePublicKey(setup_->pk);
+  EXPECT_EQ(pk.size(), 386u);
+  EXPECT_EQ(DigestHex(pk),
+            "36abd325855dbb9f65b79dc32da0844aeb06db0de058464b626e52b5439bf775");
+}
+
+TEST_F(CpAbeTest, EncryptBytesKnownAnswers) {
+  const Secret plaintext(ToBytes("key state pinned by known-answer test"));
+  struct Case {
+    PolicyNode policy;
+    std::uint64_t seed;
+    std::vector<std::string> key_attributes;
+  };
+  std::vector<Case> cases = {
+      {PolicyNode::OrOfUsers(Users(1)), 101, {"user:u0"}},
+      {PolicyNode::OrOfUsers(Users(17)), 102, {"user:u16"}},
+      {PolicyNode::Threshold(2, {PolicyNode::Leaf("a1"), PolicyNode::Leaf("a2"),
+                                 PolicyNode::Leaf("a3")}),
+       103,
+       {"a1", "a3"}},
+  };
+  std::vector<std::string> got;
+  for (const Case& c : cases) {
+    DeterministicRng rng(c.seed);
+    Bytes blob = Declassify(
+        abe_->EncryptBytes(setup_->pk, c.policy, plaintext, rng),
+        "test: known-answer ABE ciphertext");
+    got.push_back(std::to_string(blob.size()) + ":" + DigestHex(blob));
+    DeterministicRng key_rng(c.seed + 1000);
+    PrivateKey sk =
+        abe_->KeyGen(setup_->pk, setup_->mk, c.key_attributes, key_rng);
+    EXPECT_TRUE(abe_->DecryptBytes(sk, blob).ConstantTimeEquals(plaintext));
+  }
+  std::vector<std::string> want = {
+      "624:55200ae05e46d64d1094cb10ad5a64bc29c667ca46d27633acd98a041414415a",
+      "4960:9687bb99494450a925048c1d26ae31f609b4adfffc98569b376c2e2e20f24304",
+      "1158:4fac9711c89976b4201cb055627326844902a0f3aef05296f62c618763a4dcc7"};
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

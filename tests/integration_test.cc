@@ -8,6 +8,7 @@
 #include "crypto/random.h"
 #include "net/async_server.h"
 #include "net/tcp.h"
+#include "obs/metrics.h"
 #include "trace/trace.h"
 
 namespace reed {
@@ -209,6 +210,39 @@ TEST_F(IntegrationTest, GroupRekeyingSharesOneAbeEncryption) {
   EXPECT_EQ(alice->Download("grp-3"), f3);
   EXPECT_THROW(bob->Download("grp-1"), Error);
   EXPECT_THROW(bob->Download("grp-3"), Error);
+}
+
+TEST_F(IntegrationTest, GroupRekeyUnwrapsASharedWrapKeyOnce) {
+  // Four files already wrapped under one group key: a second group rekey
+  // fetches and CP-ABE-decrypts that key once, not once per file, and
+  // CP-ABE-encrypts the new group key once.
+  auto alice = system_->CreateClient("alice",
+                                     FastClientOptions(aont::Scheme::kEnhanced));
+  std::vector<std::string> ids = {"once-1", "once-2", "once-3", "once-4"};
+  std::vector<Bytes> files;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    files.push_back(TestFile(32 << 10, 30 + i));
+    DiscardResult(alice->Upload(ids[i], files.back(), {"alice", "bob"}));
+  }
+  DiscardResult(alice->RekeyGroup(ids, {"alice", "bob"}, RevocationMode::kLazy));
+
+  auto& reg = obs::Registry::Global();
+  const obs::Histogram& decrypts = reg.GetHistogram("abe.decrypt_us");
+  const obs::Histogram& encrypts = reg.GetHistogram("abe.encrypt_us");
+  std::uint64_t decrypts_before = decrypts.count();
+  std::uint64_t encrypts_before = encrypts.count();
+  auto results = alice->RekeyGroup(ids, {"alice"}, RevocationMode::kActive);
+  EXPECT_EQ(decrypts.count() - decrypts_before, 1u);
+  EXPECT_EQ(encrypts.count() - encrypts_before, 1u);
+
+  ASSERT_EQ(results.size(), ids.size());
+  auto bob = system_->CreateClient("bob",
+                                   FastClientOptions(aont::Scheme::kEnhanced));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(results[i].new_version, 2u);
+    EXPECT_EQ(alice->Download(ids[i]), files[i]);
+    EXPECT_THROW(bob->Download(ids[i]), Error);
+  }
 }
 
 TEST_F(IntegrationTest, GroupRekeyActiveThenIndividualRekey) {

@@ -1,9 +1,12 @@
 // Pairing substrate tests: field tower algebra, curve group laws,
-// hash-to-group, and the bilinearity/non-degeneracy of the Tate pairing.
+// hash-to-group, the bilinearity/non-degeneracy of the Tate pairing, and
+// known-answer vectors (including hostile, non-subgroup inputs) that pin the
+// pairing's output bytes across rewrites of the Miller loop.
 #include <gtest/gtest.h>
 
 #include "bigint/prime.h"
 #include "crypto/random.h"
+#include "crypto/sha256.h"
 #include "pairing/pairing.h"
 
 namespace reed::pairing {
@@ -230,6 +233,160 @@ TEST(PairingTest, MultiplicativeInFirstArgument) {
   G1Point p2 = e.HashToGroup(ToBytes("m2"));
   G1Point q = e.HashToGroup(ToBytes("mq"));
   EXPECT_EQ(e.Pair(p1.Add(p2), q), e.Pair(p1, q) * e.Pair(p2, q));
+}
+
+// --------------------------- known answers ---------------------------
+//
+// Output bytes of ê on fixed inputs, as computed by the plain affine Miller
+// loop (one field inversion per step). Any rewrite of the loop or of the
+// final exponentiation must reproduce every one of them exactly.
+
+// The identity of G_T, 1 + 0·i.
+const std::string kGtOne = std::string(127, '0') + "1" + std::string(128, '0');
+
+std::string PairHex(const G1Point& p, const G1Point& q) {
+  return HexEncode(SharedPairing().Pair(p, q).ToBytes());
+}
+
+TEST(PairingKnownAnswerTest, GeneratorWithItself) {
+  const G1Point& g = SharedPairing().generator();
+  EXPECT_EQ(PairHex(g, g),
+            "2ce1ea65bced6f886d34cd8b573435f74b386fb9817a093779d9f99dd0abeda6"
+            "5b039eb45892b9a40da1ee5da7467c8dedffa2291b5b7c610fcdec4f95a67f88"
+            "1329296b880815189e08f5f60b2bdfd3e10065b17e079b8a9a16cdeb4edef1ef"
+            "fdac2053aa02ea3d2d009984539a61faa69929e0a9e317dacec2c2f3a46be8bd");
+}
+
+TEST(PairingKnownAnswerTest, HashedPoints) {
+  const TypeAPairing& e = SharedPairing();
+  EXPECT_EQ(PairHex(e.HashToGroup(ToBytes("a")), e.HashToGroup(ToBytes("b"))),
+            "04b55d2a82dc257734450630ec3c1a23eea6a8f997973f3ea4d02c4feb2e8853"
+            "7f9944d5e564bc88bb3a654bfcefe477db77b9e835f9acad846cd20a05dbe7b7"
+            "2f76340dcc48ff881a0a3404ec28ec88e725f6fb9847cac26d53b05816882511"
+            "75723d43659d9edd3775aa6893b38e5ee700a3846c1759557122eba8ec6f2885");
+}
+
+TEST(PairingKnownAnswerTest, PointWithItselfAndItsNegation) {
+  const TypeAPairing& e = SharedPairing();
+  G1Point p = e.HashToGroup(ToBytes("kat-P"));
+  EXPECT_EQ(PairHex(p, p),
+            "783859c2404a755d4653b0b9d7a3cef380295c0db85f360476a299aab97543ca"
+            "ce5d6162a884d53220af428162524095d4b73d05c7e9d605ae7957910f77247e"
+            "224a6cbce3c746bf3f535549dd36d04169ecb76db63c6d4bf806dc16ad1a9f0b"
+            "e70c63a9d05f572b32b839fe40867e91b137dc1670b8a930d8bd08cc7fd51731");
+  EXPECT_EQ(PairHex(p, p.Neg()),
+            "783859c2404a755d4653b0b9d7a3cef380295c0db85f360476a299aab97543ca"
+            "ce5d6162a884d53220af428162524095d4b73d05c7e9d605ae7957910f77247e"
+            "5ff3ea6d1489541384ed6b1338295d56162344f6b2882dc8edef589346909d9f"
+            "4cc6dec1b38f03af55250ce57562e1f279406e0158d185b7befa11d19378de2a");
+  // ê(P, −P) = ê(P, P)⁻¹, and ê(P, P)⁻¹ is its conjugate (norm 1).
+  EXPECT_EQ(e.Pair(p, p.Neg()), e.Pair(p, p).Conjugate());
+}
+
+// --------------------------- hostile points ---------------------------
+//
+// G1Point::FromBytes checks only that a point lies on the curve, so a
+// ciphertext from the untrusted server can carry points outside the order-r
+// subgroup. The pairing's value on them is meaningless, but it must stay
+// what it was (value or exception), so a rewrite cannot open a new crash or
+// a new distinguisher on crafted input.
+
+// HashToG1's first on-curve candidate for `data`, before the cofactor is
+// cleared: a point whose order is a multiple of r times a factor of h.
+G1Point UnclearedCandidate(ByteSpan data) {
+  const FpField* f = SharedPairing().field();
+  for (std::uint32_t counter = 0;; ++counter) {
+    Bytes input = ToBytes("reed/hash-to-g1");
+    AppendU32(input, counter);
+    Append(input, data);
+    Bytes expanded;
+    for (std::uint32_t block = 0; expanded.size() < f->element_bytes();
+         ++block) {
+      Bytes sub = input;
+      AppendU32(sub, block);
+      Append(expanded, crypto::Sha256::HashToBytes(sub));
+    }
+    expanded.resize(f->element_bytes());
+    Fp x = Fp::FromBigInt(f, BigInt::FromBytes(expanded));
+    Fp y;
+    if (!(x.Square() * x + x).Sqrt(&y)) continue;
+    return G1Point(x, y);
+  }
+}
+
+TEST(PairingHostilePointTest, HashCandidateOutsideSubgroup) {
+  const TypeAPairing& e = SharedPairing();
+  G1Point c = UnclearedCandidate(ToBytes("hostile"));
+  ASSERT_TRUE(c.IsOnCurve());
+  ASSERT_FALSE(c.ScalarMul(e.group_order()).is_infinity());
+  // It really is the candidate HashToGroup clears.
+  ASSERT_EQ(c.ScalarMul(e.params().cofactor),
+            e.HashToGroup(ToBytes("hostile")));
+  const G1Point& g = e.generator();
+  EXPECT_EQ(PairHex(c, g),
+            "77e23a9575c7e25a6d648492ec2737f15bc4bf04aecaf541734b8cc6f8ca349f"
+            "3193e69aeed5692ef2911940e84616c24a389db8d13f84dfabf56ce19969f87f"
+            "36baae2988115473706c68e980df8587dc237e2e2a5c31549cda8eed1437123e"
+            "8885adb6a9368fb370fc5ee803cafbfe1df9433725450acdcf648f22ca71982e");
+  EXPECT_EQ(PairHex(g, c),
+            "3276172f2bf83eec7fa97b37aae0b00a9c9326dfc0e5cdc45a270137538c8d9c"
+            "8f2b10c603d981751080c23b13ed411b2348e675f477a28911e4e456dbe23f3e"
+            "69e930cc4ba10f0cc76f64b324000c805e078e8732cabcc0c6066479816c5909"
+            "ad03abb4a65d97c4005680eb7be6c790f0bae5f25dfbc7c58cb677b87a62a413");
+  EXPECT_EQ(PairHex(c, c),
+            "66147a0d751c820fa415bb8c6afaae55d83d66160c4b40c556092781125aa2a0"
+            "ecf2fc8dee9e5354d5b4f3cd0b1d7e44f3cce35278087b84995d883db1a78e95"
+            "4f5928595a6eb2f3066c0a44639225b6402fa7ba1841c5c41f390f6c5f16f894"
+            "24ef6cd9476e14ed8b37ad97a8e73b3212d23befcf48f23f8a64109b9582b52a");
+}
+
+TEST(PairingHostilePointTest, TwoTorsionPoint) {
+  const TypeAPairing& e = SharedPairing();
+  const FpField* f = e.field();
+  G1Point t(Fp::Zero(f), Fp::Zero(f));
+  ASSERT_TRUE(t.IsOnCurve());
+  ASSERT_TRUE(t.Double().is_infinity());
+  const G1Point& g = e.generator();
+  EXPECT_EQ(PairHex(t, g), kGtOne);
+  EXPECT_EQ(PairHex(g, t), kGtOne);
+  EXPECT_EQ(PairHex(t, t), kGtOne);
+}
+
+TEST(PairingHostilePointTest, SmallOrderPointsHitVerticalLines) {
+  // Small orders dividing the cofactor drive the loop's V onto vertical
+  // lines: order 4 reaches the 2-torsion point (vertical tangent), order 3
+  // reaches V = −P on an addition step (vertical chord to infinity), and
+  // order 17 reaches V = P first (chord becomes a tangent) and V = −P later.
+  const TypeAPairing& e = SharedPairing();
+  G1Point c = UnclearedCandidate(ToBytes("hostile"));
+  BigInt order = e.params().p + BigInt(1);
+  const G1Point& g = e.generator();
+  std::vector<std::string> got;
+  for (std::uint64_t n : {3, 4, 17}) {
+    G1Point s = c.ScalarMul(order / BigInt(n));
+    ASSERT_FALSE(s.is_infinity()) << n;
+    ASSERT_TRUE(s.ScalarMul(BigInt(n)).is_infinity()) << n;
+    got.push_back(PairHex(s, g));
+    got.push_back(PairHex(g, s));
+  }
+  // A point of order prime to r pairs to 1 as the second argument.
+  std::vector<std::string> want = {
+      "1112736638e590978fb89244b251bd1ec91605ed5c741060b8d22585ba955a57"
+      "3725bfd32076af361f993f7b931fc42a383749bcc0b95dfcd181f48543de8e88"
+      "46588f44dab4e43a3adfaa4a1b606ba47039402968ec1f6473d78ccfa4314ae7"
+      "0a9ae283a3ebc288c19442192f7cc29940f3f45a73ba5e84448a462f001586da",
+      kGtOne,
+      "784fd97aa3508b3db4ff8ca66e32d21f78647975c10c9dab93167dcea2c3eaeb"
+      "0f749d0e1bf73b4170bb4c6ace805616fe1314d5e5e479808efcd0fa05ad34a8"
+      "0c273a05e7443e735f10573fbc0363a317dc22b31c3fdfa83730d1515cb8d6d4"
+      "f70a0d517413491cd6c7222fbfb74f49e88ca8f3f8455983cb2400253dc18b31",
+      kGtOne,
+      "73ad3744770066c78d6e5e11562873767a2b4a00ee196abe5fccd1f01d755342"
+      "fd610fde013396111476fee73ed5380d820142aeddc022decb0c7868554b1979"
+      "5b51b4553f8c7e6f378c07dad44d8abd05166f78eaf0444c16232a15d4b8f7c0"
+      "99597e825ba2083fe43cbc84827d121f3a3061d2ec9aa92fecf3d72f3de0cc08",
+      kGtOne};
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

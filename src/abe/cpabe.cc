@@ -110,6 +110,7 @@ void CpAbe::ShareSecret(const PolicyNode& node, const BigInt& value,
     return;
   }
   const BigInt& r = pairing_->group_order();
+  const bigint::MontContext& mod_r = pairing_->mod_r();
   // Random polynomial q of degree k-1 with q(0) = value; child i gets q(i).
   std::vector<BigInt> coeffs;
   coeffs.push_back(value % r);
@@ -121,7 +122,7 @@ void CpAbe::ShareSecret(const PolicyNode& node, const BigInt& value,
     // Horner evaluation mod r.
     BigInt y = coeffs.back();
     for (std::size_t c = coeffs.size() - 1; c-- > 0;) {
-      y = BigInt::AddMod(BigInt::MulMod(y, x, r), coeffs[c], r);
+      y = BigInt::AddMod(mod_r.Mul(y, x), coeffs[c], r);
     }
     ShareSecret(node.children()[child], y, rng, leaf_shares);
   }
@@ -178,6 +179,7 @@ std::optional<Fp2> CpAbe::DecryptNode(const PolicyNode& node,
                                       const Ciphertext& ct,
                                       std::size_t& leaf_index) const {
   const BigInt& r = pairing_->group_order();
+  const bigint::MontContext& mod_r = pairing_->mod_r();
   if (node.IsLeaf()) {
     std::size_t idx = leaf_index++;
     auto it = sk.components.find(node.attribute());
@@ -206,11 +208,11 @@ std::optional<Fp2> CpAbe::DecryptNode(const PolicyNode& node,
     BigInt num(1), den(1);
     for (const auto& [xj, unused] : successes) {
       if (xj == xi) continue;
-      num = BigInt::MulMod(num, r - BigInt(xj), r);  // (0 - x_j) mod r
+      num = mod_r.Mul(num, r - BigInt(xj));  // (0 - x_j) mod r
       BigInt diff = (xi > xj) ? BigInt(xi - xj) : r - BigInt(xj - xi);
-      den = BigInt::MulMod(den, diff, r);
+      den = mod_r.Mul(den, diff);
     }
-    BigInt lambda = BigInt::MulMod(num, BigInt::InverseMod(den, r), r);
+    BigInt lambda = mod_r.Mul(num, BigInt::InverseMod(den, r));
     result = result * fi.Pow(lambda);
   }
   return result;

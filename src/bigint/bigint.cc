@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "bigint/mont.h"
+
 namespace reed::bigint {
 
 using u64 = std::uint64_t;
@@ -33,6 +35,13 @@ BigInt BigInt::FromHex(std::string_view hex) {
     }
     out.limbs_[i] = v;
   }
+  out.Normalize();
+  return out;
+}
+
+BigInt BigInt::FromLimbs(std::span<const u64> limbs) {
+  BigInt out;
+  out.limbs_.assign(limbs.begin(), limbs.end());
   out.Normalize();
   return out;
 }
@@ -239,8 +248,8 @@ BigInt::DivMod BigInt::Divide(const BigInt& divisor) const {
   if (*this < divisor) return {BigInt(), *this};
 
   // Shift-subtract long division, one bit per step, starting from the
-  // aligned position. Division is off the hot paths (Montgomery handles
-  // modexp), so clarity wins over Knuth D.
+  // aligned position. Division is off the hot paths (the Montgomery
+  // kernel handles modexp), so clarity wins over Knuth D.
   std::size_t shift = BitLength() - divisor.BitLength();
   BigInt rem = *this;
   BigInt d = divisor << shift;
@@ -300,11 +309,10 @@ BigInt BigInt::PowMod(const BigInt& a, const BigInt& e, const BigInt& m) {
   if (m.IsZero()) throw Error("BigInt::PowMod: zero modulus");
   if (m.IsOne()) return BigInt();
   if (m.IsOdd()) {
-    Montgomery mont(m);
-    return mont.Pow(a, e);
+    return MontContext(m).Pow(a, e);
   }
-  // Even modulus: plain square-and-multiply (rare path, kept for API
-  // completeness).
+  // Even modulus: plain square-and-multiply (no caller in REED; kept for
+  // API completeness).
   BigInt result(1);
   BigInt base = a % m;
   for (std::size_t i = e.BitLength(); i-- > 0;) {
@@ -434,95 +442,6 @@ BigInt BigInt::RandomBits(crypto::Rng& rng, std::size_t bits) {
   std::size_t excess = nbytes * 8 - bits;
   buf[0] &= static_cast<std::uint8_t>(0xFF >> excess);
   return FromBytes(buf);
-}
-
-// ---------------------------------------------------------------------------
-// Montgomery
-// ---------------------------------------------------------------------------
-
-Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
-  if (!n_.IsOdd() || n_.IsOne()) {
-    throw Error("Montgomery: modulus must be odd and > 1");
-  }
-  k_ = n_.LimbCount();
-  // n' = -n^{-1} mod 2^64 by Newton–Hensel lifting.
-  u64 n0 = n_.Limb(0);
-  u64 inv = 1;
-  for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;
-  n_prime_ = ~inv + 1;  // -inv mod 2^64
-
-  r_mod_n_ = (BigInt(1) << (64 * k_)) % n_;
-  r2_mod_n_ = (BigInt(1) << (128 * k_)) % n_;
-}
-
-BigInt Montgomery::MulMont(const BigInt& a, const BigInt& b) const {
-  // SOS: full product then Montgomery reduction.
-  std::vector<u64> t(2 * k_ + 1, 0);
-  // t = a * b
-  for (std::size_t i = 0; i < a.LimbCount(); ++i) {
-    u64 carry = 0;
-    u64 ai = a.Limb(i);
-    for (std::size_t j = 0; j < b.LimbCount(); ++j) {
-      u128 cur = static_cast<u128>(ai) * b.Limb(j) + t[i + j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    std::size_t idx = i + b.LimbCount();
-    while (carry) {
-      u128 cur = static_cast<u128>(t[idx]) + carry;
-      t[idx] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-      ++idx;
-    }
-  }
-  // Reduce limb by limb.
-  for (std::size_t i = 0; i < k_; ++i) {
-    u64 m = t[i] * n_prime_;
-    u64 carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      u128 cur = static_cast<u128>(m) * n_.Limb(j) + t[i + j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    std::size_t idx = i + k_;
-    while (carry) {
-      u128 cur = static_cast<u128>(t[idx]) + carry;
-      t[idx] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-      ++idx;
-    }
-  }
-  BigInt result;
-  result.limbs_.assign(t.begin() + static_cast<std::ptrdiff_t>(k_), t.end());
-  result.Normalize();
-  if (result >= n_) result -= n_;
-  return result;
-}
-
-BigInt Montgomery::ToMont(const BigInt& a) const {
-  BigInt reduced = (a >= n_) ? a % n_ : a;
-  return MulMont(reduced, r2_mod_n_);
-}
-
-BigInt Montgomery::FromMont(const BigInt& a) const {
-  return MulMont(a, BigInt(1));
-}
-
-BigInt Montgomery::Mul(const BigInt& a, const BigInt& b) const {
-  return FromMont(MulMont(ToMont(a), ToMont(b)));
-}
-
-BigInt Montgomery::PowMont(const BigInt& base_mont, const BigInt& exp) const {
-  BigInt result = r_mod_n_;  // 1 in Montgomery form
-  for (std::size_t i = exp.BitLength(); i-- > 0;) {
-    result = MulMont(result, result);
-    if (exp.Bit(i)) result = MulMont(result, base_mont);
-  }
-  return result;
-}
-
-BigInt Montgomery::Pow(const BigInt& base, const BigInt& exp) const {
-  return FromMont(PowMont(ToMont(base), exp));
 }
 
 }  // namespace reed::bigint

@@ -6,11 +6,17 @@
 // CP-ABE. Little-endian 64-bit limbs, normalized (no trailing zero limbs);
 // values are non-negative — the few places needing signed intermediate
 // results (extended gcd) handle the sign locally.
+//
+// BigInt is the general-purpose layer: parsing, key generation, prime
+// search, division and inversion. It does no modular multiplication of its
+// own beyond the MulMod reference; PowMod and every kept context run on
+// the allocation-free Montgomery kernel in bigint/mont.h.
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +33,8 @@ class BigInt {
   // Hex parsing/printing (no 0x prefix); bytes are big-endian.
   static BigInt FromHex(std::string_view hex);
   static BigInt FromBytes(ByteSpan be_bytes);
+  // Little-endian 64-bit limbs (the Montgomery kernel's representation).
+  static BigInt FromLimbs(std::span<const std::uint64_t> limbs);
   std::string ToHex() const;
   Bytes ToBytes() const;                  // minimal big-endian encoding
   Bytes ToBytesPadded(std::size_t n) const;  // left-padded to n bytes
@@ -71,11 +79,16 @@ class BigInt {
   std::uint64_t ModLimb(std::uint64_t m) const;
 
   // (a + b) mod m, (a - b) mod m, (a * b) mod m — inputs need not be reduced.
+  // MulMod is schoolbook multiply then division: the reference the
+  // Montgomery kernel is tested against. Code that multiplies modulo one
+  // value repeatedly keeps a MontContext (bigint/mont.h) instead.
   static BigInt AddMod(const BigInt& a, const BigInt& b, const BigInt& m);
   static BigInt SubMod(const BigInt& a, const BigInt& b, const BigInt& m);
   static BigInt MulMod(const BigInt& a, const BigInt& b, const BigInt& m);
 
-  // a^e mod m. m odd uses Montgomery; even moduli fall back to square&mul.
+  // a^e mod m. An odd m runs on the Montgomery kernel (MontContext, so up
+  // to 2048 bits; wider throws Error); an even m, which nothing in REED
+  // uses, runs square-and-multiply over MulMod.
   static BigInt PowMod(const BigInt& a, const BigInt& e, const BigInt& m);
 
   static BigInt Gcd(BigInt a, BigInt b);
@@ -91,7 +104,6 @@ class BigInt {
   static BigInt RandomBits(crypto::Rng& rng, std::size_t bits);
 
  private:
-  friend class Montgomery;
   void Normalize();
   std::vector<std::uint64_t> limbs_;
 };
@@ -107,38 +119,5 @@ inline BigInt BigInt::operator/(const BigInt& d) const {
 inline BigInt BigInt::operator%(const BigInt& d) const {
   return Divide(d).remainder;
 }
-
-// Montgomery context for a fixed odd modulus: fast repeated modular
-// multiplication and exponentiation. Building one costs two full-width
-// divisions (R mod n, R^2 mod n), so code that works modulo one value many
-// times keeps a context: the pairing field does, and so do the OPRF's
-// blind-signature client (mod N) and server (mod p and q for CRT).
-// BigInt::PowMod builds a fresh context on every call.
-class Montgomery {
- public:
-  explicit Montgomery(const BigInt& modulus);
-
-  const BigInt& modulus() const { return n_; }
-
-  // Representation conversion.
-  BigInt ToMont(const BigInt& a) const;    // a * R mod n
-  BigInt FromMont(const BigInt& a) const;  // a * R^-1 mod n
-
-  // Montgomery product of two Montgomery-form values.
-  BigInt MulMont(const BigInt& a, const BigInt& b) const;
-
-  // Plain-value modular ops (convert in/out internally).
-  BigInt Mul(const BigInt& a, const BigInt& b) const;
-  BigInt Pow(const BigInt& base, const BigInt& exp) const;
-  // base already in Montgomery form; result in Montgomery form.
-  BigInt PowMont(const BigInt& base_mont, const BigInt& exp) const;
-
- private:
-  BigInt n_;
-  std::size_t k_;           // limb count of n
-  std::uint64_t n_prime_;   // -n^{-1} mod 2^64
-  BigInt r_mod_n_;          // R mod n
-  BigInt r2_mod_n_;         // R^2 mod n
-};
 
 }  // namespace reed::bigint

@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "bigint/mont.h"
+
 namespace reed::bigint {
 
 namespace {
@@ -14,7 +16,7 @@ constexpr std::array<std::uint64_t, 54> kSmallPrimes = {
     109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
     191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251};
 
-bool MillerRabinRound(const Montgomery& mont, const BigInt& n_minus_1,
+bool MillerRabinRound(const MontContext& mont, const BigInt& n_minus_1,
                       const BigInt& d, std::size_t r, const BigInt& base) {
   BigInt x = mont.Pow(base, d);
   if (x.IsOne() || x == n_minus_1) return true;
@@ -43,7 +45,7 @@ bool IsProbablePrime(const BigInt& n, crypto::Rng& rng, int rounds) {
     d = d >> 1;
     ++r;
   }
-  Montgomery mont(n);
+  MontContext mont(n);
   BigInt two(2);
   BigInt n_minus_3 = n - BigInt(3);
   for (int i = 0; i < rounds; ++i) {

@@ -65,8 +65,9 @@ std::vector<BigInt> KeyManager::SignBatch(const std::string& client_id,
     }
   }
 
-  // An out-of-range element fails the whole batch: ParallelFor rethrows
-  // its error and the stats below stay untouched.
+  // An out-of-range element fails the whole batch before any signing, so
+  // the stats below stay untouched and no error has to cross the pool.
+  for (const BigInt& b : blinded) server_.CheckBlinded(b);
   std::vector<BigInt> signatures(blinded.size());
   {
     obs::ScopedTimer sign_timer(*Metrics().sign_us);

@@ -123,17 +123,20 @@ std::vector<Secret> MleKeyClient::GetKeys(
     };
 
     // Factors are drawn serially and in order (the RNG is not thread-safe,
-    // and this keeps the request bytes those of a serial Blind loop); the
-    // blinding itself fans out.
+    // and this keeps the request bytes those of a serial Blind loop) and
+    // inverted together with one inversion; the blinding itself fans out.
     obs::ScopedTimer blind_timer(*Metrics().blind_us);
     std::vector<BigInt> factors;
     factors.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       factors.push_back(blind_client_.DrawFactor(rng));
     }
+    std::vector<std::optional<BigInt>> inverses = blind_client_.InvertFactors(factors);
     std::vector<std::optional<rsa::BlindedRequest>> requests(n);
     pool_.ParallelFor(n, [&](std::size_t i) {
-      requests[i] = blind_client_.BlindWith(fp_at(i), factors[i]);
+      if (!inverses[i]) return;
+      requests[i] = blind_client_.BlindWithInverse(fp_at(i), factors[i],
+                                                   std::move(*inverses[i]));
     });
     std::vector<BigInt> blinded;
     blinded.reserve(n);

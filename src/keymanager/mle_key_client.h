@@ -8,7 +8,8 @@
 // measures.
 //
 // An MleKeyClient serves one caller at a time. Within a GetKeys call it
-// draws blinding factors serially from the caller's RNG, then blinds and
+// draws blinding factors serially from the caller's RNG, inverts each
+// batch's factors with one inversion (Montgomery's trick), then blinds and
 // unblinds each batch across its own pool (one thread per core).
 #pragma once
 

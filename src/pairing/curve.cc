@@ -59,12 +59,19 @@ struct Jacobian {
 
 Jacobian JacDouble(const Jacobian& p) {
   if (p.infinity || p.y.IsZero()) return {p.x, p.y, p.z, true};
+  // Small multiples by repeated addition: no constant is built per step.
   Fp y2 = p.y.Square();
-  Fp s = Fp::FromU64(p.x.field(), 4) * p.x * y2;           // 4XY²
-  Fp z2 = p.z.Square();
-  Fp m = Fp::FromU64(p.x.field(), 3) * p.x.Square() + z2.Square();  // 3X²+aZ⁴
+  Fp s = p.x * y2;
+  s = s + s;
+  s = s + s;                                        // 4XY²
+  Fp x2 = p.x.Square();
+  Fp m = x2 + x2 + x2 + p.z.Square().Square();      // 3X²+aZ⁴
   Fp x3 = m.Square() - (s + s);
-  Fp y3 = m * (s - x3) - Fp::FromU64(p.x.field(), 8) * y2.Square();
+  Fp y4 = y2.Square();
+  Fp eight_y4 = y4 + y4;
+  eight_y4 = eight_y4 + eight_y4;
+  eight_y4 = eight_y4 + eight_y4;
+  Fp y3 = m * (s - x3) - eight_y4;
   Fp z3 = (p.y + p.y) * p.z;
   return {x3, y3, z3, false};
 }

@@ -2,20 +2,16 @@
 
 namespace reed::pairing {
 
-FpField::FpField(BigInt p) : p_(std::move(p)), mont_(p_) {
-  if (p_.ModLimb(4) != 3) {
+FpField::FpField(BigInt p) : kernel_(p) {
+  if (p.ModLimb(4) != 3) {
     throw Error("FpField: p must be congruent to 3 mod 4");
   }
-  sqrt_exp_ = (p_ + BigInt(1)) >> 2;
-  ebytes_ = (p_.BitLength() + 7) / 8;
-}
-
-Fp Fp::One(const FpField* f) {
-  return FromBigInt(f, BigInt(1));
+  sqrt_exp_ = (p + BigInt(1)) >> 2;
+  ebytes_ = (p.BitLength() + 7) / 8;
 }
 
 Fp Fp::FromBigInt(const FpField* f, const BigInt& plain) {
-  return Fp(f, f->mont().ToMont(plain % f->p()));
+  return Fp(f, f->kernel().ToMont(plain));
 }
 
 Fp Fp::FromU64(const FpField* f, std::uint64_t v) {
@@ -23,11 +19,11 @@ Fp Fp::FromU64(const FpField* f, std::uint64_t v) {
 }
 
 Fp Fp::Random(const FpField* f, crypto::Rng& rng) {
-  return Fp(f, f->mont().ToMont(BigInt::Random(rng, f->p())));
+  return FromBigInt(f, BigInt::Random(rng, f->p()));
 }
 
 BigInt Fp::ToBigInt() const {
-  return field_->mont().FromMont(v_);
+  return FpField::Kernel::ToBigInt(field_->kernel().FromMont(v_));
 }
 
 Bytes Fp::ToBytes() const {
@@ -45,37 +41,49 @@ Fp Fp::FromBytes(const FpField* f, ByteSpan b) {
 
 Fp Fp::operator+(const Fp& o) const {
   // Montgomery form is additive: (aR + bR) mod p = (a+b)R mod p.
-  BigInt sum = v_ + o.v_;
-  if (sum >= field_->p()) sum -= field_->p();
-  return Fp(field_, std::move(sum));
+  Fp out(field_, {});
+  field_->kernel().Add(out.v_, v_, o.v_);
+  return out;
 }
 
 Fp Fp::operator-(const Fp& o) const {
-  if (v_ >= o.v_) return Fp(field_, v_ - o.v_);
-  return Fp(field_, v_ + field_->p() - o.v_);
+  Fp out(field_, {});
+  field_->kernel().Sub(out.v_, v_, o.v_);
+  return out;
 }
 
 Fp Fp::operator*(const Fp& o) const {
-  return Fp(field_, field_->mont().MulMont(v_, o.v_));
+  Fp out(field_, {});
+  field_->kernel().Mul(out.v_, v_, o.v_);
+  return out;
+}
+
+Fp Fp::Square() const {
+  Fp out(field_, {});
+  field_->kernel().Square(out.v_, v_);
+  return out;
 }
 
 Fp Fp::Neg() const {
-  if (v_.IsZero()) return *this;
-  return Fp(field_, field_->p() - v_);
+  Fp out(field_, {});
+  field_->kernel().Neg(out.v_, v_);
+  return out;
 }
 
 Fp Fp::Inverse() const {
-  if (v_.IsZero()) throw Error("Fp::Inverse: zero has no inverse");
-  // Leaves Montgomery form, inverts the plain value with the extended
-  // Euclidean algorithm (BigInt::InverseMod), and converts back. At ~25 µs
-  // this is worth dozens of multiplications, which is why the Miller loop
-  // works in Jacobian coordinates and never calls it per step.
+  if (IsZero()) throw Error("Fp::Inverse: zero has no inverse");
+  // Leaves Montgomery form, inverts the plain value with the binary
+  // extended GCD (BigInt::InverseMod), and converts back. At ~25 µs this is
+  // worth dozens of multiplications, which is why the Miller loop works in
+  // Jacobian coordinates and never calls it per step.
   BigInt plain = ToBigInt();
   return FromBigInt(field_, BigInt::InverseMod(plain, field_->p()));
 }
 
 Fp Fp::Pow(const BigInt& e) const {
-  return Fp(field_, field_->mont().PowMont(v_, e));
+  Fp out(field_, {});
+  field_->kernel().Pow(out.v_, v_, e);
+  return out;
 }
 
 bool Fp::Sqrt(Fp* out) const {

@@ -4,45 +4,51 @@
 // build the same construction the cpabe toolkit's PBC "type A" parameters
 // use: a supersingular curve y² = x³ + x over F_p with p ≡ 3 mod 4, whose
 // pairing lands in F_p². Elements are kept in Montgomery form internally;
-// a field context is shared by all elements of the same field.
+// a field context, which owns the Montgomery kernel (bigint/mont.h), is
+// shared by all elements of the same field.
 #pragma once
 
 #include <memory>
 
 #include "bigint/bigint.h"
+#include "bigint/mont.h"
 
 namespace reed::pairing {
 
 using bigint::BigInt;
-using bigint::Montgomery;
 
 // Shared context for arithmetic mod a fixed prime p (p ≡ 3 mod 4).
 class FpField {
  public:
+  // Elements hold their value inline in this many limbs: 512-bit p, the
+  // default Type-A field, is the widest supported.
+  static constexpr std::size_t kLimbs = 8;
+  using Kernel = bigint::FixedMont<kLimbs>;
+  using Limbs = Kernel::Limbs;
+
+  // Throws Error if p is wider than kLimbs limbs or not 3 mod 4.
   explicit FpField(BigInt p);
 
-  const BigInt& p() const { return p_; }
-  const Montgomery& mont() const { return mont_; }
+  const BigInt& p() const { return kernel_.modulus(); }
+  const Kernel& kernel() const { return kernel_; }
   std::size_t element_bytes() const { return ebytes_; }
   // (p+1)/4 — the square-root exponent for p ≡ 3 mod 4.
   const BigInt& sqrt_exp() const { return sqrt_exp_; }
 
  private:
-  BigInt p_;
-  Montgomery mont_;
+  Kernel kernel_;
   BigInt sqrt_exp_;
   std::size_t ebytes_;
 };
 
-// An element of F_p (Montgomery form internally).
+// An element of F_p: Montgomery-form limbs held inline, so arithmetic
+// never allocates.
 class Fp {
  public:
-  Fp() : field_(nullptr) {}
-  Fp(const FpField* field, BigInt mont_value)
-      : field_(field), v_(std::move(mont_value)) {}
+  Fp() = default;
 
-  static Fp Zero(const FpField* f) { return Fp(f, BigInt()); }
-  static Fp One(const FpField* f);
+  static Fp Zero(const FpField* f) { return Fp(f, FpField::Limbs{}); }
+  static Fp One(const FpField* f) { return Fp(f, f->kernel().one()); }
   static Fp FromBigInt(const FpField* f, const BigInt& plain);
   static Fp FromU64(const FpField* f, std::uint64_t v);
   static Fp Random(const FpField* f, crypto::Rng& rng);
@@ -51,14 +57,14 @@ class Fp {
   Bytes ToBytes() const;               // fixed-width big-endian
   static Fp FromBytes(const FpField* f, ByteSpan b);
 
-  bool IsZero() const { return v_.IsZero(); }
+  bool IsZero() const { return FpField::Kernel::IsZero(v_); }
   bool operator==(const Fp& o) const { return v_ == o.v_; }
 
   Fp operator+(const Fp& o) const;
   Fp operator-(const Fp& o) const;
   Fp operator*(const Fp& o) const;
   Fp Neg() const;
-  Fp Square() const { return *this * *this; }
+  Fp Square() const;
   Fp Inverse() const;
   Fp Pow(const BigInt& e) const;
 
@@ -68,10 +74,12 @@ class Fp {
   const FpField* field() const { return field_; }
 
  private:
-  const FpField* field_;
-  BigInt v_;  // Montgomery form
-};
+  Fp(const FpField* field, const FpField::Limbs& mont_value)
+      : field_(field), v_(mont_value) {}
 
+  const FpField* field_ = nullptr;
+  FpField::Limbs v_{};  // Montgomery form, < p
+};
 // An element a + b·i of F_p², i² = -1 (valid because p ≡ 3 mod 4).
 class Fp2 {
  public:

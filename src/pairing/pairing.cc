@@ -41,7 +41,8 @@ TypeAParams TypeAParams::Default() {
 
 TypeAPairing::TypeAPairing(TypeAParams params)
     : params_(std::move(params)),
-      field_(std::make_unique<FpField>(params_.p)) {
+      field_(std::make_unique<FpField>(params_.p)),
+      mod_r_(params_.r) {
   if ((params_.cofactor * params_.r) != params_.p + BigInt(1)) {
     throw Error("TypeAPairing: cofactor * r must equal p + 1");
   }

@@ -45,6 +45,9 @@ class TypeAPairing {
   const TypeAParams& params() const { return params_; }
   const FpField* field() const { return field_.get(); }
   const BigInt& group_order() const { return params_.r; }
+  // Kept context for arithmetic mod r (CP-ABE secret shares and Lagrange
+  // coefficients).
+  const bigint::MontContext& mod_r() const { return mod_r_; }
 
   // A deterministic generator of G1 (hash of a fixed tag).
   const G1Point& generator() const { return generator_; }
@@ -69,6 +72,7 @@ class TypeAPairing {
  private:
   TypeAParams params_;
   std::unique_ptr<FpField> field_;
+  bigint::MontContext mod_r_;
   G1Point generator_;
 };
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "rsa/rsa.h"
 #include "util/secret.h"
@@ -28,7 +29,7 @@ struct BlindedRequest {
 class BlindSignatureClient {
  public:
   explicit BlindSignatureClient(RsaPublicKey manager_key)
-      : key_(std::move(manager_key)), mont_n_(key_.n) {}
+      : key_(std::move(manager_key)), mod_n_(key_.n) {}
 
   const RsaPublicKey& manager_key() const { return key_; }
 
@@ -36,14 +37,22 @@ class BlindSignatureClient {
   // touches the RNG, so a batch draws its factors serially and in order.
   [[nodiscard]] BigInt DrawFactor(crypto::Rng& rng) const;
 
-  // Blinds a chunk fingerprint with factor r. Pure and thread-safe. Returns
-  // nullopt when r is not invertible mod N (r then shares a prime with N,
-  // which a random draw hits with negligible probability); the caller draws
-  // again.
-  [[nodiscard]] std::optional<BlindedRequest> BlindWith(ByteSpan fingerprint,
-                                                        const BigInt& r) const;
+  // Inverts a batch of factors mod N with Montgomery's trick: one inversion
+  // for the whole batch plus three multiplies per factor. Element i is
+  // nullopt when factors[i] is not invertible (it shares a prime with N,
+  // which a random draw hits with negligible probability); the others are
+  // still inverted. Pure and thread-safe.
+  [[nodiscard]] std::vector<std::optional<BigInt>> InvertFactors(
+      const std::vector<BigInt>& factors) const;
 
-  // DrawFactor + BlindWith, drawing again until r is invertible.
+  // Blinds a chunk fingerprint with factor r whose inverse mod N is r_inv.
+  // Pure and thread-safe.
+  [[nodiscard]] BlindedRequest BlindWithInverse(ByteSpan fingerprint,
+                                                const BigInt& r,
+                                                BigInt r_inv) const;
+
+  // One chunk alone: DrawFactor, invert r, BlindWithInverse, drawing again
+  // until r is invertible.
   [[nodiscard]] BlindedRequest Blind(ByteSpan fingerprint, crypto::Rng& rng) const;
 
   // Unblinds the manager's signature and verifies it; returns the 32-byte
@@ -53,13 +62,13 @@ class BlindSignatureClient {
 
  private:
   RsaPublicKey key_;
-  bigint::Montgomery mont_n_;  // for r^e, both multiplies and s^e == h
+  bigint::MontContext mod_n_;  // r^e, the multiplies and s^e == h
 };
 
 class BlindSignatureServer {
  public:
   explicit BlindSignatureServer(RsaPrivateKey key)
-      : key_(std::move(key)), mont_p_(key_.p), mont_q_(key_.q) {}
+      : key_(std::move(key)), crt_(key_) {}
 
   const RsaPublicKey& public_key() const { return key_.pub; }
 
@@ -67,10 +76,12 @@ class BlindSignatureServer {
   // fp. Thread-safe.
   [[nodiscard]] BigInt Sign(const BigInt& blinded) const;
 
+  // Throws Error unless 0 < blinded < N, the check Sign makes.
+  void CheckBlinded(const BigInt& blinded) const;
+
  private:
   RsaPrivateKey key_;
-  bigint::Montgomery mont_p_;
-  bigint::Montgomery mont_q_;
+  CrtContext crt_;
 };
 
 }  // namespace reed::rsa

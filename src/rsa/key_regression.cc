@@ -49,7 +49,7 @@ KeyState KeyRegressionOwner::GenesisState(crypto::Rng& rng) const {
 KeyState KeyRegressionOwner::Wind(const KeyState& state) const {
   KeyState next;
   next.version = state.version + 1;
-  next.value = PrivateApply(keys_.priv, state.value);
+  next.value = crt_.Apply(state.value);
   return next;
 }
 

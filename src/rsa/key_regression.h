@@ -37,18 +37,19 @@ struct KeyState {
 class KeyRegressionOwner {
  public:
   explicit KeyRegressionOwner(RsaKeyPair derivation_keys)
-      : keys_(std::move(derivation_keys)) {}
+      : keys_(std::move(derivation_keys)), crt_(keys_.priv) {}
 
   const RsaPublicKey& public_key() const { return keys_.pub; }
 
   // Fresh random initial state (version 0).
   [[nodiscard]] KeyState GenesisState(crypto::Rng& rng) const;
 
-  // st_{i+1} = st_i^d mod N.
+  // st_{i+1} = st_i^d mod N, by CRT on the kept contexts.
   [[nodiscard]] KeyState Wind(const KeyState& state) const;
 
  private:
   RsaKeyPair keys_;
+  CrtContext crt_;
 };
 
 // Member side: holds only the public derivation key and can unwind.

@@ -6,8 +6,8 @@
 namespace reed::rsa {
 
 RsaKeyPair GenerateKeyPair(std::size_t bits, crypto::Rng& rng) {
-  if (bits < 256 || bits % 2 != 0) {
-    throw Error("GenerateKeyPair: modulus bits must be even and >= 256");
+  if (bits < 256 || bits > 64 * bigint::MontContext::kMaxLimbs || bits % 2 != 0) {
+    throw Error("GenerateKeyPair: modulus bits must be even and in [256, 2048]");
   }
   BigInt e(65537);
   for (;;) {
@@ -38,13 +38,27 @@ BigInt PublicApply(const RsaPublicKey& key, const BigInt& m) {
   return BigInt::PowMod(m, key.e, key.n);
 }
 
+CrtContext::CrtContext(const RsaPrivateKey& key)
+    : n_(key.pub.n),
+      dp_(key.dp),
+      dq_(key.dq),
+      qinv_(key.qinv),
+      mod_p_(key.p),
+      mod_q_(key.q) {}
+
+BigInt CrtContext::Apply(const BigInt& m) const {
+  if (m >= n_) throw Error("PrivateApply: message out of range");
+  BigInt m1 = mod_p_.Pow(m, dp_);
+  BigInt m2 = mod_q_.Pow(m, dq_);
+  // Garner: h = qinv·(m1 − m2) mod p, computed as qinv·m1 − qinv·m2 so
+  // that m2 (< q, possibly > p) needs no separate reduction.
+  BigInt h = BigInt::SubMod(mod_p_.Mul(qinv_, m1), mod_p_.Mul(qinv_, m2),
+                            mod_p_.modulus());
+  return m2 + h * mod_q_.modulus();
+}
+
 BigInt PrivateApply(const RsaPrivateKey& key, const BigInt& m) {
-  if (m >= key.pub.n) throw Error("PrivateApply: message out of range");
-  // Garner's CRT recombination.
-  BigInt m1 = BigInt::PowMod(m % key.p, key.dp, key.p);
-  BigInt m2 = BigInt::PowMod(m % key.q, key.dq, key.q);
-  BigInt h = BigInt::MulMod(key.qinv, BigInt::SubMod(m1, m2, key.p), key.p);
-  return m2 + h * key.q;
+  return CrtContext(key).Apply(m);
 }
 
 BigInt FullDomainHash(ByteSpan data, const BigInt& n) {

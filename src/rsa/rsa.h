@@ -11,6 +11,7 @@
 #pragma once
 
 #include "bigint/bigint.h"
+#include "bigint/mont.h"
 #include "crypto/random.h"
 #include "util/secret.h"
 
@@ -39,12 +40,31 @@ struct RsaKeyPair {
 };
 
 // Generates an RSA key pair with an n of exactly `bits` bits, e = 65537.
+// bits must be even and in [256, 2048] (the Montgomery kernel's widest
+// modulus).
 [[nodiscard]] RsaKeyPair GenerateKeyPair(std::size_t bits, crypto::Rng& rng);
 
 // m^e mod n; m must be < n.
 [[nodiscard]] BigInt PublicApply(const RsaPublicKey& key, const BigInt& m);
 
-// m^d mod n via CRT; m must be < n.
+// The RSA private operation m^d mod n with kept Montgomery contexts for p
+// and q: two half-size exponentiations (m enters each context unreduced, no
+// division) and Garner's recombination. Holders that apply one key many
+// times keep one: the OPRF signer and the key-regression owner.
+class CrtContext {
+ public:
+  explicit CrtContext(const RsaPrivateKey& key);
+
+  // m^d mod n; throws Error unless m < n. Thread-safe.
+  [[nodiscard]] BigInt Apply(const BigInt& m) const;
+
+ private:
+  BigInt n_, dp_, dq_, qinv_;
+  bigint::MontContext mod_p_;
+  bigint::MontContext mod_q_;
+};
+
+// m^d mod n via CRT on fresh contexts; m must be < n.
 [[nodiscard]] BigInt PrivateApply(const RsaPrivateKey& key, const BigInt& m);
 
 // Full-domain hash of `data` into [0, n): SHA-256 expanded with a counter to

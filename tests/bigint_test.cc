@@ -1,8 +1,10 @@
-// BigInt / Montgomery / primality tests: fixed vectors plus randomized
-// algebraic-identity property suites.
+// BigInt / Montgomery kernel / primality tests: fixed vectors, randomized
+// algebraic-identity property suites, and differential tests of the kernel
+// (bigint/mont.h) against schoolbook BigInt arithmetic.
 #include <gtest/gtest.h>
 
 #include "bigint/bigint.h"
+#include "bigint/mont.h"
 #include "bigint/prime.h"
 #include "crypto/random.h"
 
@@ -206,7 +208,7 @@ TEST(MontgomeryTest, MatchesNaiveModMul) {
   DeterministicRng rng(5);
   BigInt m = BigInt::RandomBits(rng, 512);
   if (!m.IsOdd()) m += BigInt(1);
-  Montgomery mont(m);
+  MontContext mont(m);
   for (int i = 0; i < 30; ++i) {
     BigInt a = BigInt::Random(rng, m);
     BigInt b = BigInt::Random(rng, m);
@@ -218,10 +220,10 @@ TEST(MontgomeryTest, ToFromMontRoundTrip) {
   DeterministicRng rng(6);
   BigInt m = BigInt::RandomBits(rng, 256);
   if (!m.IsOdd()) m += BigInt(1);
-  Montgomery mont(m);
+  FixedMont<4> mont(m);
   for (int i = 0; i < 20; ++i) {
     BigInt a = BigInt::Random(rng, m);
-    EXPECT_EQ(mont.FromMont(mont.ToMont(a)), a);
+    EXPECT_EQ(FixedMont<4>::ToBigInt(mont.FromMont(mont.ToMont(a))), a);
   }
 }
 
@@ -229,7 +231,7 @@ TEST(MontgomeryTest, PowMatchesSquareAndMultiply) {
   DeterministicRng rng(7);
   BigInt m = BigInt::RandomBits(rng, 128);
   if (!m.IsOdd()) m += BigInt(1);
-  Montgomery mont(m);
+  MontContext mont(m);
   for (int i = 0; i < 10; ++i) {
     BigInt a = BigInt::Random(rng, m);
     BigInt e = BigInt::RandomBits(rng, 64);
@@ -254,7 +256,7 @@ TEST(MontgomeryTest, KeptContextsMatchPowModAndMulModOnUnreducedInputs) {
   BigInt n = p * q;
   ASSERT_GE(n.BitLength(), 1023u);  // p, q of exactly 512 bits each
   for (const BigInt& m : {p, q, n}) {
-    Montgomery mont(m);
+    MontContext mont(m);
     for (int i = 0; i < 8; ++i) {
       // Up to twice the modulus width, so most inputs exceed m.
       BigInt a = BigInt::RandomBits(rng, 2 * m.BitLength() - i);
@@ -274,8 +276,130 @@ TEST(MontgomeryTest, KeptContextsMatchPowModAndMulModOnUnreducedInputs) {
 }
 
 TEST(MontgomeryTest, RejectsEvenModulus) {
-  EXPECT_THROW(Montgomery mont(BigInt(100)), Error);
-  EXPECT_THROW(Montgomery mont2(BigInt(1)), Error);
+  EXPECT_THROW(MontContext mont(BigInt(100)), Error);
+  EXPECT_THROW(MontContext mont2(BigInt(1)), Error);
+  EXPECT_THROW(FixedMont<4> mont3(BigInt(0)), Error);
+}
+
+TEST(MontgomeryTest, RejectsModulusWiderThanTheKernel) {
+  BigInt five_limbs = (BigInt(1) << 300) + BigInt(1);
+  EXPECT_THROW(FixedMont<4> narrow(five_limbs), Error);
+  EXPECT_NO_THROW(FixedMont<8> wide(five_limbs));
+  EXPECT_THROW(MontContext too_wide((BigInt(1) << 2048) + BigInt(1)), Error);
+  EXPECT_NO_THROW(MontContext widest((BigInt(1) << 2047) + BigInt(1)));
+}
+
+// --- Differential tests: the kernel against BigInt (a*b)%m ---------------
+
+BigInt Reference(const BigInt& a, const BigInt& e, const BigInt& m) {
+  BigInt ref = BigInt(1) % m;
+  for (std::size_t bit = e.BitLength(); bit-- > 0;) {
+    ref = BigInt::MulMod(ref, ref, m);
+    if (e.Bit(bit)) ref = BigInt::MulMod(ref, a, m);
+  }
+  return ref;
+}
+
+// Runs every kernel operation on random and edge inputs mod m and checks
+// each against schoolbook arithmetic.
+template <std::size_t N>
+void CheckKernelAgainstBigInt(const BigInt& m, DeterministicRng& rng) {
+  using K = FixedMont<N>;
+  SCOPED_TRACE("limbs=" + std::to_string(N) + " bits=" + std::to_string(m.BitLength()));
+  K k(m);
+  const BigInt r = BigInt(1) << (64 * N);
+  BigInt all_ones = r - BigInt(1);  // every limb ~0: unreduced, < R
+  std::vector<BigInt> values = {BigInt(0), BigInt(1), m - BigInt(1), m - BigInt(2),
+                                all_ones, m, m + BigInt(1)};
+  for (int i = 0; i < 6; ++i) values.push_back(BigInt::Random(rng, m));
+  for (int i = 0; i < 3; ++i) values.push_back(BigInt::RandomBits(rng, 64 * N));
+  auto plain = [&](const typename K::Limbs& x) { return K::ToBigInt(x); };
+
+  for (const BigInt& a : values) {
+    BigInt ar = a % m;
+    typename K::Limbs am = k.ToMont(a);
+    ASSERT_LT(plain(am), m);
+    EXPECT_EQ(plain(am), BigInt::MulMod(a, r, m));
+    EXPECT_EQ(plain(k.FromMont(am)), ar);
+
+    typename K::Limbs sq;
+    k.Square(sq, am);
+    EXPECT_EQ(plain(k.FromMont(sq)), BigInt::MulMod(a, a, m));
+
+    for (const BigInt& b : values) {
+      BigInt br = b % m;
+      typename K::Limbs bm = k.ToMont(b);
+      typename K::Limbs out;
+      k.Mul(out, am, bm);
+      ASSERT_LT(plain(out), m);
+      EXPECT_EQ(plain(k.FromMont(out)), BigInt::MulMod(a, b, m));
+      // One operand unreduced (any N-limb value), the other < m: the raw
+      // Montgomery product a·(b·R)·R⁻¹ = a·b.
+      if (a.LimbCount() > N) continue;  // m + 1 = R for an all-ones m
+      k.Mul(out, K::ToLimbs(a), bm);
+      ASSERT_LT(plain(out), m);
+      EXPECT_EQ(plain(out), BigInt::MulMod(a, b, m));
+      k.Mul(out, bm, K::ToLimbs(a));
+      EXPECT_EQ(plain(out), BigInt::MulMod(a, b, m));
+
+      k.Add(out, am, bm);
+      EXPECT_EQ(plain(k.FromMont(out)), BigInt::AddMod(ar, br, m));
+      k.Sub(out, am, bm);
+      EXPECT_EQ(plain(k.FromMont(out)), BigInt::SubMod(ar, br, m));
+    }
+    typename K::Limbs neg;
+    k.Neg(neg, am);
+    EXPECT_EQ(plain(k.FromMont(neg)), BigInt::SubMod(BigInt(0), ar, m));
+  }
+
+  // The 2N-limb reduction: values up to R² enter ToMont with no division.
+  for (int i = 0; i < 6; ++i) {
+    BigInt wide = BigInt::RandomBits(rng, 128 * N - i);
+    EXPECT_EQ(plain(k.FromMont(k.ToMont(wide))), wide % m);
+  }
+  EXPECT_EQ(plain(k.FromMont(k.ToMont(r * r - BigInt(1)))), (r * r - BigInt(1)) % m);
+
+  // Pow across window widths (exponent lengths 0, 1, 17, 64, 100, full).
+  for (std::size_t bits : {std::size_t{0}, std::size_t{1}, std::size_t{17},
+                           std::size_t{64}, std::size_t{100}, 64 * N}) {
+    BigInt e = BigInt::RandomBits(rng, bits);
+    for (const BigInt& a : {values[1], values[2], values[4], values[7]}) {
+      typename K::Limbs out;
+      k.Pow(out, k.ToMont(a), e);
+      EXPECT_EQ(plain(k.FromMont(out)), Reference(a % m, e, m)) << "exp bits " << bits;
+    }
+  }
+  typename K::Limbs one = k.one();
+  EXPECT_EQ(plain(k.FromMont(one)), BigInt(1));
+}
+
+template <std::size_t N>
+void CheckWidth(std::uint64_t seed) {
+  DeterministicRng rng(seed);
+  // A full-width modulus, one a bit short of the limbs (the top limb not
+  // saturated, so R > 2m), and one of half the width.
+  for (std::size_t bits : {64 * N, 64 * N - 1, 64 * N - 63, 32 * N + 5}) {
+    BigInt m = BigInt::RandomBits(rng, bits);
+    if (!m.Bit(bits - 1)) m += BigInt(1) << (bits - 1);
+    if (!m.IsOdd()) m += BigInt(1);
+    CheckKernelAgainstBigInt<N>(m, rng);
+  }
+  // All-ones modulus: the largest odd N-limb value.
+  CheckKernelAgainstBigInt<N>((BigInt(1) << (64 * N)) - BigInt(1), rng);
+}
+
+TEST(MontgomeryTest, DifferentialFourLimbs) { CheckWidth<4>(41); }
+TEST(MontgomeryTest, DifferentialEightLimbs) { CheckWidth<8>(42); }
+TEST(MontgomeryTest, DifferentialSixteenLimbs) { CheckWidth<16>(43); }
+
+TEST(MontgomeryTest, SmallModuliInWideKernels) {
+  // Miller–Rabin and PowMod send one-limb moduli through the narrowest
+  // kernel, whose R is far above the modulus.
+  DeterministicRng rng(44);
+  for (std::uint64_t m : {std::uint64_t{3}, std::uint64_t{19}, std::uint64_t{65537},
+                          std::uint64_t{0xffffffffffffffc5}}) {
+    CheckKernelAgainstBigInt<4>(BigInt(m), rng);
+  }
 }
 
 TEST(BigIntTest, RandomRespectsBound) {

@@ -2,6 +2,8 @@
 // limiting, and key-cache behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/random.h"
 #include "crypto/sha256.h"
 #include "keymanager/key_manager.h"
@@ -291,6 +293,84 @@ TEST(MleKeyClientTest, RequestFramesMatchSerialBlindLoop) {
   }
   ASSERT_EQ(frames.size(), 3u);
   EXPECT_EQ(frames, expected);
+}
+
+TEST(BlindSignatureClientTest, BatchInversionMatchesInverseMod) {
+  const rsa::RsaKeyPair& keys = SharedTestKeys();
+  rsa::BlindSignatureClient bc(keys.pub);
+  DeterministicRng rng(40);
+  EXPECT_TRUE(bc.InvertFactors({}).empty());
+  for (std::size_t n : {1u, 2u, 7u, 256u}) {
+    std::vector<BigInt> factors;
+    for (std::size_t i = 0; i < n; ++i) factors.push_back(bc.DrawFactor(rng));
+    auto inverses = bc.InvertFactors(factors);
+    ASSERT_EQ(inverses.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(inverses[i].has_value()) << "n=" << n << " i=" << i;
+      EXPECT_EQ(*inverses[i], BigInt::InverseMod(factors[i], keys.pub.n));
+    }
+  }
+}
+
+TEST(BlindSignatureClientTest, NonInvertibleFactorIsReportedAndOthersStillInverted) {
+  const rsa::RsaKeyPair& keys = SharedTestKeys();
+  rsa::BlindSignatureClient bc(keys.pub);
+  DeterministicRng rng(41);
+  std::vector<BigInt> factors;
+  for (int i = 0; i < 6; ++i) factors.push_back(bc.DrawFactor(rng));
+  factors[2] = keys.priv.p;  // shares the prime p with N
+  factors[5] = keys.priv.q;
+  auto inverses = bc.InvertFactors(factors);
+  ASSERT_EQ(inverses.size(), factors.size());
+  for (std::size_t i = 0; i < factors.size(); ++i) {
+    if (i == 2 || i == 5) {
+      EXPECT_FALSE(inverses[i].has_value()) << i;
+    } else {
+      ASSERT_TRUE(inverses[i].has_value()) << i;
+      EXPECT_EQ(*inverses[i], BigInt::InverseMod(factors[i], keys.pub.n));
+    }
+  }
+}
+
+// Replays a DeterministicRng, except that the given draw returns the fixed
+// big-endian bytes (left-padded to the requested width).
+class ScriptedRng : public crypto::Rng {
+ public:
+  ScriptedRng(std::uint64_t seed, std::size_t draw, Bytes value)
+      : inner_(seed), draw_(draw), value_(std::move(value)) {}
+  void Fill(MutableByteSpan out) override {
+    if (calls_++ != draw_) return inner_.Fill(out);
+    std::fill(out.begin(), out.end(), 0);
+    std::copy(value_.begin(), value_.end(), out.end() - value_.size());
+  }
+
+ private:
+  DeterministicRng inner_;
+  std::size_t draw_;
+  std::size_t calls_ = 0;
+  Bytes value_;
+};
+
+TEST(MleKeyClientTest, NonInvertibleFactorIsRedrawn) {
+  KeyManager km = MakeManager();
+  const rsa::RsaKeyPair& keys = SharedTestKeys();
+  std::size_t nbytes = keys.pub.ByteLength();
+  MleKeyClient::Options opts;
+  opts.batch_size = 5;
+  MleKeyClient client("alice", km.public_key(), DirectChannel(km), opts);
+  auto fps = MakeFingerprints(5, 42);
+  // The third RNG draw yields the prime p as a factor, so the batch product
+  // is not invertible; that element alone is blinded again with a fresh draw.
+  ScriptedRng rng(43, 2, keys.priv.p.ToBytes());
+  auto got = client.GetKeys(fps, rng);
+  ASSERT_EQ(got.size(), fps.size());
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    BigInt s = rsa::PrivateApply(
+        keys.priv, rsa::FullDomainHash(fps[i].AsSpan(), keys.pub.n));
+    EXPECT_TRUE(got[i].ConstantTimeEquals(
+        crypto::Sha256::HashToBytes(s.ToBytesPadded(nbytes))))
+        << "key " << i;
+  }
 }
 
 TEST(MleKeyClientTest, KeysAreHashOfFdhToTheD) {

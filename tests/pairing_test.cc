@@ -52,12 +52,23 @@ TEST(FpTest, FieldAxiomsRandomized) {
     EXPECT_EQ((a + b) + c, a + (b + c));
     EXPECT_EQ(a * b, b * a);
     EXPECT_EQ(a * (b + c), a * b + a * c);
+    EXPECT_EQ(a.Square(), a * a);
     EXPECT_EQ(a - a, Fp::Zero(f));
     EXPECT_EQ(a + a.Neg(), Fp::Zero(f));
     if (!a.IsZero()) {
       EXPECT_EQ(a * a.Inverse(), Fp::One(f));
     }
   }
+}
+
+TEST(FpTest, FieldRejectsPrimeWiderThanTheKernel) {
+  // Elements hold FpField::kLimbs limbs inline: a 576-bit p (≡ 3 mod 4)
+  // cannot be represented and must be refused, not truncated.
+  BigInt wide = (BigInt(1) << (64 * FpField::kLimbs + 63)) + BigInt(3);
+  EXPECT_THROW(FpField field(wide), Error);
+  EXPECT_THROW(FpField even(BigInt(1) << 100), Error);
+  EXPECT_THROW(FpField one_mod_four((BigInt(1) << 100) + BigInt(1)), Error);
+  EXPECT_NO_THROW(FpField widest(TypeAParams::Default().p));
 }
 
 TEST(FpTest, BytesRoundTrip) {

@@ -162,15 +162,18 @@ int main(int argc, char** argv) {
               "regression; 1 Gb/s link\n\n");
   RekeyBench bench;
   const std::uint64_t kGB = 1ull << 30;
-  // Smoke scale: fewer/smaller policies and a 256 MB base file keep every
-  // series shape while finishing in seconds.
+  // Smoke scale: fewer points and a 256 MB base file keep every series
+  // shape while finishing in seconds. Its points are the full run's
+  // largest policies (and 400 users for the group set), so every timed
+  // rekey keeps >= 300 policy leaves and takes >= 100 ms: rekeys of ~20 ms
+  // under small policies swung by more than CI's band between runs.
   std::vector<std::size_t> user_counts =
-      smoke ? std::vector<std::size_t>{20, 50}
+      smoke ? std::vector<std::size_t>{400, 500}
             : std::vector<std::size_t>{100, 200, 300, 400, 500};
-  std::size_t big_users = smoke ? 50 : 500;
+  const std::size_t big_users = 500;
   std::uint64_t base_file = smoke ? kGB / 4 : 2 * kGB;
   std::vector<double> ratios =
-      smoke ? std::vector<double>{0.1, 0.3, 0.5}
+      smoke ? std::vector<double>{0.1, 0.3, 0.4}
             : std::vector<double>{0.05, 0.1, 0.2, 0.3, 0.4, 0.5};
 
   std::printf("--- Fig 8(a): delay vs total #users (2 GB file, 20%% revoked) ---\n");
@@ -236,7 +239,7 @@ int main(int argc, char** argv) {
     // K files, 100 users, lazy revocation of 20%: individual rekeys pay K
     // CP-ABE encryptions; the group path pays one + K symmetric wraps.
     Table t({"files", "individual_s", "group_s", "speedup"});
-    auto users = bench.Users(smoke ? 30 : 100);
+    auto users = bench.Users(smoke ? 400 : 100);
     auto new_users = Keep(users, 0.2);
     abe::PolicyNode policy = abe::PolicyNode::OrOfUsers(new_users);
     std::uint64_t group_file = smoke ? kGB / 8 : kGB;

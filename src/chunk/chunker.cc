@@ -1,25 +1,32 @@
 #include "chunk/chunker.h"
 
+#include <algorithm>
+
 namespace reed::chunk {
+
+std::vector<ChunkRef> Chunker::Split(ByteSpan data) const {
+  std::vector<ChunkRef> out;
+  for (std::size_t off = 0; off < data.size();) {
+    const std::size_t len = Cut(data.subspan(off));
+    out.push_back({off, len});
+    off += len;
+  }
+  return out;
+}
 
 FixedSizeChunker::FixedSizeChunker(std::size_t chunk_size)
     : chunk_size_(chunk_size) {
   if (chunk_size_ == 0) throw Error("FixedSizeChunker: zero chunk size");
 }
 
-std::vector<ChunkRef> FixedSizeChunker::Split(ByteSpan data) {
-  std::vector<ChunkRef> out;
-  out.reserve(data.size() / chunk_size_ + 1);
-  for (std::size_t off = 0; off < data.size(); off += chunk_size_) {
-    out.push_back({off, std::min(chunk_size_, data.size() - off)});
-  }
-  return out;
+std::size_t FixedSizeChunker::Cut(ByteSpan rest) const {
+  return std::min(chunk_size_, rest.size());
 }
 
 RabinChunker::RabinChunker(Options options)
     : options_(options),
       mask_(options.average_size - 1),
-      window_(options.window_size) {
+      tables_(options.window_size) {
   if (options_.average_size == 0 ||
       (options_.average_size & (options_.average_size - 1)) != 0) {
     throw Error("RabinChunker: average size must be a power of two");
@@ -29,30 +36,27 @@ RabinChunker::RabinChunker(Options options)
   }
 }
 
-std::vector<ChunkRef> RabinChunker::Split(ByteSpan data) {
-  std::vector<ChunkRef> out;
-  if (data.empty()) return out;
-  out.reserve(data.size() / options_.average_size + 1);
-
-  std::size_t start = 0;
-  std::size_t len = 0;
-  window_.Reset();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    std::uint64_t fp = window_.Slide(data[i]);
-    ++len;
-    bool at_boundary =
-        len >= options_.min_size && (fp & mask_) == mask_;
-    if (at_boundary || len == options_.max_size) {
-      out.push_back({start, len});
-      start = i + 1;
-      len = 0;
-      // Restart the window so each chunk's boundaries depend only on its
-      // own content (keeps boundaries stable across chunk-local edits).
-      window_.Reset();
-    }
+std::size_t RabinChunker::Cut(ByteSpan rest) const {
+  // A chunk ends at the first length L in [min_size, limit) whose trailing
+  // window (the last w bytes, or all L bytes when L < w) matches the mask,
+  // else at limit.
+  const std::size_t limit = std::min(rest.size(), options_.max_size);
+  if (limit <= options_.min_size) return limit;
+  const std::size_t w = tables_.window_size();
+  const std::uint8_t* in = rest.data();
+  std::size_t i = options_.min_size > w ? options_.min_size - w : 0;
+  std::uint64_t fp = 0;
+  // Fill the window; below min_size no length may cut.
+  for (const std::size_t filled = std::min(i + w, limit); i < filled; ++i) {
+    fp = tables_.Push(fp, in[i]);
+    if (i + 1 >= options_.min_size && (fp & mask_) == mask_) return i + 1;
   }
-  if (len > 0) out.push_back({start, len});
-  return out;
+  // Roll: the byte leaving the window is still in the input.
+  for (; i < limit; ++i) {
+    fp = tables_.Pop(tables_.Push(fp, in[i]), in[i - w]);
+    if ((fp & mask_) == mask_) return i + 1;
+  }
+  return limit;
 }
 
 RabinChunker::Options PaperChunking(std::size_t average_size) {

@@ -16,18 +16,24 @@ struct ChunkRef {
   std::size_t length = 0;
 };
 
+// Chunkers are pure and const: a chunk's end depends only on the bytes from
+// its own start on, so one chunker can cut from any thread, one chunk at a
+// time (the client's streaming upload cuts a batch ahead of keygen).
 class Chunker {
  public:
   virtual ~Chunker() = default;
 
+  // Length of the first chunk of `rest`; 0 only when `rest` is empty.
+  virtual std::size_t Cut(ByteSpan rest) const = 0;
+
   // Splits `data` into consecutive, exhaustive, non-overlapping chunks.
-  virtual std::vector<ChunkRef> Split(ByteSpan data) = 0;
+  std::vector<ChunkRef> Split(ByteSpan data) const;
 };
 
 class FixedSizeChunker : public Chunker {
  public:
   explicit FixedSizeChunker(std::size_t chunk_size);
-  std::vector<ChunkRef> Split(ByteSpan data) override;
+  std::size_t Cut(ByteSpan rest) const override;
 
  private:
   std::size_t chunk_size_;
@@ -37,24 +43,28 @@ class FixedSizeChunker : public Chunker {
 // fingerprint of the trailing window matches a target pattern, subject to
 // the min/max bounds. Identical content produces identical boundaries even
 // after insertions/deletions elsewhere — the property dedup relies on.
+//
+// The window restarts at every boundary and no boundary falls before
+// min_size, so Cut hashes only the last window_size bytes before min_size
+// and then rolls, reading the outgoing byte from the input itself.
 class RabinChunker : public Chunker {
  public:
   struct Options {
     std::size_t min_size = 2 * 1024;
     std::size_t max_size = 16 * 1024;
     std::size_t average_size = 8 * 1024;  // must be a power of two
-    std::size_t window_size = RabinWindow::kDefaultWindowSize;
+    std::size_t window_size = RabinTables::kDefaultWindowSize;
   };
 
   explicit RabinChunker(Options options);
-  std::vector<ChunkRef> Split(ByteSpan data) override;
+  std::size_t Cut(ByteSpan rest) const override;
 
   const Options& options() const { return options_; }
 
  private:
   Options options_;
   std::uint64_t mask_;
-  RabinWindow window_;
+  RabinTables tables_;
 };
 
 // Paper parameterization helper: min 2 KB / max 16 KB, given average.

@@ -20,12 +20,12 @@ std::uint64_t PolyMulByteMod(std::uint8_t b, std::uint64_t m,
   for (int bit = 0; bit < 8; ++bit) {
     if (b & (1u << bit)) acc ^= m << bit;
   }
-  return RabinWindow::PolyMod(acc, poly);
+  return RabinTables::PolyMod(acc, poly);
 }
 
 }  // namespace
 
-std::uint64_t RabinWindow::PolyMod(std::uint64_t value, std::uint64_t poly) {
+std::uint64_t RabinTables::PolyMod(std::uint64_t value, std::uint64_t poly) {
   int d = DegreeOf(poly);
   for (int bit = 63; bit >= d; --bit) {
     if (value & (std::uint64_t(1) << bit)) {
@@ -35,48 +35,24 @@ std::uint64_t RabinWindow::PolyMod(std::uint64_t value, std::uint64_t poly) {
   return value;
 }
 
-RabinWindow::RabinWindow(std::size_t window_size, std::uint64_t poly)
-    : window_size_(window_size), poly_(poly), degree_(DegreeOf(poly)),
-      window_(window_size, 0) {
-  if (window_size_ == 0) throw Error("RabinWindow: window size must be > 0");
+RabinTables::RabinTables(std::size_t window_size, std::uint64_t poly)
+    : window_size_(window_size), degree_(DegreeOf(poly)) {
+  if (window_size_ == 0) throw Error("RabinTables: window size must be > 0");
   if (degree_ < 9 || degree_ > 56) {
-    throw Error("RabinWindow: polynomial degree must be in [9, 56]");
+    throw Error("RabinTables: polynomial degree must be in [9, 56]");
   }
+  low_mask_ = (std::uint64_t(1) << degree_) - 1;
   for (int b = 0; b < 256; ++b) {
-    append_table_[b] =
-        PolyMod(static_cast<std::uint64_t>(b) << degree_, poly_);
+    append_[b] = PolyMod(static_cast<std::uint64_t>(b) << degree_, poly);
   }
   // x^(8*window_size) mod poly, by repeated byte shifts.
   std::uint64_t x8w = 1;
   for (std::size_t i = 0; i < window_size_; ++i) {
-    x8w = PolyMod(x8w << 8, poly_);
+    x8w = PolyMod(x8w << 8, poly);
   }
   for (int b = 0; b < 256; ++b) {
-    remove_table_[b] = PolyMulByteMod(static_cast<std::uint8_t>(b), x8w, poly_);
+    remove_[b] = PolyMulByteMod(static_cast<std::uint8_t>(b), x8w, poly);
   }
-}
-
-void RabinWindow::Reset() {
-  fp_ = 0;
-  pos_ = 0;
-  filled_ = 0;
-  std::fill(window_.begin(), window_.end(), 0);
-}
-
-std::uint64_t RabinWindow::Slide(std::uint8_t in) {
-  std::uint8_t out = 0;
-  bool full = filled_ == window_size_;
-  if (full) out = window_[pos_];
-
-  std::uint64_t shifted = (fp_ << 8) | in;
-  fp_ = (shifted & ((std::uint64_t(1) << degree_) - 1)) ^
-        append_table_[shifted >> degree_];
-  if (full) fp_ ^= remove_table_[out];
-
-  window_[pos_] = in;
-  pos_ = (pos_ + 1) % window_size_;
-  if (!full) ++filled_;
-  return fp_;
 }
 
 }  // namespace reed::chunk

@@ -1,6 +1,7 @@
 #include "client/reed_client.h"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <future>
 #include <optional>
@@ -19,13 +20,18 @@ namespace {
 // stage, matching the cost attribution in the paper's Figs. 5-7. Timings are
 // recorded per batch (or per file operation), never per chunk, and the
 // metric pointers are resolved once per process — nothing here allocates on
-// the data path. With the overlapped pipeline (DESIGN.md §10) each timer
-// still measures only its own stage's duration, so summed stage times can
-// exceed operation wall time — that surplus IS the overlap win. Only
-// durations and byte counts are recorded; all Secret material stays inside
-// the stages.
+// the data path. The stage timers of the producer thread (chunking,
+// fingerprint, keygen, encode, wrap, metadata) run one after another, so
+// they add up to no more than the upload's wall time: chunking_us and
+// wrap_us time only the producer's wait on the chunker and wrap tasks (wrap
+// also covers the stub-file encryption after the join). Work on other
+// threads has its own timers — the chunker task's busy time in chunker_us,
+// each consumer's PutChunks in store_us — and overlaps the producer's
+// (DESIGN.md §10). Only durations and byte counts are recorded; all Secret
+// material stays inside the stages.
 struct StageMetrics {
   obs::Histogram* chunking_us;
+  obs::Histogram* chunker_us;
   obs::Histogram* fingerprint_us;
   obs::Histogram* keygen_us;
   obs::Histogram* encode_us;
@@ -50,6 +56,7 @@ StageMetrics& Metrics() {
   auto& reg = obs::Registry::Global();
   static StageMetrics m{
       &reg.GetHistogram("client.upload.chunking_us"),
+      &reg.GetHistogram("client.upload.chunker_us"),
       &reg.GetHistogram("client.upload.fingerprint_us"),
       &reg.GetHistogram("client.upload.keygen_us"),
       &reg.GetHistogram("client.upload.encode_us"),
@@ -77,6 +84,16 @@ crypto::ChaChaRng MakeClientRng(std::uint64_t seed) {
     return crypto::ChaChaRng(s);
   }
   return crypto::DeterministicRng(seed);
+}
+
+// Variable-size (Rabin) chunking at the configured average; an average of
+// 0 selects fixed-size chunks.
+std::unique_ptr<const chunk::Chunker> MakeChunker(const ClientOptions& o) {
+  if (o.avg_chunk_size == 0) {
+    return std::make_unique<chunk::FixedSizeChunker>(o.fixed_chunk_size);
+  }
+  return std::make_unique<chunk::RabinChunker>(
+      chunk::PaperChunking(o.avg_chunk_size));
 }
 
 std::string RecipeName(const std::string& file_id) { return "recipe/" + file_id; }
@@ -122,6 +139,7 @@ ReedClient::ReedClient(std::string user_id, ClientOptions options,
       access_key_(std::move(access_key)),
       regression_owner_(std::move(derivation_keys)),
       cipher_(options.scheme, options.stub_size),
+      chunker_(MakeChunker(options)),
       pool_(options.encryption_threads),
       rng_(MakeClientRng(options.rng_seed)) {
   if (!storage_ || !keys_ || !abe_) {
@@ -135,12 +153,7 @@ std::string ReedClient::StorageId(const std::string& file_id) const {
 }
 
 std::vector<chunk::ChunkRef> ReedClient::ChunkData(ByteSpan data) {
-  if (options_.avg_chunk_size == 0) {
-    chunk::FixedSizeChunker chunker(options_.fixed_chunk_size);
-    return chunker.Split(data);
-  }
-  chunk::RabinChunker chunker(chunk::PaperChunking(options_.avg_chunk_size));
-  return chunker.Split(data);
+  return chunker_->Split(data);
 }
 
 store::KeyStateRecord ReedClient::InspectKeyStateRecord(
@@ -169,11 +182,16 @@ std::vector<aont::SealedChunk> ReedClient::EncryptChunks(
 UploadResult ReedClient::Upload(const std::string& file_id, ByteSpan data,
                                 const std::vector<std::string>& authorized_users) {
   if (data.empty()) throw Error("ReedClient::Upload: empty file");
-  // 1. Chunking, then the shared pipeline.
-  obs::ScopedTimer chunk_timer(*Metrics().chunking_us);
-  std::vector<chunk::ChunkRef> refs = ChunkData(data);
-  (void)chunk_timer.Stop();
-  return UploadChunked(file_id, data, refs, authorized_users);
+  return UploadStream(
+      file_id, data,
+      [this, data, cut = std::size_t{0}]() mutable
+          -> std::optional<chunk::ChunkRef> {
+        if (cut == data.size()) return std::nullopt;
+        chunk::ChunkRef ref{cut, chunker_->Cut(data.subspan(cut))};
+        cut += ref.length;
+        return ref;
+      },
+      authorized_users);
 }
 
 UploadResult ReedClient::UploadChunked(
@@ -181,27 +199,61 @@ UploadResult ReedClient::UploadChunked(
     const std::vector<chunk::ChunkRef>& refs,
     const std::vector<std::string>& authorized_users) {
   if (refs.empty()) throw Error("ReedClient::Upload: no chunks");
+  return UploadStream(
+      file_id, data,
+      [&refs, next = std::size_t{0}]() mutable
+          -> std::optional<chunk::ChunkRef> {
+        if (next == refs.size()) return std::nullopt;
+        return refs[next++];
+      },
+      authorized_users);
+}
+
+UploadResult ReedClient::UploadStream(
+    const std::string& file_id, ByteSpan data, ChunkSource next_chunk,
+    const std::vector<std::string>& authorized_users) {
   const std::string sid = StorageId(file_id);
   StageMetrics& m = Metrics();
 
-  // 2. Chunk fingerprints, parallel over the encryption pool (SHA-256 over
-  //    the whole file is the serial bottleneck the paper parallelizes away
-  //    in §V-B).
-  obs::ScopedTimer fp_timer(*m.fingerprint_us);
-  std::vector<chunk::Fingerprint> chunk_fps(refs.size());
-  pool_.ParallelFor(refs.size(), [&](std::size_t i) {
-    chunk_fps[i] =
-        chunk::Fingerprint::Of(data.subspan(refs[i].offset, refs[i].length));
-  });
-  (void)fp_timer.Stop();
+  // The key-state wrap needs only a fresh state and the file policy, so a
+  // wrap task produces it while the data flows. rng_ is not thread-safe:
+  // the task draws from a child generator seeded from 32 bytes of it.
+  std::vector<std::string> users = authorized_users;
+  if (std::find(users.begin(), users.end(), user_id_) == users.end()) {
+    users.push_back(user_id_);
+  }
+  const abe::PolicyNode policy = abe::PolicyNode::OrOfUsers(users);
+  struct WrappedState {
+    rsa::KeyState state;
+    Secret envelope;
+  };
+  std::array<std::uint8_t, 32> wrap_seed;
+  rng_.Fill(wrap_seed);
+  // std::async futures join in their destructor, so an exception on the
+  // producer side waits for the wrap (and the chunker and consumer tasks
+  // below) before unwinding past what they read.
+  std::future<WrappedState> wrap = std::async(
+      std::launch::async,
+      [this, &policy,
+       rng = crypto::ChaChaRng(wrap_seed)]() mutable -> WrappedState {
+        REED_FAULT_POINT("client.upload.wrap");
+        schedfuzz::Perturb("client.upload.wrap");
+        rsa::KeyState state = regression_owner_.GenesisState(rng);
+        Secret envelope = abe_->EncryptBytes(
+            abe_pk_, policy, state.Serialize(regression_owner_.public_key()),
+            rng);
+        return {std::move(state), std::move(envelope)};
+      });
+  SecureZero(wrap_seed);
 
-  // 3-5. Producer/consumer pipeline over ~upload_batch_bytes batches: this
-  // thread produces (keygen → parallel encode+fingerprint → in-order recipe
-  // and stub assembly) while up to depth-1 previously produced batches ride
-  // the wire on consumer tasks. Recipe order, stub order, and dedup stats
-  // are byte-identical across depths: assembly happens here in batch order,
-  // and per-chunk dedup outcomes are order-independent (the server's ingest
-  // stripes make lookup+insert atomic per fingerprint).
+  // Producer/consumer pipeline over ~upload_batch_bytes batches: a chunker
+  // task cuts batch k+1 while this thread produces batch k (fingerprint →
+  // keygen → parallel encode+fingerprint → in-order recipe and stub
+  // assembly) and up to depth-1 earlier batches ride the wire on consumer
+  // tasks. Recipe order, stub order, and dedup stats are byte-identical
+  // across depths: assembly happens here in batch order, and per-chunk
+  // dedup outcomes are order-independent (the server's ingest stripes make
+  // lookup+insert atomic per fingerprint).
   //
   // Thread discipline: keys_ (MleKeyClient) and rng_ are NOT thread-safe and
   // are touched only by this producer thread; consumer tasks see only
@@ -211,19 +263,15 @@ UploadResult ReedClient::UploadChunked(
   recipe.file_size = data.size();
   recipe.scheme = static_cast<std::uint8_t>(options_.scheme);
   recipe.stub_size = static_cast<std::uint32_t>(options_.stub_size);
-  recipe.fingerprints.reserve(refs.size());
-  recipe.chunk_sizes.reserve(refs.size());
-  Secret stub_data;
-  stub_data.Reserve(refs.size() * options_.stub_size);
+  // Each batch's stubs in their own exactly-sized buffer, joined once the
+  // chunk count is known, so no growing Secret leaves copies behind.
+  std::vector<Secret> batch_stubs;
 
   UploadResult result;
   result.logical_bytes = data.size();
-  result.chunk_count = refs.size();
 
   const std::size_t depth = std::max<std::size_t>(1, options_.pipeline.depth);
-  // std::async futures join in their destructor, so an exception on the
-  // producer side drains in-flight transfers before unwinding; each future's
-  // paired GaugeGuard drops the inflight gauge on that same unwind.
+  // Each future's paired GaugeGuard drops the inflight gauge on an unwind.
   std::deque<std::pair<std::future<StorageClient::PutStats>, obs::GaugeGuard>>
       inflight;
   auto harvest = [&] {
@@ -239,23 +287,49 @@ UploadResult ReedClient::UploadChunked(
     result.stored_bytes += stats.stored_bytes;
   };
 
-  std::size_t start = 0;
-  while (start < refs.size()) {
-    // Batch boundary by plaintext bytes; always at least one chunk so a
-    // zero/tiny upload_batch_bytes still terminates.
-    std::size_t end = start;
-    std::size_t batch_bytes = 0;
-    do {
-      batch_bytes += refs[end].length;
-      ++end;
-    } while (end < refs.size() && batch_bytes < options_.upload_batch_bytes);
-    const std::size_t n = end - start;
+  // Cuts one batch: at least one chunk, then chunks until it holds
+  // upload_batch_bytes of plaintext, so batch boundaries do not depend on
+  // where the chunks come from. An empty batch means the file is done.
+  auto cut_batch = [&next_chunk, &m,
+                    batch_bytes = options_.upload_batch_bytes] {
+    REED_FAULT_POINT("client.upload.chunk");
+    schedfuzz::Perturb("client.upload.chunk");
+    obs::ScopedTimer busy_timer(*m.chunker_us);
+    std::vector<chunk::ChunkRef> batch;
+    std::size_t bytes = 0;
+    while (batch.empty() || bytes < batch_bytes) {
+      std::optional<chunk::ChunkRef> ref = next_chunk();
+      if (!ref) break;
+      bytes += ref->length;
+      batch.push_back(*ref);
+    }
+    return batch;
+  };
+  std::future<std::vector<chunk::ChunkRef>> next_batch =
+      std::async(std::launch::async, cut_batch);
+
+  for (;;) {
+    obs::ScopedTimer chunk_timer(*m.chunking_us);
+    const std::vector<chunk::ChunkRef> refs = next_batch.get();
+    (void)chunk_timer.Stop();
+    if (refs.empty()) break;
+    next_batch = std::async(std::launch::async, cut_batch);
+    const std::size_t n = refs.size();
+    result.chunk_count += n;
+
+    // Chunk fingerprints, parallel over the encryption pool (SHA-256 is the
+    // serial bottleneck the paper parallelizes away in §V-B).
+    obs::ScopedTimer fp_timer(*m.fingerprint_us);
+    std::vector<chunk::Fingerprint> chunk_fps(n);
+    pool_.ParallelFor(n, [&](std::size_t i) {
+      chunk_fps[i] =
+          chunk::Fingerprint::Of(data.subspan(refs[i].offset, refs[i].length));
+    });
+    (void)fp_timer.Stop();
 
     // Server-aided MLE key generation for this batch (batched OPRF + cache).
     obs::ScopedTimer keygen_timer(*m.keygen_us);
-    std::vector<chunk::Fingerprint> batch_fps(chunk_fps.begin() + start,
-                                              chunk_fps.begin() + end);
-    std::vector<Secret> mle_keys = keys_->GetKeys(batch_fps, rng_);
+    std::vector<Secret> mle_keys = keys_->GetKeys(chunk_fps, rng_);
     (void)keygen_timer.Stop();
     schedfuzz::Perturb("client.upload.keygen");
 
@@ -267,9 +341,8 @@ UploadResult ReedClient::UploadChunked(
     std::vector<aont::SealedChunk> sealed(n);
     std::vector<chunk::Fingerprint> package_fps(n);
     pool_.ParallelFor(n, [&](std::size_t i) {
-      const auto& ref = refs[start + i];
-      sealed[i] =
-          cipher_.Encrypt(data.subspan(ref.offset, ref.length), mle_keys[i]);
+      sealed[i] = cipher_.Encrypt(
+          data.subspan(refs[i].offset, refs[i].length), mle_keys[i]);
       package_fps[i] = chunk::Fingerprint::Of(sealed[i].trimmed_package);
     });
     (void)encode_timer.Stop();
@@ -278,13 +351,15 @@ UploadResult ReedClient::UploadChunked(
     // In-order assembly (Secret::Append is sequential by design).
     std::vector<std::pair<chunk::Fingerprint, Bytes>> batch;
     batch.reserve(n);
+    Secret stubs;
+    stubs.Reserve(n * options_.stub_size);
     for (std::size_t i = 0; i < n; ++i) {
       recipe.fingerprints.push_back(package_fps[i]);
-      recipe.chunk_sizes.push_back(
-          static_cast<std::uint32_t>(refs[start + i].length));
-      stub_data.Append(sealed[i].stub);
+      recipe.chunk_sizes.push_back(static_cast<std::uint32_t>(refs[i].length));
+      stubs.Append(sealed[i].stub);
       batch.emplace_back(package_fps[i], std::move(sealed[i].trimmed_package));
     }
+    batch_stubs.push_back(std::move(stubs));
 
     // Window: at most depth-1 batches stay on the wire while the next one
     // is produced. Depth 1 is a window of one: its batch is harvested
@@ -304,32 +379,28 @@ UploadResult ReedClient::UploadChunked(
                    }),
         std::move(guard));
     if (inflight.size() >= depth) harvest();
-    start = end;
   }
 
-  // 5-6. File key from a fresh key state (version 0), wrapped under the
-  // file policy — produced while the tail batches are still on the wire.
+  // Join the wrap while the tail batches are still on the wire; the stub
+  // file is encrypted under the file key of the state it wrapped.
   obs::ScopedTimer wrap_timer(*m.wrap_us);
-  rsa::KeyState state = regression_owner_.GenesisState(rng_);
-  Secret file_key = state.DeriveFileKey();
-  Secret stub_blob = aont::EncryptStubFile(stub_data, file_key, rng_);
-  std::vector<std::string> users = authorized_users;
-  if (std::find(users.begin(), users.end(), user_id_) == users.end()) {
-    users.push_back(user_id_);
-  }
-  abe::PolicyNode policy = abe::PolicyNode::OrOfUsers(users);
+  WrappedState wrapped = wrap.get();
+  Secret stub_data;
+  stub_data.Reserve(result.chunk_count * options_.stub_size);
+  for (const Secret& stubs : batch_stubs) stub_data.Append(stubs);
+  Secret stub_blob = aont::EncryptStubFile(
+      stub_data, wrapped.state.DeriveFileKey(), rng_);
   store::KeyStateRecord record;
   record.owner_id = user_id_;
-  record.key_version = state.version;
-  record.stub_key_version = state.version;
+  record.key_version = wrapped.state.version;
+  record.stub_key_version = wrapped.state.version;
   policy.SerializeTo(record.policy);
-  record.wrapped_state = PublicKeyStateEnvelope(abe_->EncryptBytes(
-      abe_pk_, policy, state.Serialize(regression_owner_.public_key()), rng_));
+  record.wrapped_state = PublicKeyStateEnvelope(wrapped.envelope);
   record.derivation_public_key =
       rsa::SerializePublicKey(regression_owner_.public_key());
   (void)wrap_timer.Stop();
 
-  // 7. Drain the pipeline, then publish metadata (recipe must not become
+  // Drain the pipeline, then publish metadata (recipe must not become
   // visible before every package it references is stored).
   while (!inflight.empty()) harvest();
   obs::ScopedTimer metadata_timer(*m.metadata_us);

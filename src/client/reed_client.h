@@ -1,12 +1,14 @@
 // The REED client (paper §III-A, §IV-D, §V "Client"): the software layer a
 // user machine runs to upload, download, and rekey files.
 //
-// Upload pipeline:  chunk → per-batch OPRF MLE keygen (with key cache) →
-// basic/enhanced CAONT encryption (multi-threaded, trimmed-package
-// fingerprinting folded into the encode workers) → 4 MB-batched upload of
-// trimmed packages, with encoding of batch i+1 overlapping batch i's wire
-// transfer (PipelineOptions.depth) → recipe + encrypted stub file +
-// CP-ABE-wrapped key state.
+// Upload pipeline (DESIGN.md §10): a chunker task cuts ~4 MB batch i+1
+// while the producer runs batch i through chunk fingerprinting → OPRF MLE
+// keygen (with key cache) → basic/enhanced CAONT encryption (multi-threaded,
+// trimmed-package fingerprinting folded into the encode workers) → batched
+// upload of trimmed packages, with up to depth-1 batches on the wire
+// (PipelineOptions.depth). A wrap task CP-ABE-encrypts a fresh key state for
+// the whole upload; it is joined before the stub file is encrypted, then
+// recipe, encrypted stub file and wrapped key state are written in order.
 // Download pipeline: key state (CP-ABE decrypt + key-regression unwind) →
 // recipe → chunks + stub file (next fetch batch prefetched while the pool
 // decodes the current one) → CAONT revert → reassembly, aborting on any
@@ -16,8 +18,10 @@
 // trimmed packages.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "abe/cpabe.h"
@@ -102,7 +106,8 @@ class ReedClient {
 
   // Upload with caller-supplied chunk boundaries. The trace-driven
   // experiment (§VI-B) reconstructs chunks from trace records and feeds
-  // them directly past the chunking module.
+  // them directly past the chunking module. Runs the same pipeline as
+  // Upload, fed from `refs` instead of the chunker.
   [[nodiscard]] UploadResult UploadChunked(const std::string& file_id, ByteSpan data,
                              const std::vector<chunk::ChunkRef>& refs,
                              const std::vector<std::string>& authorized_users);
@@ -154,6 +159,15 @@ class ReedClient {
       const std::string& file_id);  // model-observable
 
  private:
+  // Yields the next chunk of the file being uploaded, nullopt after the last.
+  using ChunkSource = std::function<std::optional<chunk::ChunkRef>()>;
+
+  // The one upload pipeline behind Upload and UploadChunked. `next_chunk` is
+  // called only from the chunker task, one batch at a time.
+  UploadResult UploadStream(const std::string& file_id, ByteSpan data,
+                            ChunkSource next_chunk,
+                            const std::vector<std::string>& authorized_users);
+
   // The identifier actually sent to the cloud (salted hash when
   // obfuscation is configured).
   std::string StorageId(const std::string& file_id) const;
@@ -175,6 +189,8 @@ class ReedClient {
   abe::PrivateKey access_key_;
   rsa::KeyRegressionOwner regression_owner_;
   aont::ReedCipher cipher_;
+  // Pure and const, so the chunker task reads it without a lock.
+  std::unique_ptr<const chunk::Chunker> chunker_;
   ThreadPool pool_;
   crypto::ChaChaRng rng_;
 };

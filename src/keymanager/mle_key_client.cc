@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "util/fault_inject.h"
@@ -93,25 +94,33 @@ std::vector<Secret> MleKeyClient::GetKeys(
     const std::vector<chunk::Fingerprint>& fps, crypto::Rng& rng) {
   REED_FAULT_POINT("keymanager.get_keys");
   std::vector<Secret> keys(fps.size());
+  // One blinded element per distinct missing fingerprint: `missing` holds
+  // each one's first index, and a repeat within the call takes that key.
   std::vector<std::size_t> missing;
   missing.reserve(fps.size());
-
-  if (options_.enable_cache) {
-    for (std::size_t i = 0; i < fps.size(); ++i) {
-      if (auto hit = cache_.Get(fps[i])) {
-        keys[i] = std::move(*hit);
-        ++stats_.cache_hits;
-      } else {
-        missing.push_back(i);
-        ++stats_.cache_misses;
-      }
+  std::vector<std::pair<std::size_t, std::size_t>> repeats;  // (index, first)
+  std::unordered_map<chunk::Fingerprint, std::size_t, chunk::FingerprintHash>
+      first_miss;
+  std::size_t misses = 0;
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    std::optional<Secret> hit;
+    if (options_.enable_cache) hit = cache_.Get(fps[i]);
+    if (hit) {
+      keys[i] = std::move(*hit);
+      continue;
     }
-  } else {
-    for (std::size_t i = 0; i < fps.size(); ++i) missing.push_back(i);
-    stats_.cache_misses += missing.size();
+    ++misses;
+    auto [it, fresh] = first_miss.emplace(fps[i], i);
+    if (fresh) {
+      missing.push_back(i);
+    } else {
+      repeats.emplace_back(i, it->second);
+    }
   }
-  Metrics().cache_hits->Add(fps.size() - missing.size());
-  Metrics().cache_misses->Add(missing.size());
+  stats_.cache_hits += fps.size() - misses;
+  stats_.cache_misses += misses;
+  Metrics().cache_hits->Add(fps.size() - misses);
+  Metrics().cache_misses->Add(misses);
 
   std::size_t modulus_bytes = blind_client_.manager_key().ByteLength();
   for (std::size_t start = 0; start < missing.size();
@@ -167,6 +176,7 @@ std::vector<Secret> MleKeyClient::GetKeys(
       }
     }
   }
+  for (const auto& [index, first] : repeats) keys[index] = keys[first];
   return keys;
 }
 

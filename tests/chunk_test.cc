@@ -5,6 +5,7 @@
 #include "chunk/chunker.h"
 #include "chunk/fingerprint.h"
 #include "crypto/random.h"
+#include "trace/trace.h"
 
 namespace reed::chunk {
 namespace {
@@ -27,47 +28,41 @@ TEST(FingerprintTest, RoundTripAndShort48) {
 }
 
 TEST(RabinTest, PolyModReducesBelowDegree) {
-  std::uint64_t poly = RabinWindow::kDefaultPoly;  // degree 53
+  std::uint64_t poly = RabinTables::kDefaultPoly;  // degree 53
   DeterministicRng rng(1);
   for (int i = 0; i < 100; ++i) {
     std::uint64_t v = rng.NextU64();
-    std::uint64_t r = RabinWindow::PolyMod(v, poly);
+    std::uint64_t r = RabinTables::PolyMod(v, poly);
     EXPECT_LT(r, std::uint64_t(1) << 53);
     // mod is idempotent
-    EXPECT_EQ(RabinWindow::PolyMod(r, poly), r);
+    EXPECT_EQ(RabinTables::PolyMod(r, poly), r);
   }
   // Values already below the degree are unchanged.
-  EXPECT_EQ(RabinWindow::PolyMod(12345, poly), 12345u);
+  EXPECT_EQ(RabinTables::PolyMod(12345, poly), 12345u);
 }
 
 TEST(RabinTest, WindowFingerprintDependsOnlyOnWindowContents) {
   // After sliding past the window size, the fingerprint must equal the
   // fingerprint of just the last `window` bytes — the rolling property.
-  RabinWindow w1(16);
-  RabinWindow w2(16);
+  RabinTables tables(16);
   DeterministicRng rng(2);
   Bytes data = rng.Generate(300);
 
-  for (std::uint8_t b : data) w1.Slide(b);
-  for (std::size_t i = data.size() - 16; i < data.size(); ++i) w2.Slide(data[i]);
-  EXPECT_EQ(w1.fingerprint(), w2.fingerprint());
-}
-
-TEST(RabinTest, ResetClearsState) {
-  RabinWindow w(8);
-  w.Slide(1);
-  w.Slide(2);
-  std::uint64_t fp_after_two = w.fingerprint();
-  w.Reset();
-  EXPECT_EQ(w.fingerprint(), 0u);
-  w.Slide(1);
-  w.Slide(2);
-  EXPECT_EQ(w.fingerprint(), fp_after_two);
+  std::uint64_t rolled = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    rolled = tables.Push(rolled, data[i]);
+    if (i >= 16) rolled = tables.Pop(rolled, data[i - 16]);
+  }
+  std::uint64_t fresh = 0;
+  for (std::size_t i = data.size() - 16; i < data.size(); ++i) {
+    fresh = tables.Push(fresh, data[i]);
+  }
+  EXPECT_EQ(rolled, fresh);
 }
 
 TEST(RabinTest, RejectsBadParameters) {
-  EXPECT_THROW(RabinWindow w(0), Error);
-  EXPECT_THROW(RabinWindow w(48, 0x3), Error);  // degree too small
+  EXPECT_THROW(RabinTables t(0), Error);
+  EXPECT_THROW(RabinTables t(48, 0x3), Error);  // degree too small
 }
 
 TEST(FixedChunkerTest, SplitsExactlyAndCoversInput) {
@@ -184,6 +179,208 @@ TEST(RabinChunkerTest, MaxSizeForcedOnIncompressiblePattern) {
   for (std::size_t i = 0; i + 1 < refs.size(); ++i) {
     EXPECT_EQ(refs[i].length, chunker.options().max_size);
   }
+}
+
+// --- Differential oracle: the chunker as it was before Cut ----------------
+//
+// The old per-byte RabinWindow (ring buffer, `% window_size`, fill counter)
+// fed from each chunk's first byte and reset at every boundary, exactly as
+// RabinChunker::Split used to run. Kept verbatim (own tables, old reduction
+// formula) so that no code it checks is shared with the chunker under test.
+class OracleWindow {
+ public:
+  explicit OracleWindow(std::size_t window_size)
+      : window_size_(window_size), window_(window_size, 0) {
+    std::uint64_t poly = RabinTables::kDefaultPoly;
+    degree_ = 63;
+    while (!(poly >> degree_)) --degree_;
+    for (int b = 0; b < 256; ++b) {
+      append_table_[b] =
+          RabinTables::PolyMod(static_cast<std::uint64_t>(b) << degree_, poly);
+    }
+    std::uint64_t x8w = 1;
+    for (std::size_t i = 0; i < window_size_; ++i) {
+      x8w = RabinTables::PolyMod(x8w << 8, poly);
+    }
+    for (int b = 0; b < 256; ++b) {
+      std::uint64_t acc = 0;
+      for (int bit = 0; bit < 8; ++bit) {
+        if (b & (1 << bit)) acc ^= x8w << bit;
+      }
+      remove_table_[b] = RabinTables::PolyMod(acc, poly);
+    }
+  }
+
+  void Reset() {
+    fp_ = 0;
+    pos_ = 0;
+    filled_ = 0;
+    std::fill(window_.begin(), window_.end(), 0);
+  }
+
+  std::uint64_t Slide(std::uint8_t in) {
+    std::uint8_t out = 0;
+    bool full = filled_ == window_size_;
+    if (full) out = window_[pos_];
+    std::uint64_t shifted = (fp_ << 8) | in;
+    fp_ = (shifted & ((std::uint64_t(1) << degree_) - 1)) ^
+          append_table_[shifted >> degree_];
+    if (full) fp_ ^= remove_table_[out];
+    window_[pos_] = in;
+    pos_ = (pos_ + 1) % window_size_;
+    if (!full) ++filled_;
+    return fp_;
+  }
+
+ private:
+  std::size_t window_size_;
+  int degree_;
+  std::uint64_t fp_ = 0;
+  std::size_t pos_ = 0;
+  std::size_t filled_ = 0;
+  std::vector<std::uint8_t> window_;
+  std::array<std::uint64_t, 256> append_table_;
+  std::array<std::uint64_t, 256> remove_table_;
+};
+
+std::vector<ChunkRef> OracleSplit(const RabinChunker::Options& o,
+                                  ByteSpan data) {
+  std::vector<ChunkRef> out;
+  const std::uint64_t mask = o.average_size - 1;
+  OracleWindow window(o.window_size);
+  std::size_t start = 0;
+  std::size_t len = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    std::uint64_t fp = window.Slide(data[i]);
+    ++len;
+    if ((len >= o.min_size && (fp & mask) == mask) || len == o.max_size) {
+      out.push_back({start, len});
+      start = i + 1;
+      len = 0;
+      window.Reset();
+    }
+  }
+  if (len > 0) out.push_back({start, len});
+  return out;
+}
+
+void ExpectSameCuts(const RabinChunker::Options& o, ByteSpan data) {
+  std::vector<ChunkRef> want = OracleSplit(o, data);
+  std::vector<ChunkRef> got = RabinChunker(o).Split(data);
+  ASSERT_EQ(got.size(), want.size())
+      << "min " << o.min_size << " max " << o.max_size << " avg "
+      << o.average_size << " size " << data.size();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].offset, want[i].offset) << "chunk " << i;
+    ASSERT_EQ(got[i].length, want[i].length) << "chunk " << i;
+  }
+}
+
+TEST(RabinDifferentialTest, PushPopMatchesOracleSlide) {
+  DeterministicRng rng(40);
+  Bytes data = rng.Generate(4096);
+  for (std::size_t w : {std::size_t{1}, std::size_t{8}, std::size_t{48}}) {
+    RabinTables tables(w);
+    OracleWindow oracle(w);
+    std::uint64_t fp = 0;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      fp = tables.Push(fp, data[i]);
+      if (i >= w) fp = tables.Pop(fp, data[i - w]);
+      ASSERT_EQ(fp, oracle.Slide(data[i])) << "w=" << w << " i=" << i;
+    }
+  }
+}
+
+TEST(RabinDifferentialTest, RandomDataAtEveryAverage) {
+  // At 64 the paper parameterization sets min_size to 32, below the 48-byte
+  // window, so the window-fill loop itself must find boundaries.
+  for (std::size_t avg : {64, 256, 2048, 4096, 8192, 16384}) {
+    SCOPED_TRACE("avg=" + std::to_string(avg));
+    DeterministicRng rng(41 + avg);
+    ExpectSameCuts(PaperChunking(avg), rng.Generate(1 << 20));
+  }
+}
+
+TEST(RabinDifferentialTest, InputsAroundMinAndMaxSize) {
+  DeterministicRng rng(42);
+  Bytes pool = rng.Generate(64 * 1024);
+  for (std::size_t avg : {64, 256, 8192}) {
+    const RabinChunker::Options o = PaperChunking(avg);
+    for (std::size_t size :
+         {std::size_t{1}, o.min_size - 1, o.min_size, o.min_size + 1,
+          o.max_size - 1, o.max_size, o.max_size + 1, 2 * o.max_size}) {
+      SCOPED_TRACE("avg=" + std::to_string(avg) +
+                   " size=" + std::to_string(size));
+      ExpectSameCuts(o, ByteSpan(pool).first(size));
+    }
+  }
+}
+
+TEST(RabinDifferentialTest, OddParameterizations) {
+  // max below the window, min equal to max, min equal to the window.
+  DeterministicRng rng(43);
+  Bytes data = rng.Generate(256 * 1024);
+  RabinChunker::Options tiny{.min_size = 16, .max_size = 40,
+                             .average_size = 16};
+  RabinChunker::Options fixed{.min_size = 1000, .max_size = 1000,
+                              .average_size = 256};
+  RabinChunker::Options at_window{.min_size = 48, .max_size = 4096,
+                                  .average_size = 512};
+  RabinChunker::Options short_window{.min_size = 300, .max_size = 9000,
+                                     .average_size = 1024, .window_size = 7};
+  for (const auto& o : {tiny, fixed, at_window, short_window}) {
+    ExpectSameCuts(o, data);
+  }
+}
+
+TEST(RabinDifferentialTest, AllZeroDataCutsAtMaxSize) {
+  Bytes zeros(300 * 1024, 0);
+  for (std::size_t avg : {64, 8192}) {
+    const RabinChunker::Options o = PaperChunking(avg);
+    ExpectSameCuts(o, zeros);
+    auto refs = RabinChunker(o).Split(zeros);
+    for (std::size_t i = 0; i + 1 < refs.size(); ++i) {
+      EXPECT_EQ(refs[i].length, o.max_size);
+    }
+  }
+}
+
+TEST(RabinDifferentialTest, TraceSnapshotsAndChurnedCopy) {
+  trace::TraceOptions topts;
+  topts.num_users = 2;
+  topts.num_days = 2;
+  topts.user_snapshot_bytes = 1 << 20;
+  topts.seed = 44;
+  trace::TraceGenerator gen(topts);
+  for (std::size_t user = 0; user < 2; ++user) {
+    Bytes data = trace::MaterializeSnapshot(gen.GetSnapshot(user, 0)).data;
+    for (std::size_t avg : {256, 8192}) ExpectSameCuts(PaperChunking(avg), data);
+
+    // Churn: scattered overwrites plus an insert and an equal-sized delete,
+    // so boundaries shift and realign.
+    DeterministicRng rng(45 + user);
+    for (int k = 0; k < 16; ++k) {
+      std::size_t at = rng.NextU64() % (data.size() - 8192);
+      Bytes patch = rng.Generate(8192);
+      std::copy(patch.begin(), patch.end(), data.begin() + at);
+    }
+    Bytes insert = rng.Generate(777);
+    data.insert(data.begin() + 5000, insert.begin(), insert.end());
+    data.erase(data.end() - 20000, data.end() - 20000 + 777);
+    for (std::size_t avg : {256, 8192}) ExpectSameCuts(PaperChunking(avg), data);
+  }
+}
+
+TEST(RabinChunkerTest, CutIsTheFirstChunkOfSplit) {
+  RabinChunker chunker(PaperChunking(4096));
+  DeterministicRng rng(46);
+  Bytes data = rng.Generate(128 * 1024);
+  auto refs = chunker.Split(data);
+  ASSERT_GT(refs.size(), 2u);
+  for (const auto& r : refs) {
+    EXPECT_EQ(chunker.Cut(ByteSpan(data).subspan(r.offset)), r.length);
+  }
+  EXPECT_EQ(chunker.Cut({}), 0u);
 }
 
 }  // namespace

@@ -9,15 +9,17 @@
 
 namespace reed::testing {
 
-inline constexpr std::array<const char*, 24> kFaultSites = {
+inline constexpr std::array<const char*, 26> kFaultSites = {
     "aont.encode",
     "client.download.decode",
     "client.download.fetch",
     "client.get_chunks.batch",
     "client.put_chunks.batch",
     "client.rpc.call",
+    "client.upload.chunk",
     "client.upload.encode",
     "client.upload.store",
+    "client.upload.wrap",
     "keymanager.get_keys",
     "keymanager.sign_batch",
     "net.link.transfer",

@@ -295,6 +295,51 @@ TEST(MleKeyClientTest, RequestFramesMatchSerialBlindLoop) {
   EXPECT_EQ(frames, expected);
 }
 
+TEST(MleKeyClientTest, RepeatedMissesShareOneBlindedElement) {
+  KeyManager km = MakeManager();
+  auto recording_client = [&km](std::vector<Bytes>& frames, bool cache) {
+    MleKeyClient::Options opts;
+    opts.enable_cache = cache;
+    return MleKeyClient(
+        "alice", km.public_key(),
+        std::make_shared<net::LocalChannel>([&](ByteSpan req) {
+          frames.emplace_back(req.begin(), req.end());
+          return km.HandleRequest(req);
+        }),
+        opts);
+  };
+  auto distinct = MakeFingerprints(3, 50);
+  const auto& a = distinct[0];
+  // `a` four times, `b` twice, `c` once.
+  std::vector<chunk::Fingerprint> fps = {a, distinct[1], a, a,
+                                         distinct[2], distinct[1], a};
+
+  // The distinct fingerprints alone, from an identically seeded RNG: the
+  // frame a duplicate-free call sends.
+  std::vector<Bytes> want_frames;
+  MleKeyClient reference = recording_client(want_frames, true);
+  DeterministicRng reference_rng(51);
+  auto want = reference.GetKeys(distinct, reference_rng);
+
+  for (bool cache : {true, false}) {
+    SCOPED_TRACE(cache ? "cache on" : "cache off");
+    std::vector<Bytes> frames;
+    MleKeyClient client = recording_client(frames, cache);
+    DeterministicRng rng(51);
+    const std::uint64_t signed_before = km.stats().signatures;
+    auto keys = client.GetKeys(fps, rng);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames, want_frames);
+    EXPECT_EQ(km.stats().signatures - signed_before, distinct.size());
+    ASSERT_EQ(keys.size(), fps.size());
+    const std::size_t slot[] = {0, 1, 0, 0, 2, 1, 0};
+    for (std::size_t i = 0; i < fps.size(); ++i) {
+      EXPECT_TRUE(keys[i].ConstantTimeEquals(want[slot[i]])) << i;
+    }
+    EXPECT_EQ(client.stats().batches_sent, 1u);
+  }
+}
+
 TEST(BlindSignatureClientTest, BatchInversionMatchesInverseMod) {
   const rsa::RsaKeyPair& keys = SharedTestKeys();
   rsa::BlindSignatureClient bc(keys.pub);

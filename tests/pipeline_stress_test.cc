@@ -4,7 +4,9 @@
 // while batch i is on the wire) but must not reorder RESULTS: recipes,
 // dedup statistics, and downloaded bytes have to match the serial path
 // exactly. The first test pins that equivalence on twin same-seed systems;
-// the window test pins the upload schedule each depth promises; the rest
+// the UploadStream tests pin Upload (chunker task) against UploadChunked
+// and the chunker and wrap tasks' failure paths; the window test pins the
+// upload schedule each depth promises; the rest
 // hammer one shared cluster from many pipelined clients at once — sized to
 // stay cheap enough for TSan, which is the point of the exercise.
 #include <gtest/gtest.h>
@@ -18,7 +20,9 @@
 #include "keymanager/key_manager.h"
 #include "keymanager/mle_key_client.h"
 #include "net/rpc.h"
+#include "obs/metrics.h"
 #include "server/storage_server.h"
+#include "util/fault_inject.h"
 
 namespace reed {
 namespace {
@@ -113,6 +117,92 @@ TEST(PipelineEquivalenceTest, SerialAndPipelinedProduceIdenticalResults) {
   EXPECT_EQ(ss.unique_chunks, ps.unique_chunks);
   EXPECT_EQ(ss.stub_bytes, ps.stub_bytes);
 }
+
+bool HasDataObject(ReedSystem& system, const std::string& name) {
+  for (std::size_t i = 0; i < system.data_server_count(); ++i) {
+    if (system.data_server(i).HasObject(server::StoreId::kData, name)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(UploadStreamTest, UploadMatchesUploadChunkedAtEveryDepth) {
+  // Upload cuts its batches on the chunker task; UploadChunked takes them
+  // from the refs it is given. Both run the one pipeline, so with the
+  // client's own boundaries the recipes must be byte-identical.
+  ReedSystem streamed_sys(TwinSystemOptions());
+  ReedSystem chunked_sys(TwinSystemOptions());
+  streamed_sys.RegisterUser("alice");
+  chunked_sys.RegisterUser("alice");
+  Bytes data = TestFile(300 * 1024 + 123, 9100);
+  for (std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    const std::string id = "stream-" + std::to_string(depth);
+    auto streamed = streamed_sys.CreateClient("alice", PipelinedOptions(depth, 1));
+    auto chunked = chunked_sys.CreateClient("alice", PipelinedOptions(depth, 1));
+    auto rs = streamed->Upload(id, data, {"alice"});
+    auto rc = chunked->UploadChunked(id, data, chunked->ChunkData(data),
+                                     {"alice"});
+    EXPECT_EQ(rs.chunk_count, chunked->ChunkData(data).size());
+    EXPECT_EQ(rs.chunk_count, rc.chunk_count);
+    EXPECT_EQ(rs.duplicate_chunks, rc.duplicate_chunks);
+    EXPECT_EQ(rs.stored_chunks, rc.stored_chunks);
+    EXPECT_EQ(rs.stored_bytes, rc.stored_bytes);
+    EXPECT_EQ(rs.stub_bytes, rc.stub_bytes);
+    EXPECT_EQ(FindDataObject(streamed_sys, "recipe/" + id),
+              FindDataObject(chunked_sys, "recipe/" + id));
+    EXPECT_EQ(streamed->Download(id), data);
+    EXPECT_EQ(chunked->Download(id), data);
+  }
+}
+
+#if defined(REED_FAULT_INJECT)
+TEST(UploadStreamTest, ChunkerAndWrapFaultsPublishNothing) {
+  ReedSystem system(TwinSystemOptions());
+  system.RegisterUser("alice");
+  auto client = system.CreateClient("alice", PipelinedOptions(3, 2));
+  auto& inflight = obs::Registry::Global().GetGauge(
+      "client.pipeline.inflight_batches");
+  Bytes data = TestFile(256 * 1024, 9200);
+  struct Case {
+    const char* site;
+    fault::Policy policy;
+  };
+  // NthHit(3) fails the chunker task cutting batch 2, with batches 0 and 1
+  // already encoded and on the wire.
+  const Case cases[] = {{"client.upload.chunk", fault::Policy::EveryHit()},
+                        {"client.upload.chunk", fault::Policy::NthHit(3)},
+                        {"client.upload.wrap", fault::Policy::EveryHit()}};
+  int n = 0;
+  for (const Case& c : cases) {
+    const std::string id = "fault-" + std::to_string(n++);
+    SCOPED_TRACE(id + " " + c.site);
+    // NthHit counts from the last counter reset.
+    fault::DisarmAll();
+    fault::ResetCounters();
+    std::string msg;
+    {
+      fault::ScopedFault armed(c.site, c.policy);
+      try {
+        (void)client->Upload(id, data, {"alice"});
+      } catch (const Error& e) {
+        msg = e.what();
+      }
+    }
+    EXPECT_NE(msg.find(c.site), std::string::npos) << "got: " << msg;
+    EXPECT_FALSE(HasDataObject(system, "recipe/" + id));
+    EXPECT_FALSE(HasDataObject(system, "stub/" + id));
+    EXPECT_FALSE(system.key_server().HasObject(server::StoreId::kKey,
+                                               "keystate/" + id));
+    EXPECT_EQ(inflight.value(), 0);
+
+    // Disarmed, the same upload completes and round-trips.
+    (void)client->Upload(id, data, {"alice"});
+    EXPECT_EQ(client->Download(id), data);
+  }
+}
+#endif
 
 TEST(PipelineStressTest, ConcurrentIdenticalUploadsKeepDedupExact) {
   // Every client pushes the SAME content under its own file id, all at

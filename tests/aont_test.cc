@@ -230,6 +230,144 @@ TEST(ReedSchemeContrastTest, SchemesProduceIncompatiblePackages) {
   EXPECT_THROW(enhanced.Decrypt(sb.trimmed_package, sb.stub), Error);
 }
 
+// --------------------------- known answers ---------------------------
+//
+// Golden digests of the bytes REED stores, generated once from the
+// reference implementation and never regenerated: trimmed packages
+// deduplicate across clients of every version, so any rewrite of AES-CTR,
+// the mask or either scheme must reproduce them exactly.
+
+std::string PackageDigest(const ReedCipher& cipher, std::size_t size) {
+  Bytes chunk = TestChunk(size, 1000 + size);
+  SealedChunk sealed = cipher.Encrypt(chunk, TestKey(2000 + size));
+  EXPECT_EQ(cipher.Decrypt(sealed.trimmed_package, sealed.stub), chunk)
+      << SchemeName(cipher.scheme()) << ", size " << size;
+  crypto::Sha256 h;
+  h.Update(sealed.trimmed_package);
+  h.Update(Declassify(sealed.stub, "test: digest the stub with its package"));
+  crypto::Sha256Digest d = h.Finish();
+  return HexEncode(d);
+}
+
+struct PackageAnswer {
+  std::size_t size;
+  const char* basic;     // SHA-256(trimmed_package ‖ stub), basic scheme
+  const char* enhanced;  // the same for the enhanced scheme
+};
+
+const PackageAnswer kPackageAnswers[] = {
+    {1,
+     "23d833d9a2fdea1cfe859bab104f7756d2d3c46d92626b4b3e7c3ead1427536a",
+     "b6b12619c28a038917d84008485846977978331ee981abb42c121f1a63226339"},
+    {15,
+     "6f56ff9e8e24dfba413138e03a66175fd3ed1356a35318c5ff5f73a46b849578",
+     "924211890e24894bfe726a1da7ec265155eb5cc396b21e06e068884ca96c8237"},
+    {16,
+     "ce654796d28a1efa1f8cba86f48f2ba7ce09d97bdb14dd4228e3f82fd1e6cbe1",
+     "3dc8cf4cfd58a26f2ae394860ee7c31c9d0fd65d67bc71e59191474f87ebfaab"},
+    {17,
+     "41e08defaf078036414ce5937e94338a7ebc386d67d349f0316456be0f5d53aa",
+     "700e3b10fe90bbd4f735ba894548eb5ddd4b89d94672b2617f76548503fb862b"},
+    {255,
+     "64b4257e85619912ef690123c71fffa194aabd8f8db7802a06089c8f0730ae78",
+     "b9d7cd1ee10c556649367d14c463446284cc2908e792f6461462e4af033fdeb5"},
+    {256,
+     "45a5f4db0d70d0edd0caa6efaa73459575da3aff138907397b6983418dba7f84",
+     "65885d96c395882e6b9f8d36f83ed9b315d17357ccd7330cb3a614de271108b8"},
+    {257,
+     "95c873e6ecc8a4cdaca2b4e5b2fdf3d21e783b170d2ae46af7f02ea292e76b84",
+     "03481c6304934e95f805ef7aa243da4bf64fceac1b1e07a456f15c47d7cd6e33"},
+    {4095,
+     "1484e0595be4e4de1fc8be99781cd745f96688ac53415964aa6f53b409fa67f9",
+     "d736a01e958a69648e1fe27f81293e08f508121f585f065b0a36138fecedcf61"},
+    {8191,
+     "2ae5b0d6c72ae5c9f90c7d55ca4088bd9f933d38b3b18b31debaa4093959f7c9",
+     "3953d8538c13ab1c019558fb18ba4ab47d7ebf410cc332c4aa439df7a849aab2"},
+    {8192,
+     "b6ed476880019697f7eaba30d1b2d0cc0f28420485a90be3f95e961cae511425",
+     "b3137d2b77b633005993049f496b1816fc6142b993be4fd2b640588cf1339404"},
+    {8193,
+     "2d58fb7ed9a421bba9bf868e1114f50cbf6af34584dad77cf89877b7eeb44a3a",
+     "70d4ab7badc0b4acdb1ab0bb72054cf2410bb3ba238a0ec1b5cc94cbfa5d3bc5"},
+    {65537,
+     "199d95a5a0d4d938061633abaa97ce8f8d6932c01d4f90614f505a96f4beb836",
+     "6a6c7c34413580b73331ea72da283831f9067d6034d38e331bc48aaf3bae25f7"},
+};
+
+class ReedCipherKnownAnswerTest : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(ReedCipherKnownAnswerTest, PackagesMatchGoldenDigests) {
+  ReedCipher cipher(GetParam());
+  for (const PackageAnswer& a : kPackageAnswers) {
+    const char* expect =
+        GetParam() == Scheme::kBasic ? a.basic : a.enhanced;
+    EXPECT_EQ(PackageDigest(cipher, a.size), expect) << "size " << a.size;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothSchemes, ReedCipherKnownAnswerTest,
+                         ::testing::Values(Scheme::kBasic, Scheme::kEnhanced),
+                         [](const auto& param_info) {
+                           return SchemeName(param_info.param);
+                         });
+
+struct MaskAnswer {
+  std::size_t length;
+  const char* digest;  // SHA-256(Mask(key, length))
+};
+
+// Lengths on both sides of every 16-byte block and 256-byte edge a CTR
+// loop may batch on.
+const MaskAnswer kMaskAnswers[] = {
+    {1, "9e8e8c37a53bac77a653d590b783b2508e8ed2fed040a278bf4f4703bbd5d82d"},
+    {15, "fcc4632d14da168a2c17362f3309195a113e7831558432b3f3ff796285cba4a1"},
+    {16, "880dbc2213259e5fdb5adf7950ffbeea2cc35ab04381e12393e3aa37a6942e3d"},
+    {17, "5ad35305a63a9922e286ee1618dc1712d1ea393857420a2a257ec48ac0ae3658"},
+    {31, "2f31de16980edae6d4304b6fe2c129e35c6b5bcc71bad5064fd66161f3fc42c2"},
+    {32, "d4da1c93b64cdc5a18b5acd0c551127211efecf2fd5162e1c9be319f106419a3"},
+    {33, "06757e8146815da18e8510990931234e8f6e6d12ca619ddecd126a4a2a31fdc9"},
+    {127, "f76a42c3bc6d59471101ccbf0bcde12dddda1a7abb0c7811414748723b725bfe"},
+    {128, "2616b7dec8c85c1de2dea6c978c1848f6023d16e43ce11fc4f2307fe6bae92d0"},
+    {129, "8120ebe8fa743191f7226fa106cb29200a2f3984cd137e8231875885f7b3627c"},
+    {255, "6da3b53577c2fb85e724d85b7a2c3f24957f23910e2659f6277f5b13532c05f9"},
+    {256, "0b9ff8bb9aaa76941c39959052af4f4f6f9a56dc58558c28c915092384b787eb"},
+    {257, "a3f50bf26f6a9dd63bbb76536bfc22589cf713c3c998d14f7bcc0d8184feb60e"},
+    {271, "81febe79e01ad40866d7ec19ed5286f671581860e76df27baf547b52962c8577"},
+    {272, "a4530aba061d03c6c62c456c9422f7998bc56db7c35ca07de491b7081ae4e2e3"},
+    {273, "7a0a7e64ff8ef08c2059c8565c2365628064d8a942d0cf4af78e9f0d358db84a"},
+    {511, "dce76e7b4975215d2c5ec5d43e371ba8eeaeb493ec767c87afeff14faff01b5d"},
+    {512, "9e2267f63278dfce67a5efaeeb9d583f3c27814b403672413ac0c256fc2136bf"},
+    {513, "1dcd1072f04e119526b3493d98732f96ff0846db8413f02026eb5a8faec5b1c8"},
+    {1023, "3f89f479abddd8b97b07a1654c4616eb6af1f9a455248a29c6da1e5b306d1b21"},
+    {1024, "4580b26d05ffbae9a04b0ec9cac00905c7bcaf4475b7748a8515a7d6b5e6f473"},
+    {1025, "9e1a65e021bb092327f87256186e10cfe781e4783c9585759705582b2eef8f99"},
+    {4095, "aeba8f4e66a45c3bb040d8c67b46759e2cb8357d698d48f595aa1a84d1654c77"},
+    {4096, "fc915e9702e1ea09533a9e71c909bc6acb510ed9b02e944513eb6794e1198dd8"},
+    {4097, "a8f9e79faf3013c56c06114df987e919847101f4bf25a3db03822b61bf897f73"},
+    {8191, "0bc2ed696d07346d486bfff49e4caa368caf8e2a683666acfac3f09a2723c8e2"},
+    {8192, "29d9e190dd3d7523e0df9572fd412db098d4cf652c177bf6d56a7864d42808e6"},
+    {8193, "bab6e0859509d0579d0b17683c06b7158b58f0d7182ed1f9ccfcedbdcabdbc53"},
+};
+
+TEST(MaskKnownAnswerTest, MasksMatchGoldenDigests) {
+  Bytes key = TestKeyBytes(3000);
+  for (const MaskAnswer& a : kMaskAnswers) {
+    EXPECT_EQ(HexEncode(crypto::Sha256::Hash(Mask(key, a.length))), a.digest)
+        << "length " << a.length;
+  }
+}
+
+TEST(MaskKnownAnswerTest, EveryLengthUpTo1040) {
+  // One digest over Mask(key, n) for every n in [0, 1040]: each call ends
+  // its keystream at a different offset, so every tail shape is pinned.
+  Bytes key = TestKeyBytes(3001);
+  crypto::Sha256 h;
+  for (std::size_t n = 0; n <= 1040; ++n) h.Update(Mask(key, n));
+  crypto::Sha256Digest d = h.Finish();
+  EXPECT_EQ(HexEncode(d),
+            "c4881a0c6ef4b2cb3fead30409737c2325fe21bfb7c716b1c40e7324944ff9d4");
+}
+
 // --------------------------- stub file crypto ---------------------------
 
 TEST(StubFileTest, RoundTripAndRekey) {

@@ -56,9 +56,30 @@ void BM_AesCtr(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::AesCtrEncrypt(key, iv, data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
-  state.SetLabel(crypto::Aes256::UsingHardware() ? "aes-ni" : "portable");
+  state.SetLabel(crypto::AesBackendName(crypto::Aes256::Backend()));
 }
 BENCHMARK(BM_AesCtr)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+
+// The CTR loop alone, in place, on each backend this CPU has (arg 0:
+// 0 portable, 1 aes-ni, 2 vaes) — no allocation or key schedule per pass.
+void BM_AesCtrBackend(benchmark::State& state) {
+  auto backend = static_cast<crypto::AesBackend>(state.range(0));
+  if (!crypto::Aes256::Supports(backend)) {
+    state.SkipWithError("backend not supported on this CPU");
+    return;
+  }
+  Bytes key = FixedData(32, 2), iv = FixedData(16, 3);
+  Bytes data = FixedData(static_cast<std::size_t>(state.range(1)), 4);
+  crypto::AesCtr ctr(key, iv, backend);
+  for (auto _ : state) {
+    ctr.Process(data);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(1));
+  state.SetLabel(crypto::AesBackendName(backend));
+}
+BENCHMARK(BM_AesCtrBackend)->ArgsProduct({{0, 1, 2}, {8192, 1 << 20}});
 
 void BM_HmacSha256(benchmark::State& state) {
   Bytes key = FixedData(32, 5);
@@ -275,6 +296,12 @@ BENCHMARK(BM_AbeDecrypt)->Arg(1)->Arg(10)->Arg(50)->Arg(100);
 
 // --------------------------- REED schemes ---------------------------
 
+// "enhanced/vaes": the scheme and the AES kernel that produced the number.
+std::string SchemeLabel(aont::Scheme scheme) {
+  return std::string(aont::SchemeName(scheme)) + "/" +
+         crypto::AesBackendName(crypto::Aes256::Backend());
+}
+
 void BM_ReedEncrypt(benchmark::State& state) {
   auto scheme = static_cast<aont::Scheme>(state.range(0));
   std::size_t chunk_size = static_cast<std::size_t>(state.range(1));
@@ -285,7 +312,7 @@ void BM_ReedEncrypt(benchmark::State& state) {
     benchmark::DoNotOptimize(cipher.Encrypt(chunk, key));
   }
   state.SetBytesProcessed(state.iterations() * state.range(1));
-  state.SetLabel(aont::SchemeName(scheme));
+  state.SetLabel(SchemeLabel(scheme));
 }
 BENCHMARK(BM_ReedEncrypt)
     ->Args({0, 8192})
@@ -303,7 +330,7 @@ void BM_ReedDecrypt(benchmark::State& state) {
     benchmark::DoNotOptimize(cipher.Decrypt(sealed.trimmed_package, sealed.stub));
   }
   state.SetBytesProcessed(state.iterations() * 8192);
-  state.SetLabel(aont::SchemeName(scheme));
+  state.SetLabel(SchemeLabel(scheme));
 }
 BENCHMARK(BM_ReedDecrypt)->Arg(0)->Arg(1);
 

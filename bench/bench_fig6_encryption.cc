@@ -66,11 +66,11 @@ int main(int argc, char** argv) {
                                               : (128ull << 20);
   JsonReporter json("fig6_encryption", argc, argv);
   std::printf("=== Figure 6 / Experiment A.2: encryption speed ===\n");
-  std::printf("file: %zu MB unique chunks; 2 encryption threads; hardware "
-              "AES/SHA: %s/%s\n\n",
+  std::printf("file: %zu MB unique chunks; 2 encryption threads; AES/SHA "
+              "kernels: %s/%s\n\n",
               file_size >> 20,
-              crypto::Aes256::UsingHardware() ? "AES-NI" : "portable",
-              crypto::Sha256::UsingHardware() ? "SHA-NI" : "portable");
+              crypto::AesBackendName(crypto::Aes256::Backend()),
+              crypto::Sha256::UsingHardware() ? "sha-ni" : "portable");
 
   Bytes data = UniqueData(file_size, 6);
   // Warm-up: touch the buffer and spin up thread-pool/code paths so the

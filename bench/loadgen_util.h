@@ -162,8 +162,8 @@ inline Bytes GetChunksFrame(const LoadgenConfig& cfg, std::size_t file) {
   return w.Take();
 }
 
-inline Bytes PutKeyStateFrame(const LoadgenConfig& cfg, std::size_t file,
-                              std::uint64_t version, crypto::Rng& rng) {
+inline Bytes PutKeyStateFrame(std::size_t file, std::uint64_t version,
+                              crypto::Rng& rng) {
   net::Writer w;
   w.U8(static_cast<std::uint8_t>(Opcode::kPutObject));
   w.U8(static_cast<std::uint8_t>(StoreId::kKey));
@@ -197,7 +197,7 @@ inline void SeedLoadgenCorpus(std::uint16_t port, const LoadgenConfig& cfg) {
   for (std::size_t f = 0; f < cfg.files; ++f) {
     for (const Bytes& frame :
          {UploadChunksFrame(cfg, f), RecipeFrame(cfg, f),
-          PutKeyStateFrame(cfg, f, 0, rng)}) {
+          PutKeyStateFrame(f, 0, rng)}) {
       // Setup path: ride out admission throttling (the server may already
       // be running with a per-tenant rate for the measured phase).
       for (int attempt = 0;; ++attempt) {
@@ -270,7 +270,7 @@ inline LoadgenReport RunLoadgen(std::uint16_t port, const LoadgenConfig& cfg) {
           frames = {UploadChunksFrame(cfg, file), RecipeFrame(cfg, file)};
         } else if (roll < cfg.upload_pct + cfg.rekey_pct) {
           frames = {GetObjectFrame(StoreId::kKey, LoadgenKeyStateName(file)),
-                    PutKeyStateFrame(cfg, file, k + 1, rng)};
+                    PutKeyStateFrame(file, k + 1, rng)};
         } else {
           frames = {GetObjectFrame(StoreId::kData, LoadgenRecipeName(file)),
                     GetChunksFrame(cfg, file)};

@@ -1,8 +1,9 @@
 #include "aont/aont.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 
-#include "crypto/aes.h"
 #include "crypto/crypto_error.h"
 #include "crypto/sha256.h"
 
@@ -15,80 +16,99 @@ constexpr std::uint8_t kPublicIv[16] = {'R', 'E', 'E', 'D', '-', 'A', 'O',
                                         'N', 'T', '-', 'M', 'A', 'S', 'K',
                                         '0', '1'};
 
-Bytes HashKeyXorTail(ByteSpan head, ByteSpan key_or_hash) {
-  // t = H(C) ⊕ K (and symmetrically K = H(C) ⊕ t).
+// C = M ⊕ G(K), then t = H(C) ⊕ K: the package C ‖ t.
+Bytes Package(ByteSpan message, ByteSpan key) {
+  Bytes package(message.size() + kAontTailSize);
+  MutableByteSpan head(package.data(), message.size());
+  MaskStream(key).Process(message, head);
   crypto::Sha256Digest hc = crypto::Sha256::Hash(head);
-  Bytes t(hc.begin(), hc.end());
-  XorInto(t, key_or_hash);
-  return t;
+  MutableByteSpan tail(package.data() + message.size(), kAontTailSize);
+  std::copy(hc.begin(), hc.end(), tail.begin());
+  XorInto(tail, key);
+  return package;
+}
+
+// K = H(C) ⊕ t, then M = C ⊕ G(K). `key` receives K for the caller's check.
+Bytes Unpackage(ByteSpan package, crypto::Sha256Digest& key, const char* what) {
+  if (package.size() < kAontTailSize) {
+    throw crypto::CryptoError(std::string(what) + ": package too small");
+  }
+  std::size_t head_len = package.size() - kAontTailSize;
+  ByteSpan head = package.subspan(0, head_len);
+  key = crypto::Sha256::Hash(head);
+  XorInto(key, package.subspan(head_len));
+  Bytes message(head_len);
+  MaskStream(key).Process(head, message);
+  return message;
 }
 }  // namespace
 
+crypto::AesCtr MaskStream(ByteSpan key) {
+  return crypto::AesCtr(key, ByteSpan(kPublicIv, sizeof(kPublicIv)));
+}
+
 Bytes Mask(ByteSpan key, std::size_t length) {
   Bytes out(length);
-  crypto::AesCtr ctr(key, ByteSpan(kPublicIv, sizeof(kPublicIv)));
-  ctr.Keystream(out);
+  MaskStream(key).Keystream(out);
   return out;
 }
 
 Bytes AontTransform(ByteSpan message, crypto::Rng& rng) {
   Bytes key = rng.Generate(kAontKeySize);
   ScopedWipe wipe_key(key);
-  Bytes package(message.begin(), message.end());
-  XorInto(package, Mask(key, package.size()));  // C = M ⊕ G(K)
-  Append(package, HashKeyXorTail(ByteSpan(package.data(), message.size()), key));
-  return package;
+  return Package(message, key);
 }
 
 Bytes AontRevert(ByteSpan package) {
-  if (package.size() < kAontTailSize) {
-    throw crypto::CryptoError("AontRevert: package too small");
-  }
-  std::size_t head_len = package.size() - kAontTailSize;
-  ByteSpan head = package.subspan(0, head_len);
-  ByteSpan tail = package.subspan(head_len);
-  Bytes key = HashKeyXorTail(head, tail);  // K = H(C) ⊕ t
+  crypto::Sha256Digest key{};
   ScopedWipe wipe_key(key);
-  Bytes message(head.begin(), head.end());
-  XorInto(message, Mask(key, head_len));
-  return message;
+  return Unpackage(package, key, "AontRevert");
 }
 
 Bytes CaontTransform(ByteSpan message) {
-  Bytes key = crypto::Sha256::HashToBytes(message);  // h = H(M)
+  crypto::Sha256Digest key = crypto::Sha256::Hash(message);  // h = H(M)
   ScopedWipe wipe_key(key);
-  Bytes package(message.begin(), message.end());
-  XorInto(package, Mask(key, package.size()));
-  Append(package, HashKeyXorTail(ByteSpan(package.data(), message.size()), key));
-  return package;
+  return Package(message, key);
 }
 
 Bytes CaontRevert(ByteSpan package) {
-  if (package.size() < kAontTailSize) {
-    throw crypto::CryptoError("CaontRevert: package too small");
-  }
-  std::size_t head_len = package.size() - kAontTailSize;
-  ByteSpan head = package.subspan(0, head_len);
-  ByteSpan tail = package.subspan(head_len);
-  Bytes key = HashKeyXorTail(head, tail);
+  crypto::Sha256Digest key{};
   ScopedWipe wipe_key(key);
-  Bytes message(head.begin(), head.end());
-  XorInto(message, Mask(key, head_len));
+  Bytes message = Unpackage(package, key, "CaontRevert");
   // CAONT is self-verifying: the recovered message must hash back to h.
-  if (!SecureCompare(crypto::Sha256::HashToBytes(message), key)) {
+  if (!SecureCompare(crypto::Sha256::Hash(message), key)) {
     throw crypto::CryptoError("CaontRevert: integrity check failed");
   }
   return message;
 }
 
+void SelfXorInto(MutableByteSpan acc, ByteSpan data, std::size_t offset) {
+  if (acc.size() != kAontTailSize) {
+    throw crypto::CryptoError("SelfXorInto: accumulator must be 32 bytes");
+  }
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::size_t pos = offset % kAontTailSize;
+  // Bytes up to the next piece boundary, then whole pieces word by word.
+  for (; n > 0 && pos != 0; --n, pos = (pos + 1) % kAontTailSize) {
+    acc[pos] ^= *p++;
+  }
+  std::uint64_t words[kAontTailSize / 8];
+  std::memcpy(words, acc.data(), sizeof(words));
+  for (; n >= kAontTailSize; n -= kAontTailSize, p += kAontTailSize) {
+    for (std::size_t w = 0; w < kAontTailSize / 8; ++w) {
+      std::uint64_t v;
+      std::memcpy(&v, p + 8 * w, sizeof(v));
+      words[w] ^= v;
+    }
+  }
+  std::memcpy(acc.data(), words, sizeof(words));
+  for (std::size_t i = 0; i < n; ++i) acc[i] ^= p[i];
+}
+
 Bytes SelfXor(ByteSpan data) {
   Bytes acc(kAontTailSize, 0);
-  std::size_t off = 0;
-  while (off < data.size()) {
-    std::size_t n = std::min(kAontTailSize, data.size() - off);
-    for (std::size_t i = 0; i < n; ++i) acc[i] ^= data[off + i];
-    off += n;
-  }
+  SelfXorInto(acc, data, 0);
   return acc;
 }
 

@@ -8,6 +8,7 @@
 // package deterministic (dedupable) and self-verifying.
 #pragma once
 
+#include "crypto/aes.h"
 #include "crypto/random.h"
 #include "util/bytes.h"
 
@@ -19,6 +20,11 @@ inline constexpr std::size_t kAontTailSize = 32;  // |t| = |H(·)| = |K|
 // Pseudo-random mask G(K) = E(K, S): the AES-256-CTR keystream over the
 // publicly known constant block S (a fixed IV), truncated to `length`.
 [[nodiscard]] Bytes Mask(ByteSpan key, std::size_t length);
+
+// G(K) as a CTR stream: each Process() call XORs the next mask bytes into
+// its input, so a package split over several buffers is (un)masked in one
+// pass with no mask buffer.
+[[nodiscard]] crypto::AesCtr MaskStream(ByteSpan key);
 
 // Rivest AONT with a fresh random key. Package layout: C || t,
 // |package| = |message| + kAontTailSize.
@@ -40,5 +46,10 @@ inline constexpr std::size_t kAontTailSize = 32;  // |t| = |H(·)| = |K|
 // secure-deletion construction): XOR of all kAontTailSize-sized pieces of
 // `data` (last piece zero-padded) — cheaper than a second hash pass.
 [[nodiscard]] Bytes SelfXor(ByteSpan data);
+
+// Folds `data` into a running self-XOR `acc` (kAontTailSize bytes), where
+// `data` starts `offset` bytes into the XORed byte string: a string split
+// over several buffers folds piece by piece to the same result.
+void SelfXorInto(MutableByteSpan acc, ByteSpan data, std::size_t offset);
 
 }  // namespace reed::aont

@@ -1,5 +1,7 @@
 #include "aont/reed_cipher.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "crypto/aes.h"
@@ -63,103 +65,171 @@ SealedChunk ReedCipher::Encrypt(ByteSpan chunk, const Secret& mle_key) const {
                                    : EncryptEnhanced(chunk, key);
 }
 
-Bytes ReedCipher::Decrypt(ByteSpan trimmed_package, const Secret& stub) const {
+// The package trimmed ‖ stub, read where its two parts lie.
+struct ReedCipher::PackageView {
+  ByteSpan trimmed;
+  ByteSpan stub;
+
+  std::size_t size() const { return trimmed.size() + stub.size(); }
+
+  // Calls fn(piece, offset) on the pieces of bytes [begin, end) in order,
+  // `offset` being where each piece starts relative to `begin`.
+  template <typename Fn>
+  void ForEach(std::size_t begin, std::size_t end, Fn fn) const {
+    const std::size_t split = trimmed.size();
+    if (begin < split) {
+      fn(trimmed.subspan(begin, std::min(end, split) - begin), 0);
+    }
+    if (end > split) {
+      const std::size_t from = std::max(begin, split);
+      fn(stub.subspan(from - split, end - from), from - begin);
+    }
+  }
+
+  // dst = bytes [begin, begin + |dst|) XOR the next bytes of `ctr`.
+  void Unmask(crypto::AesCtr& ctr, std::size_t begin,
+              MutableByteSpan dst) const {
+    ForEach(begin, begin + dst.size(), [&](ByteSpan piece, std::size_t off) {
+      ctr.Process(piece, dst.subspan(off, piece.size()));
+    });
+  }
+
+  // dst = bytes [begin, begin + |dst|).
+  void Read(std::size_t begin, MutableByteSpan dst) const {
+    ForEach(begin, begin + dst.size(), [&](ByteSpan piece, std::size_t off) {
+      std::copy(piece.begin(), piece.end(), dst.subspan(off).begin());
+    });
+  }
+};
+
+void ReedCipher::DecryptInto(ByteSpan trimmed_package, const Secret& stub,
+                             MutableByteSpan out) const {
   if (stub.size() != stub_size_) {
     throw crypto::CryptoError("ReedCipher: stub size mismatch");
   }
-  // The reassembled package embeds the stub (and, mid-reversal, the MLE
-  // key); wipe it on every exit path.
-  Bytes package = Concat(trimmed_package, stub.ExposeForCrypto());
-  ScopedWipe wipe_package(package);
-  if (package.size() < kAontTailSize + 1) {
+  const PackageView package{trimmed_package, stub.ExposeForCrypto()};
+  if (package.size() < PackageSize(1)) {
     throw crypto::CryptoError("ReedCipher: package too small");
   }
-  return scheme_ == Scheme::kBasic ? DecryptBasic(package)
-                                   : DecryptEnhanced(package);
+  if (out.size() != package.size() - PackageSize(0)) {
+    throw crypto::CryptoError(
+        "ReedCipher: output size does not match the package");
+  }
+  if (scheme_ == Scheme::kBasic) {
+    DecryptBasic(package, out);
+  } else {
+    DecryptEnhanced(package, out);
+  }
+}
+
+Bytes ReedCipher::Decrypt(ByteSpan trimmed_package, const Secret& stub) const {
+  const std::size_t package_size = trimmed_package.size() + stub.size();
+  Bytes plain(package_size > PackageSize(0) ? package_size - PackageSize(0)
+                                            : 0);
+  DecryptInto(trimmed_package, stub, plain);
+  return plain;
 }
 
 // --------------------------- basic scheme ---------------------------
 
 SealedChunk ReedCipher::EncryptBasic(ByteSpan chunk, ByteSpan mle_key) const {
-  // Head: C = (M ‖ canary) ⊕ G(K_M)
-  Bytes package(chunk.begin(), chunk.end());
-  package.resize(chunk.size() + kCanarySize, 0);  // canary = 32 zero bytes
-  XorInto(package, Mask(mle_key, package.size()));
+  // Head: C = (M ‖ canary) ⊕ G(K_M), canary = 32 zero bytes.
+  Bytes package(chunk.size() + kCanarySize + kAontTailSize);
+  MutableByteSpan head(package.data(), chunk.size() + kCanarySize);
+  crypto::AesCtr mask = MaskStream(mle_key);
+  mask.Process(chunk, head.first(chunk.size()));
+  mask.Process(head.subspan(chunk.size()));
 
   // Tail: t = K_M ⊕ H(C)
-  crypto::Sha256Digest hc = crypto::Sha256::Hash(package);
-  Bytes tail(hc.begin(), hc.end());
+  crypto::Sha256Digest hc = crypto::Sha256::Hash(head);
+  MutableByteSpan tail(package.data() + head.size(), kAontTailSize);
+  std::copy(hc.begin(), hc.end(), tail.begin());
   XorInto(tail, mle_key);
-  Append(package, tail);
   return SplitPackage(std::move(package));
 }
 
-Bytes ReedCipher::DecryptBasic(ByteSpan package) const {
-  std::size_t head_len = package.size() - kAontTailSize;
-  if (head_len < kCanarySize + 1) throw crypto::CryptoError("ReedCipher: package too small");
-  ByteSpan head = package.subspan(0, head_len);
-  ByteSpan tail = package.subspan(head_len);
+void ReedCipher::DecryptBasic(const PackageView& package,
+                              MutableByteSpan out) const {
+  const std::size_t head_len = package.size() - kAontTailSize;
 
   // K_M = t ⊕ H(C) — any modification of the package corrupts K_M, which
   // the canary check below then catches.
-  crypto::Sha256Digest hc = crypto::Sha256::Hash(head);
-  Bytes mle_key(hc.begin(), hc.end());
+  crypto::Sha256 hasher;
+  package.ForEach(0, head_len,
+                  [&](ByteSpan piece, std::size_t) { hasher.Update(piece); });
+  crypto::Sha256Digest mle_key = hasher.Finish();
   ScopedWipe wipe_key(mle_key);
+  std::array<std::uint8_t, kAontTailSize> tail{};
+  package.Read(head_len, tail);
   XorInto(mle_key, tail);
 
-  Bytes plain(head.begin(), head.end());
-  XorInto(plain, Mask(mle_key, plain.size()));
+  std::array<std::uint8_t, kCanarySize> canary{};
+  ScopedWipe wipe_canary(canary);
+  crypto::AesCtr mask = MaskStream(mle_key);
+  package.Unmask(mask, 0, out);
+  package.Unmask(mask, out.size(), canary);
 
-  static const Bytes kZeroCanary(kCanarySize, 0);
-  ByteSpan canary = ByteSpan(plain).subspan(plain.size() - kCanarySize);
+  static constexpr std::array<std::uint8_t, kCanarySize> kZeroCanary{};
   if (!SecureCompare(canary, kZeroCanary)) {
+    SecureZero(out);
     throw crypto::CryptoError("ReedCipher: canary check failed (tampered chunk)");
   }
-  plain.resize(plain.size() - kCanarySize);
-  return plain;
 }
 
 // --------------------------- enhanced scheme ---------------------------
 
 SealedChunk ReedCipher::EncryptEnhanced(ByteSpan chunk, ByteSpan mle_key) const {
+  Bytes package(chunk.size() + kMleKeySize + kAontTailSize);
+  MutableByteSpan y(package.data(), chunk.size() + kMleKeySize);  // C1 ‖ K_M
   // Step 1: MLE encryption, C1 = E(K_M, M) (deterministic CTR).
-  Bytes package = crypto::AesCtrEncrypt(mle_key, ByteSpan(kMleIv, 16), chunk);
-  // Step 2: CAONT over (C1 ‖ K_M) with hash key h = H(C1 ‖ K_M).
-  Append(package, mle_key);
-  crypto::Sha256Digest hd = crypto::Sha256::Hash(package);
-  Bytes h(hd.begin(), hd.end());
-  XorInto(package, Mask(h, package.size()));  // C2
+  crypto::AesCtr(mle_key, ByteSpan(kMleIv, 16))
+      .Process(chunk, y.first(chunk.size()));
+  std::copy(mle_key.begin(), mle_key.end(), y.subspan(chunk.size()).begin());
+  // Step 2: CAONT over Y = C1 ‖ K_M with hash key h = H(Y): C2 = Y ⊕ G(h).
+  crypto::Sha256Digest h = crypto::Sha256::Hash(y);
+  ScopedWipe wipe_h(h);
+  MaskStream(h).Process(y);
   // Tail via self-XOR (cheaper than a second hash pass): t = SelfXor(C2) ⊕ h.
-  Bytes tail = SelfXor(package);
+  MutableByteSpan tail(package.data() + y.size(), kAontTailSize);
+  SelfXorInto(tail, y, 0);
   XorInto(tail, h);
-  Append(package, tail);
   return SplitPackage(std::move(package));
 }
 
-Bytes ReedCipher::DecryptEnhanced(ByteSpan package) const {
-  std::size_t head_len = package.size() - kAontTailSize;
-  if (head_len < kMleKeySize + 1) throw crypto::CryptoError("ReedCipher: package too small");
-  ByteSpan c2 = package.subspan(0, head_len);
-  ByteSpan tail = package.subspan(head_len);
+void ReedCipher::DecryptEnhanced(const PackageView& package,
+                                 MutableByteSpan out) const {
+  const std::size_t head_len = package.size() - kAontTailSize;
 
   // h = SelfXor(C2) ⊕ t
-  Bytes h = SelfXor(c2);
+  std::array<std::uint8_t, kAontTailSize> h{};
+  ScopedWipe wipe_h(h);
+  package.ForEach(0, head_len, [&](ByteSpan piece, std::size_t off) {
+    SelfXorInto(h, piece, off);
+  });
+  std::array<std::uint8_t, kAontTailSize> tail{};
+  package.Read(head_len, tail);
   XorInto(h, tail);
 
-  Bytes y(c2.begin(), c2.end());  // C1 ‖ K_M
-  XorInto(y, Mask(h, y.size()));
+  // Y = C2 ⊕ G(h) = C1 ‖ K_M: C1 straight into `out`, K_M beside it.
+  std::array<std::uint8_t, kMleKeySize> mle_key{};
+  ScopedWipe wipe_key(mle_key);
+  crypto::AesCtr mask = MaskStream(h);
+  package.Unmask(mask, 0, out);
+  package.Unmask(mask, out.size(), mle_key);
 
   // Integrity: H(C1 ‖ K_M) must equal h. (The self-XOR alone can be fooled
   // by paired bit flips, but the recovered Y then fails this hash check —
   // §IV-E.)
-  if (!SecureCompare(crypto::Sha256::HashToBytes(y), h)) {
+  crypto::Sha256 hasher;
+  hasher.Update(out);
+  hasher.Update(mle_key);
+  crypto::Sha256Digest hy = hasher.Finish();
+  ScopedWipe wipe_hy(hy);
+  if (!SecureCompare(hy, h)) {
+    SecureZero(out);
     throw crypto::CryptoError("ReedCipher: hash-key check failed (tampered chunk)");
   }
-
-  Bytes mle_key(y.end() - kMleKeySize, y.end());
-  ScopedWipe wipe_key(mle_key);
-  y.resize(y.size() - kMleKeySize);
-  return crypto::AesCtrEncrypt(mle_key, ByteSpan(kMleIv, 16), y);  // CTR dec
+  crypto::AesCtr(mle_key, ByteSpan(kMleIv, 16)).Process(out);  // C1 → M
 }
 
 // --------------------------- stub-file crypto ---------------------------

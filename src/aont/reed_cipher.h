@@ -51,8 +51,16 @@ class ReedCipher {
   // Deterministically seals `chunk` under its 32-byte MLE key.
   [[nodiscard]] SealedChunk Encrypt(ByteSpan chunk, const Secret& mle_key) const;
 
-  // Reassembles the package and reverts it. Throws Error if either part
-  // was tampered with (canary / hash-key verification).
+  // Reverts the package trimmed_package ‖ stub into `out`, which must be
+  // exactly the chunk's size: trimmed + stub − PackageSize(0) bytes. Reads
+  // both parts where they lie (no reassembled copy) and writes plaintext
+  // only into `out`, which must not overlap them. Throws Error if either
+  // part was tampered with (canary / hash-key verification), after zeroing
+  // `out`.
+  void DecryptInto(ByteSpan trimmed_package, const Secret& stub,
+                   MutableByteSpan out) const;
+
+  // DecryptInto a fresh buffer of the chunk's size.
   [[nodiscard]] Bytes Decrypt(ByteSpan trimmed_package, const Secret& stub) const;
 
   // Package size for a given chunk size (trimmed + stub).
@@ -61,10 +69,11 @@ class ReedCipher {
  private:
   // Internals operate on raw spans after the public entry points expose
   // the Secret inputs (aont is a sanctioned ExposeForCrypto module).
+  struct PackageView;
   SealedChunk EncryptBasic(ByteSpan chunk, ByteSpan mle_key) const;
-  Bytes DecryptBasic(ByteSpan package) const;
+  void DecryptBasic(const PackageView& package, MutableByteSpan out) const;
   SealedChunk EncryptEnhanced(ByteSpan chunk, ByteSpan mle_key) const;
-  Bytes DecryptEnhanced(ByteSpan package) const;
+  void DecryptEnhanced(const PackageView& package, MutableByteSpan out) const;
   SealedChunk SplitPackage(Bytes package) const;
 
   Scheme scheme_;

@@ -549,12 +549,15 @@ Bytes ReedClient::Download(const std::string& file_id) {
     obs::ScopedTimer decode_timer(*m.decode_us);
     pool_.ParallelFor(end - start, [&](std::size_t i) {
       std::size_t idx = start + i;
-      Secret stub = stub_data.Slice(idx * recipe.stub_size, recipe.stub_size);
-      Bytes plain = cipher.Decrypt(packages[i], stub);
-      if (plain.size() != recipe.chunk_sizes[idx]) {
+      if (packages[i].size() + recipe.stub_size !=
+          cipher.PackageSize(recipe.chunk_sizes[idx])) {
         throw Error("ReedClient::Download: chunk size mismatch");
       }
-      std::copy(plain.begin(), plain.end(), file.begin() + chunk_offsets[idx]);
+      Secret stub = stub_data.Slice(idx * recipe.stub_size, recipe.stub_size);
+      // Each chunk decodes straight into its slice of the file.
+      MutableByteSpan slice = MutableByteSpan(file).subspan(
+          chunk_offsets[idx], recipe.chunk_sizes[idx]);
+      cipher.DecryptInto(packages[i], stub, slice);
     });
     (void)decode_timer.Stop();
   }

@@ -20,11 +20,17 @@ inline constexpr std::size_t kAes256KeySize = 32;
 
 using AesKey = std::array<std::uint8_t, kAes256KeySize>;
 
+// The AES implementations, widest last. All produce the same bytes.
+enum class AesBackend { kPortable, kAesNi, kVaes };
+
+// "portable", "aes-ni" or "vaes": the label benches print next to a number.
+[[nodiscard]] const char* AesBackendName(AesBackend backend);
+
 // Expanded-key AES-256 context. Immutable after construction; safe to share
 // across threads for encryption.
 class Aes256 {
  public:
-  explicit Aes256(ByteSpan key);  // key must be 32 bytes
+  explicit Aes256(ByteSpan key) : Aes256(key, Backend()) {}  // 32 bytes
   explicit Aes256(const Secret& key) : Aes256(key.ExposeForCrypto()) {}
 
   // The expanded schedule is key-equivalent material: wipe it so freed
@@ -41,12 +47,16 @@ class Aes256 {
   void EncryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const;
   void DecryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const;
 
-  [[nodiscard]] static bool UsingHardware();
+  // The widest backend this CPU supports, detected once from CPUID; the
+  // CTR loop runs on it.
+  [[nodiscard]] static AesBackend Backend();
+  [[nodiscard]] static bool Supports(AesBackend backend);
 
  private:
   friend class AesCtr;
-  void EncryptBlocksNi(const std::uint8_t* in, std::uint8_t* out,
-                       std::size_t nblocks) const;
+  // Expands the key with `backend`'s code, so the portable CTR backend
+  // stays an oracle independent of AES-NI even on a host that has it.
+  Aes256(ByteSpan key, AesBackend backend);
 
   // Expanded key bytes, FIPS-197 order: round r occupies [16r, 16r+16).
   alignas(16) std::array<std::uint8_t, 240> enc_round_keys_;
@@ -59,14 +69,22 @@ class Aes256 {
 // keystream with a fixed public IV (the "publicly known block S").
 class AesCtr {
  public:
-  // iv must be 16 bytes; it forms the initial counter block (big-endian
-  // increment over the trailing 32 bits, NIST SP 800-38A style).
-  AesCtr(ByteSpan key, ByteSpan iv);
+  // iv must be 16 bytes; it forms the initial counter block, incremented
+  // as one 128-bit big-endian integer (NIST SP 800-38A style; the carry
+  // runs through all 16 bytes and wraps at 2^128).
+  AesCtr(ByteSpan key, ByteSpan iv) : AesCtr(key, iv, Aes256::Backend()) {}
   AesCtr(const Secret& key, ByteSpan iv) : AesCtr(key.ExposeForCrypto(), iv) {}
+  // Runs on `backend` instead of the detected one, so tests can compare the
+  // paths byte for byte. Throws CryptoError if this CPU lacks it.
+  AesCtr(ByteSpan key, ByteSpan iv, AesBackend backend);
 
   // XORs the keystream into `data` in place, continuing from the current
   // stream position.
-  void Process(MutableByteSpan data);
+  void Process(MutableByteSpan data) { Process(data, data); }
+
+  // out = in XOR keystream, continuing from the current stream position.
+  // Sizes must match; `in` and `out` are either the same span or disjoint.
+  void Process(ByteSpan in, MutableByteSpan out);
 
   // Writes raw keystream bytes into `out`.
   void Keystream(MutableByteSpan out);
@@ -75,9 +93,11 @@ class AesCtr {
   ~AesCtr() { SecureZero(buffer_); }
 
  private:
-  void RefillBuffer();
+  void XorBlocks(const std::uint8_t* in, std::uint8_t* out,
+                 std::size_t nblocks);
 
   Aes256 aes_;
+  AesBackend backend_;
   std::array<std::uint8_t, kAesBlockSize> counter_;
   std::array<std::uint8_t, kAesBlockSize> buffer_;
   std::size_t buffer_pos_ = kAesBlockSize;

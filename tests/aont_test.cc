@@ -181,6 +181,33 @@ TEST_P(ReedCipherTest, ConfigurableStubSize) {
   EXPECT_THROW(ReedCipher bad(GetParam(), 16), Error);  // below tail size
 }
 
+TEST_P(ReedCipherTest, DecryptIntoWritesTheCallersBuffer) {
+  for (std::size_t stub_size : {32u, 64u, 128u}) {
+    ReedCipher cipher(GetParam(), stub_size);
+    Bytes chunk = TestChunk(5000);
+    SealedChunk sealed = cipher.Encrypt(chunk, TestKey());
+    Bytes out(chunk.size());
+    cipher.DecryptInto(sealed.trimmed_package, sealed.stub, out);
+    EXPECT_EQ(out, chunk) << "stub " << stub_size;
+    Bytes wrong_size(chunk.size() + 1);
+    EXPECT_THROW(
+        cipher.DecryptInto(sealed.trimmed_package, sealed.stub, wrong_size),
+        Error);
+  }
+}
+
+TEST_P(ReedCipherTest, FailedDecryptIntoLeavesZeros) {
+  // A tampered package must not leave partly unmasked plaintext behind in
+  // the caller's buffer.
+  Bytes chunk = TestChunk(4096);
+  SealedChunk sealed = cipher_.Encrypt(chunk, TestKey());
+  sealed.trimmed_package[100] ^= 1;
+  Bytes out(chunk.size(), 0xAA);
+  EXPECT_THROW(cipher_.DecryptInto(sealed.trimmed_package, sealed.stub, out),
+               Error);
+  EXPECT_EQ(out, Bytes(chunk.size(), 0));
+}
+
 INSTANTIATE_TEST_SUITE_P(BothSchemes, ReedCipherTest,
                          ::testing::Values(Scheme::kBasic, Scheme::kEnhanced),
                          [](const auto& param_info) {

@@ -313,11 +313,11 @@ TailSweepSetup BuildPristineStore() {
   return setup;
 }
 
-std::string CloneStore(const TailSweepSetup& setup, const std::string& name) {
-  const std::string dir = FreshDir(name);
+// Replaces `dir` with a fresh copy of the pristine store.
+void CloneStore(const TailSweepSetup& setup, const std::string& dir) {
+  std::filesystem::remove_all(dir);
   std::filesystem::copy(setup.pristine, dir,
                         std::filesystem::copy_options::recursive);
-  return dir;
 }
 
 TEST(TornWalTailTest, RecoversAtEveryTruncationOffset) {
@@ -326,9 +326,7 @@ TEST(TornWalTailTest, RecoversAtEveryTruncationOffset) {
   const std::string work = ::testing::TempDir() + "/torn_truncate";
   for (std::size_t cut = setup.last_record_start; cut < setup.wal_size;
        ++cut) {
-    std::filesystem::remove_all(work);
-    std::filesystem::copy(setup.pristine, work,
-                          std::filesystem::copy_options::recursive);
+    CloneStore(setup, work);
     {
       util::File f = util::File::OpenAppend(work + "/wal.log");
       f.Truncate(cut);
@@ -355,9 +353,7 @@ TEST(TornWalTailTest, RecoversWithEveryByteOfLastRecordFlipped) {
   const std::string work = ::testing::TempDir() + "/torn_flip";
   for (std::size_t pos = setup.last_record_start; pos < setup.wal_size;
        ++pos) {
-    std::filesystem::remove_all(work);
-    std::filesystem::copy(setup.pristine, work,
-                          std::filesystem::copy_options::recursive);
+    CloneStore(setup, work);
     {
       Bytes wal = util::ReadFileBytes(work + "/wal.log");
       wal[pos] ^= 0x41;

@@ -2,6 +2,12 @@
 // property-style suites exercise round-trips and streaming edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
 #include "crypto/random.h"
@@ -197,14 +203,168 @@ TEST(AesCtrTest, StreamingMatchesOneShot) {
   EXPECT_EQ(pieces, whole);
 }
 
+// The CTR oracle: ECB of explicit counter blocks iv + i, the counter being
+// one 128-bit big-endian integer that wraps at 2^128.
+std::array<std::uint8_t, 16> CounterBlock(ByteSpan iv, std::uint64_t i) {
+  std::array<std::uint8_t, 16> block;
+  std::copy(iv.begin(), iv.end(), block.begin());
+  unsigned carry = 0;
+  for (int b = 15; b >= 0; --b) {
+    unsigned sum = block[b] + static_cast<unsigned>(i & 0xFF) + carry;
+    block[b] = static_cast<std::uint8_t>(sum);
+    carry = sum >> 8;
+    i >>= 8;
+  }
+  return block;
+}
+
+Bytes EcbOfCounters(ByteSpan key, ByteSpan iv, ByteSpan data) {
+  Aes256 aes(key);
+  Bytes out(data.begin(), data.end());
+  for (std::size_t off = 0; off < out.size(); off += 16) {
+    std::array<std::uint8_t, 16> ks;
+    aes.EncryptBlock(CounterBlock(iv, off / 16).data(), ks.data());
+    for (std::size_t i = 0; i < 16 && off + i < out.size(); ++i) {
+      out[off + i] ^= ks[i];
+    }
+  }
+  return out;
+}
+
+// IVs whose counters carry: a random one, one whose low 64-bit word wraps
+// inside the first 16-block group, one whose low word crosses 2^63 (the
+// sign bit of a signed 64-bit lane), and all 0xFF (the whole counter wraps).
+std::vector<Bytes> CarryIvs() {
+  DeterministicRng rng(77);
+  Bytes wrap_low = rng.Generate(16);
+  std::fill(wrap_low.begin() + 8, wrap_low.end(), 0xFF);
+  wrap_low[15] = 0xF8;
+  Bytes sign_low = rng.Generate(16);
+  std::fill(sign_low.begin() + 8, sign_low.end(), 0xFF);
+  sign_low[8] = 0x7F;
+  return {rng.Generate(16), wrap_low, sign_low, Bytes(16, 0xFF)};
+}
+
 TEST(AesCtrTest, CounterCarriesAcrossByteBoundaries) {
-  // An IV of all 0xFF forces a carry through the whole counter on the
-  // second block; decryption must still round-trip.
+  // Both carry IVs cross 2^64 and 2^128 boundaries mid-stream; the output
+  // must equal ECB of the explicitly incremented counter blocks, which a
+  // round trip alone cannot show.
   Bytes key(32, 0x11);
-  Bytes iv(16, 0xFF);
-  Bytes pt(64, 0x5a);
-  Bytes ct = AesCtrEncrypt(key, iv, pt);
-  EXPECT_EQ(AesCtrDecrypt(key, iv, ct), pt);
+  Bytes pt(40 * 16 + 5, 0x5a);
+  for (const Bytes& iv : CarryIvs()) {
+    EXPECT_EQ(HexEncode(AesCtrEncrypt(key, iv, pt)),
+              HexEncode(EcbOfCounters(key, iv, pt)))
+        << "iv " << HexEncode(iv);
+  }
+}
+
+TEST(AesCtrTest, OutOfPlaceMatchesInPlace) {
+  DeterministicRng rng(12);
+  Bytes key = rng.Generate(32), iv = rng.Generate(16);
+  Bytes data = rng.Generate(1000);
+  Bytes in_place = data;
+  AesCtr(key, iv).Process(in_place);
+  Bytes out(data.size());
+  AesCtr(key, iv).Process(data, out);
+  EXPECT_EQ(out, in_place);
+  Bytes short_out(data.size() - 1);
+  EXPECT_THROW(AesCtr(key, iv).Process(data, short_out), Error);
+}
+
+// --------------------- AES-CTR on every dispatch path ---------------------
+
+class AesCtrBackendTest : public ::testing::TestWithParam<AesBackend> {
+ protected:
+  void SetUp() override {
+    if (!Aes256::Supports(GetParam())) {
+      GTEST_SKIP() << "this CPU has no " << AesBackendName(GetParam())
+                   << " backend; that path was not run";
+    }
+  }
+
+  Bytes Run(AesBackend backend, ByteSpan key, ByteSpan iv, ByteSpan data) {
+    Bytes out(data.size());
+    AesCtr(key, iv, backend).Process(data, out);
+    return out;
+  }
+};
+
+TEST_P(AesCtrBackendTest, Sp800_38aF55Vectors) {
+  // NIST SP 800-38A F.5.5 (CTR-AES256.Encrypt); F.5.6 is the same op.
+  Bytes key = HexDecode(
+      "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+  Bytes iv = HexDecode("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+  Bytes pt = HexDecode(
+      "6bc1bee22e409f96e93d7e117393172a"
+      "ae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52ef"
+      "f69f2445df4f9b17ad2b417be66c3710");
+  const std::string ct =
+      "601ec313775789a5b7a7f504bbf3d228"
+      "f443e3ca4d62b59aca84e990cacaf5c5"
+      "2b0930daa23de94ce87017ba2d84988d"
+      "dfc9c58db67aada613c2dd08457941a6";
+  EXPECT_EQ(HexEncode(Run(GetParam(), key, iv, pt)), ct);
+  EXPECT_EQ(Run(GetParam(), key, iv, HexDecode(ct)), pt);
+}
+
+TEST_P(AesCtrBackendTest, MatchesPortableAndEcbAtEveryLength) {
+  DeterministicRng rng(21);
+  Bytes key = rng.Generate(32);
+  Bytes data = rng.Generate(8193);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 1040; ++n) lengths.push_back(n);
+  for (std::size_t n : {8191u, 8192u, 8193u}) lengths.push_back(n);
+  for (const Bytes& iv : CarryIvs()) {
+    for (std::size_t n : lengths) {
+      ByteSpan in(data.data(), n);
+      Bytes got = Run(GetParam(), key, iv, in);
+      ASSERT_EQ(got, Run(AesBackend::kPortable, key, iv, in))
+          << "length " << n << ", iv " << HexEncode(iv);
+      ASSERT_EQ(got, EcbOfCounters(key, iv, in))
+          << "length " << n << ", iv " << HexEncode(iv);
+    }
+  }
+}
+
+TEST_P(AesCtrBackendTest, StreamingSplitsMatchOneShot) {
+  // Odd split sizes leave a part-used keystream block between calls, so
+  // the wide loop starts mid-stream and the counter carries over.
+  DeterministicRng rng(22);
+  Bytes key = rng.Generate(32);
+  Bytes data = rng.Generate(8193);
+  for (const Bytes& iv : CarryIvs()) {
+    Bytes whole = EcbOfCounters(key, iv, data);
+    for (std::size_t step : {1u, 7u, 15u, 17u, 255u, 257u, 1021u}) {
+      Bytes pieces = data;
+      AesCtr ctr(key, iv, GetParam());
+      std::size_t off = 0;
+      for (std::size_t k = 0; off < pieces.size(); ++k) {
+        // Alternate a short odd piece with the step, so pieces vary.
+        std::size_t len = std::min(pieces.size() - off, k % 2 ? step : 3);
+        ctr.Process(MutableByteSpan(pieces.data() + off, len));
+        off += len;
+      }
+      EXPECT_EQ(pieces, whole) << "step " << step << ", iv " << HexEncode(iv);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryPath, AesCtrBackendTest,
+                         ::testing::Values(AesBackend::kPortable,
+                                           AesBackend::kAesNi,
+                                           AesBackend::kVaes),
+                         [](const auto& param_info) {
+                           std::string name = AesBackendName(param_info.param);
+                           std::erase(name, '-');
+                           return name;
+                         });
+
+TEST(AesCtrTest, DetectedBackendIsSupported) {
+  EXPECT_TRUE(Aes256::Supports(Aes256::Backend()));
+  EXPECT_TRUE(Aes256::Supports(AesBackend::kPortable));
+  std::printf("AES backend on this host: %s\n",
+              AesBackendName(Aes256::Backend()));
 }
 
 TEST(AesCbcTest, RoundTripWithPadding) {

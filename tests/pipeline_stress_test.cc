@@ -118,15 +118,6 @@ TEST(PipelineEquivalenceTest, SerialAndPipelinedProduceIdenticalResults) {
   EXPECT_EQ(ss.stub_bytes, ps.stub_bytes);
 }
 
-bool HasDataObject(ReedSystem& system, const std::string& name) {
-  for (std::size_t i = 0; i < system.data_server_count(); ++i) {
-    if (system.data_server(i).HasObject(server::StoreId::kData, name)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 TEST(UploadStreamTest, UploadMatchesUploadChunkedAtEveryDepth) {
   // Upload cuts its batches on the chunker task; UploadChunked takes them
   // from the refs it is given. Both run the one pipeline, so with the
@@ -158,6 +149,15 @@ TEST(UploadStreamTest, UploadMatchesUploadChunkedAtEveryDepth) {
 }
 
 #if defined(REED_FAULT_INJECT)
+bool HasDataObject(ReedSystem& system, const std::string& name) {
+  for (std::size_t i = 0; i < system.data_server_count(); ++i) {
+    if (system.data_server(i).HasObject(server::StoreId::kData, name)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 TEST(UploadStreamTest, ChunkerAndWrapFaultsPublishNothing) {
   ReedSystem system(TwinSystemOptions());
   system.RegisterUser("alice");

@@ -335,5 +335,22 @@ TEST_F(CpAbeTest, EncryptBytesKnownAnswers) {
   EXPECT_EQ(got, want);
 }
 
+TEST_F(CpAbeTest, KeyGenKnownAnswer) {
+  std::vector<std::string> got;
+  for (std::size_t n : {1, 17}) {
+    std::vector<std::string> attributes;
+    for (const std::string& u : Users(n)) attributes.push_back("user:" + u);
+    DeterministicRng rng(200 + n);
+    PrivateKey sk = abe_->KeyGen(setup_->pk, setup_->mk, attributes, rng);
+    Bytes blob = Declassify(abe_->SerializePrivateKey(sk),
+                            "test: known-answer private key");
+    got.push_back(std::to_string(blob.size()) + ":" + DigestHex(blob));
+  }
+  std::vector<std::string> want = {
+      "402:2cbc53b37d369bc93854981f2f446870d6cbb118b35a9caa6189ef62f6c41984",
+      "4713:3e93a37c551ab89137095779f9208f31d2efbbfa4152c83832071d33ee208037"};
+  EXPECT_EQ(got, want);
+}
+
 }  // namespace
 }  // namespace reed::abe

@@ -258,6 +258,31 @@ void BM_G1ScalarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_G1ScalarMul);
 
+// The same multiply through a fixed-base table (what CP-ABE encrypt runs per
+// leaf), including its conversion back to affine, and the table's one-off
+// build cost.
+void BM_G1FixedBaseMul(benchmark::State& state) {
+  const auto& e = *Abe().pairing;
+  pairing::G1Point p = e.HashToGroup(ToBytes("P"));
+  auto table = pairing::G1FixedBase::Build(p, e.group_order().BitLength());
+  crypto::DeterministicRng rng(21);
+  bigint::BigInt k = e.RandomScalar(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pairing::BatchToAffine({table->Mul(k)}));
+  }
+}
+BENCHMARK(BM_G1FixedBaseMul);
+
+void BM_G1FixedBaseBuild(benchmark::State& state) {
+  const auto& e = *Abe().pairing;
+  pairing::G1Point p = e.HashToGroup(ToBytes("P"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        pairing::G1FixedBase::Build(p, e.group_order().BitLength()));
+  }
+}
+BENCHMARK(BM_G1FixedBaseBuild);
+
 void BM_AbeEncrypt(benchmark::State& state) {
   auto& f = Abe();
   crypto::DeterministicRng rng(22);

@@ -12,17 +12,26 @@ constexpr std::size_t kIvSize = 16;
 constexpr std::size_t kMacSize = 32;
 
 // Wall time of each hybrid encrypt/decrypt, the whole CP-ABE cost of a
-// key-state wrap or unwrap. Resolved once per process, like the client's
-// stage metrics.
+// key-state wrap or unwrap, and the fixed-base tables under them. Resolved
+// once per process, like the client's stage metrics.
 struct AbeMetrics {
   obs::Histogram* encrypt_us;
   obs::Histogram* decrypt_us;
+  obs::Counter* table_builds;
+  obs::Gauge* table_bytes;  // held by every live CpAbe
+  obs::Histogram* table_build_us;
+  // Multiplies of a base without a table: nonzero once the budget is full.
+  obs::Counter* table_fallback_muls;
 };
 
 AbeMetrics& Metrics() {
   auto& reg = obs::Registry::Global();
   static AbeMetrics m{&reg.GetHistogram("abe.encrypt_us"),
-                      &reg.GetHistogram("abe.decrypt_us")};
+                      &reg.GetHistogram("abe.decrypt_us"),
+                      &reg.GetCounter("abe.table.builds"),
+                      &reg.GetGauge("abe.table.bytes"),
+                      &reg.GetHistogram("abe.table.build_us"),
+                      &reg.GetCounter("abe.table.fallback_muls")};
   return m;
 }
 }  // namespace
@@ -39,16 +48,78 @@ CpAbe::CpAbe(std::shared_ptr<const TypeAPairing> pairing)
   if (!pairing_) throw Error("CpAbe: null pairing");
 }
 
-G1Point CpAbe::AttributePoint(const std::string& attribute) const {
+CpAbe::~CpAbe() {
+  MutexLock lock(memo_mu_);
+  Metrics().table_bytes->Add(-static_cast<std::int64_t>(table_bytes_));
+}
+
+CpAbe::Base CpAbe::MakeBase(const G1Point& point) const {
+  const std::size_t bits = pairing_->group_order().BitLength();
+  {
+    MutexLock lock(memo_mu_);
+    if (table_bytes_ + pairing::G1FixedBase::BytesFor(bits) >
+        kTableBudgetBytes) {
+      return {point, nullptr};
+    }
+  }
+  AbeMetrics& m = Metrics();
+  obs::ScopedTimer timer(*m.table_build_us);
+  std::optional<pairing::G1FixedBase> table =
+      pairing::G1FixedBase::Build(point, bits);
+  if (!table.has_value()) return {point, nullptr};
+  m.table_builds->Increment();
+  return {point,
+          std::make_shared<const pairing::G1FixedBase>(std::move(*table))};
+}
+
+void CpAbe::Admit(Base& entry) const {
+  if (!entry.table) return;
+  const std::size_t bytes = entry.table->bytes();
+  if (table_bytes_ + bytes > kTableBudgetBytes) {
+    entry.table.reset();
+    return;
+  }
+  table_bytes_ += bytes;
+  Metrics().table_bytes->Add(static_cast<std::int64_t>(bytes));
+}
+
+CpAbe::Base CpAbe::AttributeBase(const std::string& attribute) const {
   {
     MutexLock lock(memo_mu_);
     auto it = attr_cache_.find(attribute);
     if (it != attr_cache_.end()) return it->second;
   }
-  G1Point pt = pairing_->HashToGroup(ToBytes("reed/abe-attr:" + attribute));
+  Base fresh = MakeBase(
+      pairing_->HashToGroup(ToBytes("reed/abe-attr:" + attribute)));
   MutexLock lock(memo_mu_);
-  attr_cache_.emplace(attribute, pt);
-  return pt;
+  auto [it, inserted] = attr_cache_.try_emplace(attribute, std::move(fresh));
+  if (inserted) Admit(it->second);
+  return it->second;
+}
+
+CpAbe::Base CpAbe::KeyBase(const G1Point& point) const {
+  auto find = [&]() REED_REQUIRES(memo_mu_) -> const Base* {
+    for (const Base& b : key_bases_) {
+      if (b.point == point) return &b;
+    }
+    return nullptr;
+  };
+  {
+    MutexLock lock(memo_mu_);
+    if (const Base* b = find()) return *b;
+  }
+  Base fresh = MakeBase(point);
+  MutexLock lock(memo_mu_);
+  if (const Base* b = find()) return *b;
+  key_bases_.push_back(std::move(fresh));
+  Admit(key_bases_.back());
+  return key_bases_.back();
+}
+
+pairing::G1Jacobian CpAbe::Mul(const Base& base, const BigInt& k) const {
+  if (base.table) return base.table->Mul(k);
+  Metrics().table_fallback_muls->Increment();
+  return base.point.ScalarMulJacobian(k);
 }
 
 Fp2 CpAbe::GeneratorPairing(const G1Point& g) const {
@@ -87,15 +158,25 @@ PrivateKey CpAbe::KeyGen(const PublicKey& pk, const MasterKey& mk,
   BigInt t = pairing_->RandomScalar(rng);
   BigInt beta_inv = BigInt::InverseMod(mk.beta, r);
 
-  PrivateKey sk;
-  G1Point g_t = pk.g.ScalarMul(t);
-  sk.d = mk.g_alpha.Add(g_t).ScalarMul(beta_inv);
+  // g^t, then H(j)^{t_j} and g^{t_j} per attribute, all converted to
+  // affine together.
+  const Base g = KeyBase(pk.g);
+  std::vector<pairing::G1Jacobian> products{Mul(g, t)};
   for (const auto& attr : attributes) {
     BigInt tj = pairing_->RandomScalar(rng);
+    products.push_back(Mul(AttributeBase(attr), tj));
+    products.push_back(Mul(g, tj));
+  }
+  std::vector<G1Point> affine = pairing::BatchToAffine(products);
+  const G1Point& g_t = affine[0];
+
+  PrivateKey sk;
+  sk.d = mk.g_alpha.Add(g_t).ScalarMul(beta_inv);
+  for (std::size_t j = 0; j < attributes.size(); ++j) {
     AttributeKey comp;
-    comp.d = g_t.Add(AttributePoint(attr).ScalarMul(tj));
-    comp.d_prime = pk.g.ScalarMul(tj);
-    if (!sk.components.emplace(attr, std::move(comp)).second) {
+    comp.d = g_t.Add(affine[1 + 2 * j]);
+    comp.d_prime = std::move(affine[2 + 2 * j]);
+    if (!sk.components.emplace(attributes[j], std::move(comp)).second) {
       throw Error("CpAbe::KeyGen: duplicate attribute");
     }
   }
@@ -104,9 +185,9 @@ PrivateKey CpAbe::KeyGen(const PublicKey& pk, const MasterKey& mk,
 
 void CpAbe::ShareSecret(const PolicyNode& node, const BigInt& value,
                         crypto::Rng& rng,
-                        std::vector<BigInt>& leaf_shares) const {
+                        std::vector<LeafShare>& leaf_shares) const {
   if (node.IsLeaf()) {
-    leaf_shares.push_back(value);
+    leaf_shares.push_back({&node.attribute(), value});
     return;
   }
   const BigInt& r = pairing_->group_order();
@@ -132,44 +213,33 @@ Ciphertext CpAbe::EncryptElement(const PublicKey& pk, const Fp2& message,
                                  const PolicyNode& policy,
                                  crypto::Rng& rng) const {
   BigInt s = pairing_->RandomScalar(rng);
-  std::vector<BigInt> shares;
+  std::vector<LeafShare> shares;
   shares.reserve(policy.LeafCount());
   ShareSecret(policy, s, rng, shares);
 
   Ciphertext ct;
   ct.policy = policy;
   ct.c_tilde = message * pk.e_gg_alpha.Pow(s);
-  ct.c = pk.h.ScalarMul(s);
-  ct.leaves.reserve(shares.size());
 
-  // A threshold-1 (OR) gate hands every child the same share, so compute
-  // each distinct share's g-multiple once.
-  std::map<BigInt, G1Point> g_share;
-  // Walk leaves in the same DFS order ShareSecret used.
-  std::size_t next = 0;
-  struct Frame {
-    const PolicyNode* node;
-    std::size_t child = 0;
-  };
-  std::vector<Frame> frames{{&policy}};
-  while (!frames.empty()) {
-    Frame& f = frames.back();
-    if (f.node->IsLeaf()) {
-      const BigInt& share = shares[next++];
-      CiphertextLeaf leaf;
-      auto [it, fresh] = g_share.try_emplace(share);
-      if (fresh) it->second = pk.g.ScalarMul(share);
-      leaf.c = it->second;
-      leaf.c_prime = AttributePoint(f.node->attribute()).ScalarMul(share);
-      ct.leaves.push_back(std::move(leaf));
-      frames.pop_back();
-      continue;
-    }
-    if (f.child < f.node->children().size()) {
-      frames.push_back({&f.node->children()[f.child++]});
-    } else {
-      frames.pop_back();
-    }
+  // Every G1 multiple of the ciphertext — h^s, one g^λ per distinct share
+  // (a threshold-1 gate hands all its children the same one), and each
+  // leaf's H(att(y))^{λ_y} — converted to affine together.
+  std::vector<pairing::G1Jacobian> products{Mul(KeyBase(pk.h), s)};
+  const Base g = KeyBase(pk.g);
+  std::map<BigInt, std::size_t> g_share;  // share → index in products
+  std::vector<std::pair<std::size_t, std::size_t>> leaf_index;
+  leaf_index.reserve(shares.size());
+  for (const LeafShare& leaf : shares) {
+    auto [it, fresh] = g_share.try_emplace(leaf.share, products.size());
+    if (fresh) products.push_back(Mul(g, leaf.share));
+    products.push_back(Mul(AttributeBase(*leaf.attribute), leaf.share));
+    leaf_index.emplace_back(it->second, products.size() - 1);
+  }
+  std::vector<G1Point> affine = pairing::BatchToAffine(products);
+  ct.c = affine[0];
+  ct.leaves.reserve(shares.size());
+  for (const auto& [c, c_prime] : leaf_index) {
+    ct.leaves.push_back({affine[c], affine[c_prime]});
   }
   return ct;
 }
@@ -238,7 +308,9 @@ Secret CpAbe::EncryptBytes(const PublicKey& pk, const PolicyNode& policy,
   Fp2 m = GeneratorPairing(pk.g).Pow(z);
   Ciphertext ct = EncryptElement(pk, m, policy, rng);
 
-  Bytes kek = crypto::Sha256::HashToBytes(m.ToBytes());
+  Bytes m_bytes = m.ToBytes();
+  ScopedWipe wipe_m(m_bytes);
+  Bytes kek = crypto::Sha256::HashToBytes(m_bytes);
   ScopedWipe wipe_kek(kek);
   Bytes enc_key = crypto::DeriveKey32(kek, "reed/abe-enc");
   ScopedWipe wipe_enc(enc_key);
@@ -277,7 +349,9 @@ Secret CpAbe::DecryptBytes(const PrivateKey& sk, ByteSpan blob) const {
   if (!m.has_value()) {
     throw Error("CpAbe::DecryptBytes: attributes do not satisfy policy");
   }
-  Bytes kek = crypto::Sha256::HashToBytes(m->ToBytes());
+  Bytes m_bytes = m->ToBytes();
+  ScopedWipe wipe_m(m_bytes);
+  Bytes kek = crypto::Sha256::HashToBytes(m_bytes);
   ScopedWipe wipe_kek(kek);
   Bytes enc_key = crypto::DeriveKey32(kek, "reed/abe-enc");
   ScopedWipe wipe_enc(enc_key);

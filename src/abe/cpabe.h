@@ -74,6 +74,14 @@ struct Ciphertext {
 class CpAbe {
  public:
   explicit CpAbe(std::shared_ptr<const TypeAPairing> pairing);
+  ~CpAbe();
+  CpAbe(const CpAbe&) = delete;
+  CpAbe& operator=(const CpAbe&) = delete;
+
+  // Memory for fixed-base tables (g, h and each attribute point), ~41 KiB
+  // each: room for ~800 bases. Tables are admitted until it is full and
+  // never evicted; a base without one multiplies with ScalarMul.
+  static constexpr std::size_t kTableBudgetBytes = std::size_t{32} << 20;
 
   const TypeAPairing& pairing() const { return *pairing_; }
 
@@ -118,15 +126,35 @@ class CpAbe {
   [[nodiscard]] MasterKey DeserializeMasterKey(const Secret& blob) const;
 
  private:
+  // A recurring G1 base with its fixed-base table, if the budget admitted
+  // one.
+  struct Base {
+    G1Point point;
+    std::shared_ptr<const pairing::G1FixedBase> table;
+  };
   // H(attribute) with a per-instance memo: attribute points recur across
   // keygen/encrypt calls (every rekey re-encrypts under user attributes).
-  G1Point AttributePoint(const std::string& attribute) const;
+  Base AttributeBase(const std::string& attribute) const;
+  // g or h of a public key, memoised the same way.
+  Base KeyBase(const G1Point& point) const;
+  // `point` with a table built outside the lock, if the budget has room.
+  Base MakeBase(const G1Point& point) const REED_EXCLUDES(memo_mu_);
+  // Charges a new memo entry's table to the budget, or drops the table if
+  // other entries filled the budget while it was being built.
+  void Admit(Base& entry) const REED_REQUIRES(memo_mu_);
+  // k·base through its table, or ScalarMul when it has none.
+  pairing::G1Jacobian Mul(const Base& base, const BigInt& k) const;
   // e(g, g) for the public key's generator, memoised: every EncryptBytes
   // draws its random G_T element as a power of it.
   Fp2 GeneratorPairing(const G1Point& g) const;
 
+  // A leaf's attribute and its share λ_y of the secret, in DFS order.
+  struct LeafShare {
+    const std::string* attribute;
+    BigInt share;
+  };
   void ShareSecret(const PolicyNode& node, const BigInt& value,
-                   crypto::Rng& rng, std::vector<BigInt>& leaf_shares) const;
+                   crypto::Rng& rng, std::vector<LeafShare>& leaf_shares) const;
   // The node's blinded value e(g,g)^{t·q(0)} as a Miller-loop value, i.e.
   // before the final exponentiation (which DecryptElement applies once).
   std::optional<Fp2> DecryptNode(const PolicyNode& node, const PrivateKey& sk,
@@ -135,7 +163,10 @@ class CpAbe {
 
   std::shared_ptr<const TypeAPairing> pairing_;
   mutable Mutex memo_mu_{LockRank::kAbeAttrCache};
-  mutable std::map<std::string, G1Point> attr_cache_ REED_GUARDED_BY(memo_mu_);
+  mutable std::map<std::string, Base> attr_cache_ REED_GUARDED_BY(memo_mu_);
+  // One entry per distinct g or h seen: two per public key in use.
+  mutable std::vector<Base> key_bases_ REED_GUARDED_BY(memo_mu_);
+  mutable std::size_t table_bytes_ REED_GUARDED_BY(memo_mu_) = 0;
   mutable std::optional<std::pair<G1Point, Fp2>> e_gg_cache_
       REED_GUARDED_BY(memo_mu_);
 };

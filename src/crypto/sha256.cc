@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/secure.h"
+
 #if defined(__x86_64__)
 #include <cpuid.h>
 #include <immintrin.h>
@@ -204,6 +206,12 @@ void Sha256::Reset() {
             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
   total_len_ = 0;
   buffer_len_ = 0;
+}
+
+Sha256::~Sha256() {
+  SecureZero(std::span<std::uint8_t>(
+      reinterpret_cast<std::uint8_t*>(state_.data()), sizeof(state_)));
+  SecureZero(buffer_);
 }
 
 bool Sha256::UsingHardware() { return kHaveShaNi; }

@@ -22,6 +22,9 @@ using Sha256Digest = std::array<std::uint8_t, kSha256DigestSize>;
 class Sha256 {
  public:
   Sha256() { Reset(); }
+  // Wipes the chaining state and the buffered partial block: a hash over
+  // secret input (K_M in CAONT, HMAC key pads) leaves its tail there.
+  ~Sha256();
 
   void Reset();
   void Update(ByteSpan data);

@@ -48,16 +48,10 @@ G1Point G1Point::Add(const G1Point& o) const {
 
 namespace {
 
-// Jacobian-coordinate point (X, Y, Z) representing (X/Z², Y/Z³): point
-// doubling/addition without per-step field inversions, which makes scalar
-// multiplication ~10x faster than the affine ladder. Curve: y² = x³ + x
-// (a = 1).
-struct Jacobian {
-  Fp x, y, z;
-  bool infinity;
-};
-
-Jacobian JacDouble(const Jacobian& p) {
+// Jacobian doubling and mixed addition: no field inversion per step, which
+// makes scalar multiplication ~10x faster than the affine ladder. Curve:
+// y² = x³ + x (a = 1).
+G1Jacobian JacDouble(const G1Jacobian& p) {
   if (p.infinity || p.y.IsZero()) return {p.x, p.y, p.z, true};
   // Small multiples by repeated addition: no constant is built per step.
   Fp y2 = p.y.Square();
@@ -77,7 +71,7 @@ Jacobian JacDouble(const Jacobian& p) {
 }
 
 // Mixed addition: q is affine (Z = 1).
-Jacobian JacAddAffine(const Jacobian& p, const Fp& qx, const Fp& qy) {
+G1Jacobian JacAddAffine(const G1Jacobian& p, const Fp& qx, const Fp& qy) {
   if (p.infinity) return {qx, qy, Fp::One(qx.field()), false};
   Fp z2 = p.z.Square();
   Fp u2 = qx * z2;            // U2 = x2 Z1²
@@ -97,22 +91,139 @@ Jacobian JacAddAffine(const Jacobian& p, const Fp& qx, const Fp& qy) {
   return {x3, y3, z3, false};
 }
 
+bool AnyInfinity(const std::vector<G1Jacobian>& points) {
+  for (const G1Jacobian& p : points) {
+    if (p.infinity) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
-G1Point G1Point::ScalarMul(const BigInt& k) const {
-  if (infinity_ || k.IsZero()) return Infinity();
-  const FpField* f = x_.field();
-  Jacobian acc{x_, y_, Fp::One(f), true};
-  acc.infinity = true;
+G1Jacobian G1Jacobian::FromAffine(const G1Point& p) {
+  if (p.is_infinity()) return {};
+  return {p.x(), p.y(), Fp::One(p.x().field()), false};
+}
+
+G1Jacobian G1Point::ScalarMulJacobian(const BigInt& k) const {
+  G1Jacobian acc;
+  if (infinity_) return acc;
   for (std::size_t i = k.BitLength(); i-- > 0;) {
     acc = JacDouble(acc);
     if (k.Bit(i)) acc = JacAddAffine(acc, x_, y_);
   }
-  if (acc.infinity) return Infinity();
-  // Back to affine with a single inversion.
-  Fp zinv = acc.z.Inverse();
-  Fp zinv2 = zinv.Square();
-  return G1Point(acc.x * zinv2, acc.y * zinv2 * zinv);
+  return acc;
+}
+
+G1Point G1Point::ScalarMul(const BigInt& k) const {
+  return BatchToAffine({ScalarMulJacobian(k)}).front();
+}
+
+std::vector<G1Point> BatchToAffine(const std::vector<G1Jacobian>& points) {
+  std::vector<G1Point> out(points.size());
+  // prefix[k] = Z_0 · … · Z_k over the finite entries, in order.
+  std::vector<Fp> prefix;
+  prefix.reserve(points.size());
+  for (const G1Jacobian& p : points) {
+    if (!p.infinity) prefix.push_back(prefix.empty() ? p.z : prefix.back() * p.z);
+  }
+  if (prefix.empty()) return out;
+  Fp inv = prefix.back().Inverse();
+  std::size_t k = prefix.size();
+  for (std::size_t i = points.size(); i-- > 0;) {
+    const G1Jacobian& p = points[i];
+    if (p.infinity) continue;
+    // Here inv = 1 / (Z_0 · … · Z_k), so 1/Z_k = inv · prefix[k − 1].
+    --k;
+    Fp zinv = k > 0 ? inv * prefix[k - 1] : inv;
+    inv = inv * p.z;
+    Fp zinv2 = zinv.Square();
+    out[i] = G1Point(p.x * zinv2, p.y * zinv2 * zinv);
+  }
+  return out;
+}
+
+std::optional<G1FixedBase> G1FixedBase::Build(const G1Point& base,
+                                              std::size_t scalar_bits) {
+  if (base.is_infinity()) return std::nullopt;
+  const std::size_t windows = Windows(scalar_bits);
+  // One doubling chain gives each window's base B_i = 16^i·P and its 2B_i,
+  // 4B_i and 8B_i on the way to B_{i+1}.
+  std::vector<G1Jacobian> bases(windows), evens(3 * windows);
+  G1Jacobian cur = G1Jacobian::FromAffine(base);
+  for (std::size_t i = 0; i < windows; ++i) {
+    bases[i] = cur;
+    for (std::size_t e = 0; e < 3; ++e) evens[3 * i + e] = cur = JacDouble(cur);
+    cur = JacDouble(cur);
+  }
+  if (AnyInfinity(bases) || AnyInfinity(evens)) return std::nullopt;
+  std::vector<G1Point> b = BatchToAffine(bases);
+
+  // The odd multiples by one mixed addition each (7B = 8B − B), 6B by
+  // doubling 3B.
+  std::vector<G1Jacobian> entries(kEntries * windows);
+  for (std::size_t i = 0; i < windows; ++i) {
+    const Fp& bx = b[i].x();
+    const Fp& by = b[i].y();
+    G1Jacobian* e = &entries[kEntries * i];  // e[j − 1] = j·B_i
+    e[0] = G1Jacobian::FromAffine(b[i]);
+    e[1] = evens[3 * i];
+    e[3] = evens[3 * i + 1];
+    e[7] = evens[3 * i + 2];
+    e[2] = JacAddAffine(e[1], bx, by);
+    e[4] = JacAddAffine(e[3], bx, by);
+    e[5] = JacDouble(e[2]);
+    e[6] = JacAddAffine(e[7], bx, by.Neg());
+  }
+  if (AnyInfinity(entries)) return std::nullopt;
+
+  G1FixedBase table(base, scalar_bits);
+  table.x_.reserve(entries.size());
+  table.y_.reserve(entries.size());
+  for (const G1Point& p : BatchToAffine(entries)) {
+    table.x_.push_back(p.x().mont());
+    table.y_.push_back(p.y().mont());
+  }
+  return table;
+}
+
+G1Jacobian G1FixedBase::Mul(const BigInt& k) const {
+  if (k.BitLength() > scalar_bits_) return base_.ScalarMulJacobian(k);
+  const FpField* f = base_.x().field();
+  G1Jacobian acc;
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < Windows(scalar_bits_); ++i) {
+    const std::size_t bit = i * kDigitBits;
+    // v ∈ [0, 16]; v > 8 becomes the digit v − 16 and carries one.
+    const std::uint64_t v = ((k.Limb(bit / 64) >> (bit % 64)) & 0xF) + carry;
+    const std::uint64_t neg = (8 - v) >> 63;
+    const std::uint64_t mag = v ^ ((v ^ (16 - v)) & (0 - neg));
+    carry = neg;
+    // Select entry mag − 1 by scanning all of the window's entries under a
+    // mask: no load address depends on the (secret) digit.
+    FpField::Limbs x{}, y{};
+    for (std::size_t j = 0; j < kEntries; ++j) {
+      const std::uint64_t mask = 0 - (((mag ^ (j + 1)) - 1) >> 63);
+      const FpField::Limbs& ex = x_[kEntries * i + j];
+      const FpField::Limbs& ey = y_[kEntries * i + j];
+      for (std::size_t l = 0; l < FpField::kLimbs; ++l) {
+        x[l] |= ex[l] & mask;
+        y[l] |= ey[l] & mask;
+      }
+    }
+    FpField::Limbs ny;
+    f->kernel().Neg(ny, y);
+    for (std::size_t l = 0; l < FpField::kLimbs; ++l) {
+      y[l] ^= (y[l] ^ ny[l]) & (0 - neg);
+    }
+    // The branches left on the digits: a zero digit (1 in 16) skips its
+    // addition, and JacAddAffine branches on an infinite accumulator (up to
+    // the first nonzero digit) and on its doubling/inverse cases, which a
+    // random scalar reaches with negligible probability.
+    if (mag == 0) continue;
+    acc = JacAddAffine(acc, Fp::FromMont(f, x), Fp::FromMont(f, y));
+  }
+  return acc;
 }
 
 Bytes G1Point::ToBytes(const FpField* f) const {

@@ -73,6 +73,13 @@ class Fp {
 
   const FpField* field() const { return field_; }
 
+  // The Montgomery-form limbs themselves, for code that stores elements in
+  // bulk and selects among them with masks (G1FixedBase's tables).
+  static Fp FromMont(const FpField* f, const FpField::Limbs& mont_value) {
+    return Fp(f, mont_value);
+  }
+  const FpField::Limbs& mont() const { return v_; }
+
  private:
   Fp(const FpField* field, const FpField::Limbs& mont_value)
       : field_(field), v_(mont_value) {}

@@ -6,6 +6,7 @@
 #include "abe/cpabe.h"
 #include "crypto/random.h"
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
 
 namespace reed::abe {
 namespace {
@@ -278,6 +279,59 @@ TEST_F(CpAbeTest, EmptyAttributeSetRejected) {
   EXPECT_THROW(abe_->KeyGen(setup_->pk, setup_->mk, {}, rng), Error);
 }
 
+// --------------------------- fixed-base tables ---------------------------
+
+TEST_F(CpAbeTest, FullTableBudgetFallsBackToScalarMul) {
+  // Fill a fresh instance's table budget, then encrypt under one more
+  // attribute: it builds no table, multiplies with ScalarMul, and still
+  // gives the bytes an instance with a table for it gives.
+  auto& reg = obs::Registry::Global();
+  const obs::Counter& builds = reg.GetCounter("abe.table.builds");
+  const obs::Counter& fallbacks = reg.GetCounter("abe.table.fallback_muls");
+  const obs::Gauge& bytes = reg.GetGauge("abe.table.bytes");
+  const std::size_t per_table =
+      pairing::G1FixedBase::BytesFor(pairing_->group_order().BitLength());
+  const std::size_t fit = CpAbe::kTableBudgetBytes / per_table;
+  ASSERT_GT(fit, 700u);  // ~800 bases: more than any realistic user pool
+  const Secret plaintext(ToBytes("fallback"));
+  const PolicyNode late = PolicyNode::OrOfUsers({"late"});
+  DeterministicRng rng_tables(301);
+  const Bytes with_tables = Declassify(
+      abe_->EncryptBytes(setup_->pk, late, plaintext, rng_tables),
+      "test: ABE ciphertext compared across instances");
+  const std::int64_t bytes0 = bytes.value();
+  {
+    CpAbe full(pairing_);
+    const std::uint64_t builds0 = builds.value();
+    const std::uint64_t fallbacks0 = fallbacks.value();
+    // g and h take two tables; fit − 2 attributes take the rest.
+    std::vector<std::string> filler;
+    for (std::size_t i = 0; i + 2 < fit; ++i) {
+      filler.push_back("fill" + std::to_string(i));
+    }
+    DeterministicRng rng(300);
+    (void)full.EncryptBytes(setup_->pk, PolicyNode::OrOfUsers(filler),
+                            plaintext, rng);
+    EXPECT_EQ(builds.value() - builds0, fit);
+    EXPECT_EQ(fallbacks.value() - fallbacks0, 0u);
+    EXPECT_EQ(bytes.value() - bytes0,
+              static_cast<std::int64_t>(fit * per_table));
+
+    DeterministicRng rng_full(301);
+    Bytes with_fallback = Declassify(
+        full.EncryptBytes(setup_->pk, late, plaintext, rng_full),
+        "test: ABE ciphertext compared across instances");
+    EXPECT_EQ(builds.value() - builds0, fit);
+    EXPECT_EQ(fallbacks.value() - fallbacks0, 1u);  // H(late)^s only
+    EXPECT_EQ(with_fallback, with_tables);
+    DeterministicRng key_rng(302);
+    PrivateKey sk = full.KeyGen(setup_->pk, setup_->mk, {"user:late"}, key_rng);
+    EXPECT_TRUE(full.DecryptBytes(sk, with_fallback).ConstantTimeEquals(plaintext));
+  }
+  // The gauge counts live instances' tables only.
+  EXPECT_EQ(bytes.value(), bytes0);
+}
+
 // --------------------------- known answers ---------------------------
 //
 // SHA-256 of the public key and of EncryptBytes output for fixed RNG seeds.
@@ -339,7 +393,10 @@ TEST_F(CpAbeTest, KeyGenKnownAnswer) {
   std::vector<std::string> got;
   for (std::size_t n : {1, 17}) {
     std::vector<std::string> attributes;
-    for (const std::string& u : Users(n)) attributes.push_back("user:" + u);
+    for (std::size_t i = 0; i < n; ++i) {
+      attributes.push_back("user:u");
+      attributes.back() += std::to_string(i);
+    }
     DeterministicRng rng(200 + n);
     PrivateKey sk = abe_->KeyGen(setup_->pk, setup_->mk, attributes, rng);
     Bytes blob = Declassify(abe_->SerializePrivateKey(sk),

@@ -3,7 +3,8 @@
 // These tests exist to give TSan (and ASan) interleavings to chew on:
 // every shared component that the multi-threaded client/server paths use —
 // ThreadPool, LruCache, TokenBucket, AsyncServer, the key manager's signing
-// pool and the MLE key client's blinding pool — is hammered from many
+// pool, the MLE key client's blinding pool and CP-ABE's memo of fixed-base
+// tables — is hammered from many
 // threads at once. Under TSan everything runs 5-15x slower, so iteration
 // counts scale down when REED_TSAN is defined (set by the build when
 // REED_SANITIZE=thread).
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "abe/cpabe.h"
 #include "crypto/random.h"
 #include "keymanager/key_manager.h"
 #include "keymanager/mle_key_client.h"
@@ -40,6 +42,50 @@ constexpr int kScale = 1;
 #else
 constexpr int kScale = 8;
 #endif
+
+TEST(CpAbeStress, ColdTablesFromFourThreads) {
+  // Four threads encrypt through one CpAbe whose attribute memo and table
+  // budget are empty, so they race to hash, build and admit the same bases.
+  // Each ciphertext must equal the one a serial instance gives for its seed.
+  auto pairing = std::make_shared<const pairing::TypeAPairing>(
+      pairing::TypeAParams::Default());
+  abe::CpAbe serial(pairing);
+  crypto::DeterministicRng setup_rng(1);
+  abe::CpAbe::SetupResult keys = serial.Setup(setup_rng);
+  std::vector<std::string> users;
+  for (int i = 0; i < 12; ++i) users.push_back("u" + std::to_string(i));
+  const abe::PolicyNode policy = abe::PolicyNode::OrOfUsers(users);
+  const Secret plaintext(Bytes(48, 0x5a));
+
+  abe::CpAbe cold(pairing);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2;
+  std::vector<std::vector<Bytes>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        crypto::DeterministicRng rng(100 + 10 * t + i);
+        got[t].push_back(Declassify(
+            cold.EncryptBytes(keys.pk, policy, plaintext, rng),
+            "test: ABE ciphertext compared across instances"));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  crypto::DeterministicRng key_rng(2);
+  abe::PrivateKey sk = cold.KeyGen(keys.pk, keys.mk, {"user:u7"}, key_rng);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      crypto::DeterministicRng rng(100 + 10 * t + i);
+      Bytes want = Declassify(serial.EncryptBytes(keys.pk, policy, plaintext, rng),
+                              "test: ABE ciphertext compared across instances");
+      EXPECT_EQ(got[t][i], want) << t << "/" << i;
+      EXPECT_TRUE(cold.DecryptBytes(sk, got[t][i]).ConstantTimeEquals(plaintext));
+    }
+  }
+}
 
 TEST(ThreadPoolStress, ConcurrentSubmitFromManyThreads) {
   ThreadPool pool(4);

@@ -400,5 +400,132 @@ TEST(PairingHostilePointTest, SmallOrderPointsHitVerticalLines) {
   EXPECT_EQ(got, want);
 }
 
+// --------------------------- fixed-base tables ---------------------------
+//
+// G1FixedBase::Mul must equal ScalarMul bit for bit: CP-ABE ciphertexts and
+// private keys are serialized affine points, so every stored byte rides on it.
+
+// 0, 1, the digits around the signed-recoding edge (7, 8, 9, 15, 16), every
+// window edge (16^i − 1, 16^i, 8·16^i, 9·16^i), r − 1, r, the widest scalar
+// a table takes, and seeded random scalars.
+std::vector<BigInt> TableScalars(std::size_t bits) {
+  const TypeAPairing& e = SharedPairing();
+  std::vector<BigInt> ks;
+  for (std::uint64_t v : {0, 1, 7, 8, 9, 15, 16}) ks.emplace_back(v);
+  for (std::size_t i = 0; i * 4 < bits; ++i) {
+    BigInt w = BigInt(1) << (4 * i);
+    ks.push_back(w - BigInt(1));
+    ks.push_back(w);
+    ks.push_back(w.MulLimb(8));
+    ks.push_back(w.MulLimb(9));
+  }
+  ks.push_back(e.group_order() - BigInt(1));
+  ks.push_back(e.group_order());
+  ks.push_back((BigInt(1) << bits) - BigInt(1));
+  DeterministicRng rng(7);
+  for (int i = 0; i < 16; ++i) ks.push_back(e.RandomScalar(rng));
+  return ks;
+}
+
+// Scalars wider than the table, which take the ScalarMul fallback.
+std::vector<BigInt> WideScalars(std::size_t bits) {
+  const TypeAPairing& e = SharedPairing();
+  return {BigInt(1) << bits, (BigInt(1) << (bits + 40)) + BigInt(5),
+          e.params().cofactor, e.group_order() * e.group_order()};
+}
+
+// Checks table->Mul against ScalarMul on every scalar; all products go
+// through one BatchToAffine.
+void ExpectTableMatchesScalarMul(const G1FixedBase& table,
+                                 const std::vector<BigInt>& ks) {
+  std::vector<G1Jacobian> products;
+  for (const BigInt& k : ks) products.push_back(table.Mul(k));
+  std::vector<G1Point> affine = BatchToAffine(products);
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    EXPECT_EQ(affine[i], table.base().ScalarMul(ks[i]))
+        << "k = " << ks[i].ToHex();
+  }
+}
+
+TEST(G1FixedBaseTest, MulMatchesScalarMul) {
+  const TypeAPairing& e = SharedPairing();
+  const std::size_t bits = e.group_order().BitLength();
+  DeterministicRng rng(8);
+  const G1Point& g = e.generator();
+  std::vector<G1Point> bases = {g, g.ScalarMul(e.RandomScalar(rng)),
+                                e.HashToGroup(ToBytes("reed/abe-attr:user:u0")),
+                                e.HashToGroup(ToBytes("reed/abe-attr:a1"))};
+  std::vector<BigInt> ks = TableScalars(bits);
+  for (const BigInt& k : WideScalars(bits)) ks.push_back(k);
+  for (const G1Point& base : bases) {
+    std::optional<G1FixedBase> table = G1FixedBase::Build(base, bits);
+    ASSERT_TRUE(table.has_value());
+    EXPECT_EQ(table->bytes(), 41u * 8 * 2 * sizeof(FpField::Limbs));
+    ExpectTableMatchesScalarMul(*table, ks);
+  }
+}
+
+TEST(G1FixedBaseTest, RefusesInfinity) {
+  EXPECT_FALSE(G1FixedBase::Build(G1Point::Infinity(), 160).has_value());
+}
+
+TEST(G1FixedBaseTest, HostilePointsMatchOrRefuse) {
+  // Off-subgroup and small-order points: a table must either give exactly
+  // ScalarMul's answer or be refused, so the caller keeps ScalarMul.
+  const TypeAPairing& e = SharedPairing();
+  const FpField* f = e.field();
+  const std::size_t bits = e.group_order().BitLength();
+  G1Point c = UnclearedCandidate(ToBytes("hostile"));
+  BigInt order = e.params().p + BigInt(1);
+  std::vector<std::pair<std::string, G1Point>> points = {
+      {"two-torsion", G1Point(Fp::Zero(f), Fp::Zero(f))}, {"uncleared", c}};
+  for (std::uint64_t n : {3, 4, 17}) {
+    points.emplace_back("order " + std::to_string(n),
+                        c.ScalarMul(order / BigInt(n)));
+  }
+  std::vector<BigInt> ks = TableScalars(bits);
+  for (const BigInt& k : WideScalars(bits)) ks.push_back(k);
+  std::vector<std::string> refused;
+  for (const auto& [name, point] : points) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(point.IsOnCurve());
+    std::optional<G1FixedBase> table = G1FixedBase::Build(point, bits);
+    if (!table.has_value()) {
+      refused.push_back(name);
+      continue;
+    }
+    ExpectTableMatchesScalarMul(*table, ks);
+  }
+  // A table entry j·16^i·P (j ≤ 8) is infinity exactly when the order of P
+  // divides it: orders 2, 3 and 4 do; 17 and the off-subgroup point don't.
+  EXPECT_EQ(refused,
+            (std::vector<std::string>{"two-torsion", "order 3", "order 4"}));
+}
+
+TEST(BatchToAffineTest, InfinityEntriesInterleaved) {
+  const TypeAPairing& e = SharedPairing();
+  DeterministicRng rng(9);
+  std::vector<G1Jacobian> in;
+  std::vector<G1Point> want;
+  for (int i = 0; i < 12; ++i) {
+    if (i % 3 != 1) {
+      in.emplace_back();
+      want.push_back(G1Point::Infinity());
+      continue;
+    }
+    // A Z ≠ 1 from a real double-and-add.
+    BigInt k = e.RandomScalar(rng);
+    in.push_back(e.generator().ScalarMulJacobian(k));
+    want.push_back(e.generator().ScalarMul(k));
+  }
+  EXPECT_EQ(BatchToAffine(in), want);
+  // All infinity, one finite entry, and nothing at all.
+  EXPECT_EQ(BatchToAffine({G1Jacobian{}, G1Jacobian{}}),
+            (std::vector<G1Point>{G1Point::Infinity(), G1Point::Infinity()}));
+  EXPECT_EQ(BatchToAffine({G1Jacobian::FromAffine(e.generator())}),
+            (std::vector<G1Point>{e.generator()}));
+  EXPECT_TRUE(BatchToAffine({}).empty());
+}
+
 }  // namespace
 }  // namespace reed::pairing

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "crypto/random.h"
 #include "crypto/sha256.h"
@@ -53,14 +54,76 @@ TEST(KeyManagerTest, SignBatchProducesValidSignatures) {
   EXPECT_EQ(km.stats().signatures, 1u);
 }
 
-std::vector<BigInt> RandomBlindedValues(int n, std::uint64_t seed) {
+std::vector<BigInt> RandomBlindedValues(int n, std::uint64_t seed,
+                                        const BigInt& modulus) {
   DeterministicRng rng(seed);
   std::vector<BigInt> values;
   while (values.size() < static_cast<std::size_t>(n)) {
-    BigInt v = BigInt::Random(rng, SharedTestKeys().pub.n);
+    BigInt v = BigInt::Random(rng, modulus);
     if (!v.IsZero()) values.push_back(std::move(v));
   }
   return values;
+}
+
+std::vector<BigInt> RandomBlindedValues(int n, std::uint64_t seed) {
+  return RandomBlindedValues(n, seed, SharedTestKeys().pub.n);
+}
+
+// The paper's key size beside the suite's 512-bit key: CRT halves of 512
+// and 256 bits.
+const rsa::RsaKeyPair& SharedTestKeys1024() {
+  static const rsa::RsaKeyPair keys = [] {
+    DeterministicRng rng(1001);
+    return rsa::GenerateKeyPair(1024, rng);
+  }();
+  return keys;
+}
+
+TEST(KeyManagerTest, SignBatchKnownAnswer) {
+  std::vector<std::string> got;
+  for (const rsa::RsaKeyPair& keys : {SharedTestKeys(), SharedTestKeys1024()}) {
+    KeyManager km(keys, {});
+    std::size_t nbytes = keys.pub.ByteLength();
+    std::vector<BigInt> blinded = RandomBlindedValues(256, 50, keys.pub.n);
+    Bytes all;
+    for (const BigInt& s : km.SignBatch("alice", blinded)) {
+      Append(all, s.ToBytesPadded(nbytes));
+    }
+    got.push_back(HexEncode(crypto::Sha256::HashToBytes(all)));
+  }
+  std::vector<std::string> want = {
+      "352cf9ceeb8d05e81e6c560781016b58382f11c1887989a3d85c0e53d9e426bd",
+      "a193fac13b40bf3ad3b8d8c9b6615ea40af11b159e1c34dd5a306c200eb8d681"};
+  EXPECT_EQ(got, want);
+}
+
+TEST(KeyManagerTest, SignBatchMatchesSign) {
+  for (const rsa::RsaKeyPair& keys : {SharedTestKeys(), SharedTestKeys1024()}) {
+    SCOPED_TRACE("modulus bits=" + std::to_string(keys.pub.n.BitLength()));
+    KeyManager km(keys, {});
+    rsa::BlindSignatureServer server(keys.priv);
+    auto check = [&](const std::vector<BigInt>& blinded) {
+      std::vector<BigInt> sigs = km.SignBatch("alice", blinded);
+      ASSERT_EQ(sigs.size(), blinded.size());
+      for (std::size_t i = 0; i < blinded.size(); ++i) {
+        EXPECT_EQ(sigs[i], server.Sign(blinded[i])) << "element " << i;
+      }
+    };
+    for (int size : {1, 7, 8, 9, 255, 256}) {
+      SCOPED_TRACE("batch size=" + std::to_string(size));
+      check(RandomBlindedValues(size, 60 + static_cast<std::uint64_t>(size),
+                                keys.pub.n));
+    }
+    // 1, N − 1, the primes and 2p (not coprime to N), alone and sharing
+    // a batch with random values.
+    const BigInt& p = keys.priv.p;
+    std::vector<BigInt> edges = {BigInt(1), keys.pub.n - BigInt(1), p,
+                                 keys.priv.q, p + p};
+    for (const BigInt& e : edges) check({e});
+    std::vector<BigInt> mixed = RandomBlindedValues(4, 70, keys.pub.n);
+    mixed.insert(mixed.begin() + 2, edges.begin(), edges.end());
+    check(mixed);
+  }
 }
 
 TEST(KeyManagerTest, ParallelSignBatchMatchesPrivateApplyInOrder) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "abe/cpabe.h"
+#include "bigint/mont_lanes.h"
 #include "aont/reed_cipher.h"
 #include "chunk/chunker.h"
 #include "crypto/aes.h"
@@ -146,9 +147,36 @@ void BM_OprfManagerSign(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(server.Sign(req.blinded));
   }
-  // This per-signature cost is what saturates Fig 5(b) at large batches.
+  // One lone signature always runs on the scalar kernel.
+  state.SetLabel(bigint::LaneKernelName(bigint::LaneKernel::kScalar));
 }
 BENCHMARK(BM_OprfManagerSign);
+
+// A batch signed on one thread, as one pool task of KeyManager::SignBatch
+// signs its lane groups: per_sig is the per-signature cost that saturates
+// Fig 5(b) at large batches. The label names the lane kernel this CPU
+// runs (a 1024-bit key's halves fit it).
+void BM_OprfManagerSignBatch(benchmark::State& state) {
+  rsa::BlindSignatureServer server(Oprf().keys.priv);
+  rsa::BlindSignatureClient client(Oprf().keys.pub);
+  crypto::DeterministicRng rng(18);
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  std::vector<bigint::BigInt> blinded;
+  for (std::size_t i = 0; i < batch; ++i) {
+    blinded.push_back(client.Blind(ToBytes("fp" + std::to_string(i)), rng).blinded);
+  }
+  std::vector<bigint::BigInt> sigs(batch);
+  for (auto _ : state) {
+    server.SignBatch(blinded, sigs);
+    benchmark::DoNotOptimize(sigs.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_sig"] = benchmark::Counter(
+      static_cast<double>(batch),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(bigint::LaneKernelName(bigint::MontLanes::Detected()));
+}
+BENCHMARK(BM_OprfManagerSignBatch)->Arg(8)->Arg(256);
 
 void BM_OprfClientUnblind(benchmark::State& state) {
   rsa::BlindSignatureServer server(Oprf().keys.priv);

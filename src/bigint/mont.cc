@@ -200,20 +200,37 @@ void FixedMont<N>::Pow(Limbs& out, const Limbs& base, const BigInt& exp) const {
     return;
   }
   // Window width by exponent length (fewest multiplies for table + loop):
-  // 2 for a 17-bit public exponent, 5 for 512-bit CRT exponents.
-  const std::size_t w = bits > 240 ? 5 : bits > 80 ? 4 : bits > 24 ? 3 : 2;
-  std::array<Limbs, 32> table;  // table[i] = base^i
+  // 2 for a 17-bit public exponent, 4 for 512-bit CRT exponents. A 5-bit
+  // window would save ~1% of a 512-bit Pow's multiplies but double the
+  // masked scan below, which costs more.
+  const std::size_t w = bits > 80 ? 4 : bits > 24 ? 3 : 2;
+  std::array<Limbs, 16> table;  // table[i] = base^i
   table[0] = one_;
   table[1] = base;
   for (std::size_t i = 2; i < (std::size_t{1} << w); ++i) {
     Mul(table[i], table[i - 1], base);
   }
+  // table[index], reading every entry: each is ANDed with a mask that is
+  // all ones only for the wanted one, so no load or branch depends on the
+  // exponent's bits (the lane kernel's Select does the same).
+  const std::size_t entries = std::size_t{1} << w;
+  auto select = [&](Limbs& dst, u64 index) {
+    dst = Limbs{};
+    for (std::size_t e = 0; e < entries; ++e) {
+      // (e ^ index) − 1 has its top bit set only when e == index.
+      const u64 hit = u64{0} - (((e ^ index) - 1) >> 63);
+      for (std::size_t i = 0; i < N; ++i) dst[i] |= table[e][i] & hit;
+    }
+  };
   // Every window costs w squarings and one multiply, zero windows included.
   std::size_t windows = (bits + w - 1) / w;
-  Limbs acc = table[WindowAt(exp, (windows - 1) * w, w)];
+  Limbs acc{};
+  Limbs entry{};
+  select(acc, WindowAt(exp, (windows - 1) * w, w));
   for (std::size_t k = windows - 1; k-- > 0;) {
     for (std::size_t s = 0; s < w; ++s) Square(acc, acc);
-    Mul(acc, acc, table[WindowAt(exp, k * w, w)]);
+    select(entry, WindowAt(exp, k * w, w));
+    Mul(acc, acc, entry);
   }
   out = acc;
 }
@@ -317,6 +334,15 @@ BigInt MontContext::Pow(const BigInt& base, const BigInt& exp) const {
         typename K::Limbs x = k.ToMont(base);
         k.Pow(x, x, exp);
         return K::ToBigInt(k.FromMont(x));
+      },
+      kernel_);
+}
+
+BigInt MontContext::Reduce(const BigInt& x) const {
+  return std::visit(
+      [&](const auto& k) {
+        using K = std::decay_t<decltype(k)>;
+        return K::ToBigInt(k.FromMont(k.ToMont(x)));
       },
       kernel_);
 }

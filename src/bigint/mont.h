@@ -1,4 +1,6 @@
-// The one Montgomery kernel: every modular multiplication in REED runs here.
+// The scalar Montgomery kernel: every modular multiplication in REED runs
+// here, except the OPRF signer's lane groups (bigint/mont_lanes.h), for
+// which it is the oracle and the fallback.
 //
 // FixedMont<N> works modulo an odd n of at most N 64-bit limbs with
 // R = 2^(64N). Values live in std::array limbs on the stack, so once a
@@ -7,8 +9,9 @@
 // squaring that computes each cross product once, modular add/sub/neg, and
 // fixed-window exponentiation that runs the same squarings and multiplies
 // whatever the exponent's bits are. The final subtraction is a masked
-// select, not a branch. (Window table reads are indexed by exponent bits,
-// so cache timing is not addressed.)
+// select, not a branch, and Pow reads its window table by a masked scan
+// over every entry, so no load address depends on the exponent's bits
+// either. (The exponent's bit length still sets the window count.)
 //
 // Users: the F_p field of the Type-A pairing keeps a FixedMont<8>
 // (pairing/field.h); everything working modulo an RSA value (N, p, q), the
@@ -97,6 +100,9 @@ class MontContext {
   [[nodiscard]] BigInt Mul(const BigInt& a, const BigInt& b) const;
   // base^exp mod n.
   [[nodiscard]] BigInt Pow(const BigInt& base, const BigInt& exp) const;
+  // x mod n without division for x of up to twice the kernel's width
+  // (ToMont, then FromMont).
+  [[nodiscard]] BigInt Reduce(const BigInt& x) const;
 
  private:
   std::variant<FixedMont<4>, FixedMont<8>, FixedMont<16>, FixedMont<32>> kernel_;

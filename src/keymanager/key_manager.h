@@ -5,8 +5,8 @@
 // round trips — Fig. 5(b)); the manager answers with blind signatures,
 // rate-limited per client identity to blunt online brute-force attacks.
 // The manager never learns fingerprints (OPRF obliviousness) and never
-// stores anything per chunk. Each batch is signed across a pool with one
-// thread per core.
+// stores anything per chunk. Each batch is signed in lane groups of eight
+// (bigint/mont_lanes.h) across a pool with one thread per core.
 #pragma once
 
 #include <memory>

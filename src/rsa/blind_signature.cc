@@ -80,4 +80,10 @@ BigInt BlindSignatureServer::Sign(const BigInt& blinded) const {
   return crt_.Apply(blinded);
 }
 
+void BlindSignatureServer::SignBatch(std::span<const BigInt> blinded,
+                                     std::span<BigInt> signatures) const {
+  for (const BigInt& b : blinded) CheckBlinded(b);
+  crt_.ApplyBatch(blinded, signatures);
+}
+
 }  // namespace reed::rsa

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rsa/rsa.h"
@@ -75,6 +76,16 @@ class BlindSignatureServer {
   // Signs a blinded value: y = x^d mod N (CRT). The server never sees h or
   // fp. Thread-safe.
   [[nodiscard]] BigInt Sign(const BigInt& blinded) const;
+
+  // signatures[i] = Sign(blinded[i]), width() values per lane-kernel
+  // exponentiation (CrtContext::ApplyBatch). Throws Error, signing nothing,
+  // unless the sizes match and every value passes CheckBlinded.
+  // Thread-safe.
+  void SignBatch(std::span<const BigInt> blinded,
+                 std::span<BigInt> signatures) const;
+
+  // Values one SignBatch group signs at the cost of one (CrtContext::width).
+  std::size_t width() const { return crt_.width(); }
 
   // Throws Error unless 0 < blinded < N, the check Sign makes.
   void CheckBlinded(const BigInt& blinded) const;

@@ -1,5 +1,8 @@
 #include "rsa/rsa.h"
 
+#include <algorithm>
+#include <array>
+
 #include "bigint/prime.h"
 #include "crypto/sha256.h"
 
@@ -46,15 +49,41 @@ CrtContext::CrtContext(const RsaPrivateKey& key)
       mod_p_(key.p),
       mod_q_(key.q) {}
 
-BigInt CrtContext::Apply(const BigInt& m) const {
-  if (m >= n_) throw Error("PrivateApply: message out of range");
-  BigInt m1 = mod_p_.Pow(m, dp_);
-  BigInt m2 = mod_q_.Pow(m, dq_);
+BigInt CrtContext::Recombine(const BigInt& m1, const BigInt& m2) const {
   // Garner: h = qinv·(m1 − m2) mod p, computed as qinv·m1 − qinv·m2 so
   // that m2 (< q, possibly > p) needs no separate reduction.
-  BigInt h = BigInt::SubMod(mod_p_.Mul(qinv_, m1), mod_p_.Mul(qinv_, m2),
-                            mod_p_.modulus());
+  const bigint::MontContext& p = mod_p_.context();
+  BigInt h = BigInt::SubMod(p.Mul(qinv_, m1), p.Mul(qinv_, m2), p.modulus());
   return m2 + h * mod_q_.modulus();
+}
+
+BigInt CrtContext::Apply(const BigInt& m) const {
+  if (m >= n_) throw Error("PrivateApply: message out of range");
+  return Recombine(mod_p_.context().Pow(m, dp_), mod_q_.context().Pow(m, dq_));
+}
+
+void CrtContext::ApplyBatch(std::span<const BigInt> in,
+                            std::span<BigInt> out) const {
+  if (in.size() != out.size()) {
+    throw Error("CrtContext::ApplyBatch: input and output sizes differ");
+  }
+  for (const BigInt& m : in) {
+    if (m >= n_) throw Error("PrivateApply: message out of range");
+  }
+  constexpr std::size_t kLanes = bigint::MontLanes::kLanes;
+  std::array<BigInt, kLanes> xp, xq, m1, m2;
+  for (std::size_t start = 0; start < in.size(); start += kLanes) {
+    std::size_t count = std::min(kLanes, in.size() - start);
+    for (std::size_t i = 0; i < count; ++i) {
+      xp[i] = mod_p_.context().Reduce(in[start + i]);
+      xq[i] = mod_q_.context().Reduce(in[start + i]);
+    }
+    mod_p_.Pow(std::span(xp).first(count), dp_, m1);
+    mod_q_.Pow(std::span(xq).first(count), dq_, m2);
+    for (std::size_t i = 0; i < count; ++i) {
+      out[start + i] = Recombine(m1[i], m2[i]);
+    }
+  }
 }
 
 BigInt PrivateApply(const RsaPrivateKey& key, const BigInt& m) {

@@ -1,10 +1,14 @@
 // BigInt / Montgomery kernel / primality tests: fixed vectors, randomized
-// algebraic-identity property suites, and differential tests of the kernel
-// (bigint/mont.h) against schoolbook BigInt arithmetic.
+// algebraic-identity property suites, differential tests of the kernel
+// (bigint/mont.h) against schoolbook BigInt arithmetic, and of the lane
+// kernel (bigint/mont_lanes.h) against the scalar one.
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 #include "bigint/bigint.h"
 #include "bigint/mont.h"
+#include "bigint/mont_lanes.h"
 #include "bigint/prime.h"
 #include "crypto/random.h"
 
@@ -399,6 +403,104 @@ TEST(MontgomeryTest, SmallModuliInWideKernels) {
   for (std::uint64_t m : {std::uint64_t{3}, std::uint64_t{19}, std::uint64_t{65537},
                           std::uint64_t{0xffffffffffffffc5}}) {
     CheckKernelAgainstBigInt<4>(BigInt(m), rng);
+  }
+}
+
+// --- The lane kernel, on every path, against FixedMont::Pow per lane ------
+
+class MontLanesTest : public ::testing::TestWithParam<LaneKernel> {
+ protected:
+  void SetUp() override {
+    if (!MontLanes::Supports(GetParam())) {
+      GTEST_SKIP() << "this CPU has no " << LaneKernelName(GetParam())
+                   << " lane kernel; that path was not run";
+    }
+  }
+};
+
+// An odd modulus of exactly `bits` bits.
+BigInt OddModulus(DeterministicRng& rng, std::size_t bits) {
+  BigInt m = BigInt::RandomBits(rng, bits);
+  if (!m.Bit(bits - 1)) m += BigInt(1) << (bits - 1);
+  if (!m.IsOdd()) m += BigInt(1);
+  return m;
+}
+
+TEST_P(MontLanesTest, PowMatchesFixedMontInEveryLane) {
+  DeterministicRng rng(45);
+  // The tests' RSA-512 halves, RSA-1024 halves, a random modulus at the
+  // 4n < 2^520 bound and the largest odd one below it.
+  std::vector<BigInt> moduli = {OddModulus(rng, 256), OddModulus(rng, 512),
+                                OddModulus(rng, MontLanes::kMaxBits),
+                                (BigInt(1) << MontLanes::kMaxBits) - BigInt(1)};
+  for (const BigInt& m : moduli) {
+    SCOPED_TRACE("modulus bits=" + std::to_string(m.BitLength()));
+    MontLanes lanes(m, GetParam());
+    const MontContext& oracle = lanes.context();  // FixedMont::Pow
+    // Zero, one, window edges (a full window, one past it, the next one)
+    // and full width, random or all ones.
+    std::vector<BigInt> exponents = {BigInt(0), BigInt(1), BigInt(31), BigInt(32),
+                                     BigInt(33), BigInt::RandomBits(rng, m.BitLength()),
+                                     (BigInt(1) << m.BitLength()) - BigInt(1)};
+    // Each lane holds a different base, edges among them.
+    std::vector<BigInt> bases = {BigInt(0), BigInt(1), m - BigInt(1), BigInt(2)};
+    while (bases.size() < MontLanes::kLanes) bases.push_back(BigInt::Random(rng, m));
+    for (const BigInt& e : exponents) {
+      SCOPED_TRACE("exponent bits=" + std::to_string(e.BitLength()));
+      // Every group size: a short group pads the lanes past it.
+      for (std::size_t count = 1; count <= MontLanes::kLanes; ++count) {
+        std::vector<BigInt> got(count);
+        lanes.Pow(std::span(bases).first(count), e, got);
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(got[i], oracle.Pow(bases[i], e)) << "lane " << i << " of " << count;
+        }
+      }
+    }
+    // One lane against schoolbook arithmetic too.
+    BigInt e = BigInt::RandomBits(rng, m.BitLength());
+    std::vector<BigInt> got(1);
+    lanes.Pow(std::span(bases).subspan(5, 1), e, got);
+    EXPECT_EQ(got[0], Reference(bases[5], e, m));
+  }
+}
+
+TEST_P(MontLanesTest, RejectsUnreducedBasesAndTooManyLanes) {
+  BigInt m = (BigInt(1) << 255) + BigInt(1);
+  MontLanes lanes(m, GetParam());
+  std::vector<BigInt> out(MontLanes::kLanes + 1);
+  std::vector<BigInt> unreduced = {BigInt(3), m};
+  EXPECT_THROW(lanes.Pow(unreduced, BigInt(3), out), Error);
+  std::vector<BigInt> nine(MontLanes::kLanes + 1, BigInt(2));
+  EXPECT_THROW(lanes.Pow(nine, BigInt(3), out), Error);
+  EXPECT_THROW(lanes.Pow(std::span(nine).first(2), BigInt(3),
+                         std::span(out).first(1)),
+               Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryPath, MontLanesTest,
+                         ::testing::Values(LaneKernel::kScalar, LaneKernel::kIfma8),
+                         [](const auto& param_info) {
+                           return std::string(LaneKernelName(param_info.param));
+                         });
+
+TEST(MontLanesKernelTest, WideModuliTakeTheScalarPath) {
+  EXPECT_TRUE(MontLanes::Supports(MontLanes::Detected()));
+  EXPECT_TRUE(MontLanes::Supports(LaneKernel::kScalar));
+  std::printf("lane kernel on this host: %s\n",
+              LaneKernelName(MontLanes::Detected()));
+  BigInt widest = (BigInt(1) << MontLanes::kMaxBits) - BigInt(1);
+  EXPECT_EQ(MontLanes(widest).kernel(), MontLanes::Detected());
+  BigInt too_wide = (BigInt(1) << (MontLanes::kMaxBits + 1)) - BigInt(1);
+  MontLanes scalar(too_wide);
+  EXPECT_EQ(scalar.kernel(), LaneKernel::kScalar);
+  EXPECT_EQ(scalar.width(), 1u);
+  std::vector<BigInt> got(2);
+  std::vector<BigInt> bases = {BigInt(2), too_wide - BigInt(2)};
+  scalar.Pow(bases, BigInt(65537), got);
+  EXPECT_EQ(got[0], BigInt::PowMod(bases[0], BigInt(65537), too_wide));
+  EXPECT_EQ(got[1], BigInt::PowMod(bases[1], BigInt(65537), too_wide));
+  if (MontLanes::Supports(LaneKernel::kIfma8)) {
+    EXPECT_THROW(MontLanes(too_wide, LaneKernel::kIfma8), Error);
   }
 }
 

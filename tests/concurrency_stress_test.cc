@@ -28,6 +28,7 @@
 #include "net/async_server.h"
 #include "net/rpc.h"
 #include "net/tcp.h"
+#include "rsa/blind_signature.h"
 #include "obs/metrics.h"
 #include "util/lru_cache.h"
 #include "util/rate_limiter.h"
@@ -269,6 +270,49 @@ TEST(OprfStress, ClientsShareOneKeyManager) {
   EXPECT_EQ(total_misses, static_cast<std::uint64_t>(kThreads) * fps.size());
   EXPECT_EQ(km.stats().signatures, total_misses);
   EXPECT_EQ(km.stats().rejected, 0u);
+}
+
+TEST(OprfStress, FourThreadsSignBatchOnOneKeyManager) {
+  // Four callers share one manager's signing pool. Their batches are cut
+  // into lane groups (short ones padded) that the pool runs interleaved;
+  // every signature must equal the scalar CRT signature of its element.
+  crypto::DeterministicRng key_rng(79);
+  rsa::RsaKeyPair keys = rsa::GenerateKeyPair(512, key_rng);
+  keymanager::KeyManager km(keys, {});
+  rsa::BlindSignatureServer scalar(keys.priv);
+
+  const int kThreads = 4;
+  const std::size_t kBatch = static_cast<std::size_t>(13 * kScale);
+  std::vector<std::vector<bigint::BigInt>> blinded(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    crypto::DeterministicRng rng(200 + static_cast<std::uint64_t>(t));
+    while (blinded[t].size() < kBatch + static_cast<std::size_t>(t)) {
+      bigint::BigInt v = bigint::BigInt::Random(rng, km.public_key().n);
+      if (!v.IsZero()) blinded[t].push_back(std::move(v));
+    }
+  }
+  std::vector<std::vector<bigint::BigInt>> sigs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 2; ++round) {
+        sigs[t] = km.SignBatch("client-" + std::to_string(t), blinded[t]);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::uint64_t total = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(sigs[t].size(), blinded[t].size());
+    for (std::size_t i = 0; i < blinded[t].size(); ++i) {
+      EXPECT_EQ(sigs[t][i], scalar.Sign(blinded[t][i]))
+          << "thread " << t << " element " << i;
+    }
+    total += 2 * blinded[t].size();
+  }
+  EXPECT_EQ(km.stats().signatures, total);
+  EXPECT_EQ(km.stats().batches, 2u * kThreads);
 }
 
 Bytes EchoRequest(int client, int seq) {

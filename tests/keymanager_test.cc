@@ -139,6 +139,23 @@ TEST(KeyManagerTest, ParallelSignBatchMatchesPrivateApplyInOrder) {
   EXPECT_EQ(km.stats().signatures, 67u);
 }
 
+TEST(KeyManagerTest, LaneGroupCountersCountPaddedLanes) {
+  auto& reg = obs::Registry::Global();
+  obs::Counter& groups = reg.GetCounter("oprf.server.lane_groups");
+  obs::Counter& idle = reg.GetCounter("oprf.server.idle_lanes");
+  KeyManager km = MakeManager();
+  const std::size_t width = rsa::BlindSignatureServer(SharedTestKeys().priv).width();
+  for (std::size_t size : {1u, 8u, 9u, 20u}) {
+    SCOPED_TRACE("batch size=" + std::to_string(size));
+    const std::uint64_t groups_before = groups.value();
+    const std::uint64_t idle_before = idle.value();
+    (void)km.SignBatch("alice", RandomBlindedValues(static_cast<int>(size), 43));
+    const std::uint64_t expect_groups = (size + width - 1) / width;
+    EXPECT_EQ(groups.value() - groups_before, expect_groups);
+    EXPECT_EQ(idle.value() - idle_before, expect_groups * width - size);
+  }
+}
+
 TEST(KeyManagerTest, OutOfRangeElementRejectsWholeBatch) {
   KeyManager km = MakeManager();
   std::size_t nbytes = km.public_key().ByteLength();

@@ -1,6 +1,9 @@
 // RSA, blind-signature OPRF, and key-regression tests.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "crypto/random.h"
 #include "crypto/sha256.h"
 #include "rsa/blind_signature.h"
@@ -42,6 +45,33 @@ TEST(RsaTest, CrtMatchesDirectExponentiation) {
   DeterministicRng rng(102);
   BigInt m = BigInt::Random(rng, kp.pub.n);
   EXPECT_EQ(PrivateApply(kp.priv, m), BigInt::PowMod(m, kp.priv.d, kp.pub.n));
+}
+
+TEST(RsaTest, CrtApplyBatchMatchesApplyAndPowMod) {
+  RsaKeyPair kp = TestKeyPair();
+  CrtContext crt(kp.priv);
+  DeterministicRng rng(104);
+  std::vector<BigInt> in = {BigInt(0), BigInt(1), kp.pub.n - BigInt(1),
+                            kp.priv.p, kp.priv.q};
+  while (in.size() < 17) in.push_back(BigInt::Random(rng, kp.pub.n));
+  // Every group shape: empty, one short group, a full one, full plus short.
+  for (std::size_t count : {0u, 1u, 5u, 8u, 9u, 16u, 17u}) {
+    std::vector<BigInt> out(count);
+    crt.ApplyBatch(std::span(in).first(count), out);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(out[i], crt.Apply(in[i])) << count << " values, element " << i;
+    }
+  }
+  std::vector<BigInt> one(1);
+  crt.ApplyBatch(std::span(in).subspan(9, 1), one);
+  EXPECT_EQ(one[0], BigInt::PowMod(in[9], kp.priv.d, kp.pub.n));
+
+  // Mismatched sizes and an out-of-range element throw, writing nothing.
+  std::vector<BigInt> out(2, BigInt(7));
+  EXPECT_THROW(crt.ApplyBatch(std::span(in).first(3), out), Error);
+  std::vector<BigInt> bad = {BigInt(2), kp.pub.n};
+  EXPECT_THROW(crt.ApplyBatch(bad, out), Error);
+  EXPECT_EQ(out, std::vector<BigInt>(2, BigInt(7)));
 }
 
 TEST(RsaTest, RejectsOutOfRangeMessages) {

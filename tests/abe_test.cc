@@ -409,5 +409,166 @@ TEST_F(CpAbeTest, KeyGenKnownAnswer) {
   EXPECT_EQ(got, want);
 }
 
+
+// Decrypt gates: seeded ciphertexts for OR policies of 1, 17 and 400 users,
+// a 2-of-3 gate and a nested AND/OR/threshold tree, each decrypted by a key
+// for every listed satisfying attribute set. Per case, one SHA-256 over the
+// hybrid blob, then each key's recovered plaintext and recovered G_T element
+// (from a second, EncryptElement ciphertext). A decrypt that pairs fewer
+// points, or pairs them differently, must land on exactly these bytes.
+struct DecryptCase {
+  std::string name;
+  PolicyNode policy;
+  std::uint64_t seed;
+  std::vector<std::vector<std::string>> keys;  // each satisfies the policy
+  std::vector<std::string> unsatisfying;
+};
+
+std::vector<std::string> UserAttributes(std::initializer_list<int> ids) {
+  std::vector<std::string> out;
+  for (int id : ids) {
+    out.emplace_back("user:u");
+    out.back() += std::to_string(id);
+  }
+  return out;
+}
+
+// OR over user ids u0..u(n−1), built like Users() but without its string
+// concatenation, which GCC 12 flags with a bogus -Wrestrict once inlined.
+PolicyNode OrOfFirstUsers(std::size_t n) {
+  std::vector<std::string> users(n, "u");
+  for (std::size_t i = 0; i < n; ++i) users[i] += std::to_string(i);
+  return PolicyNode::OrOfUsers(users);
+}
+
+std::vector<DecryptCase> DecryptCases() {
+  PolicyNode nested = PolicyNode::And(
+      {PolicyNode::Leaf("dept:eng"),
+       PolicyNode::Or({PolicyNode::Leaf("role:admin"),
+                       PolicyNode::Threshold(
+                           2, {PolicyNode::Leaf("role:dev"),
+                               PolicyNode::Leaf("level:senior"),
+                               PolicyNode::Leaf("site:hq")})})});
+  return {
+      {"or-1", OrOfFirstUsers(1), 301,
+       {UserAttributes({0})}, UserAttributes({1})},
+      {"or-17", OrOfFirstUsers(17), 302,
+       {UserAttributes({0}), UserAttributes({8}), UserAttributes({16}),
+        UserAttributes({3, 9})},
+       UserAttributes({17})},
+      {"or-400", OrOfFirstUsers(400), 303,
+       {UserAttributes({0}), UserAttributes({199}), UserAttributes({399}),
+        UserAttributes({5, 399})},
+       UserAttributes({400})},
+      {"2-of-3",
+       PolicyNode::Threshold(2, {PolicyNode::Leaf("a1"), PolicyNode::Leaf("a2"),
+                                 PolicyNode::Leaf("a3")}),
+       304,
+       {{"a1", "a2"}, {"a1", "a3"}, {"a2", "a3"}, {"a1", "a2", "a3"}},
+       {"a2"}},
+      {"nested", nested, 305,
+       {{"dept:eng", "role:admin"},
+        {"dept:eng", "role:dev", "level:senior"},
+        {"dept:eng", "role:dev", "site:hq"},
+        {"dept:eng", "level:senior", "site:hq"},
+        {"dept:eng", "role:admin", "role:dev", "level:senior", "site:hq"}},
+       {"role:admin", "role:dev", "level:senior"}},
+  };
+}
+
+TEST_F(CpAbeTest, DecryptKnownAnswers) {
+  std::vector<std::string> got;
+  for (const DecryptCase& c : DecryptCases()) {
+    SCOPED_TRACE(c.name);
+    const Secret plaintext(ToBytes("decrypt gate plaintext for " + c.name));
+    DeterministicRng rng(c.seed);
+    Bytes blob = Declassify(
+        abe_->EncryptBytes(setup_->pk, c.policy, plaintext, rng),
+        "test: known-answer ABE ciphertext");
+    pairing::Fp2 m = pairing_->Pair(setup_->pk.g, setup_->pk.g)
+                         .Pow(pairing_->RandomScalar(rng));
+    Bytes ct = abe_->SerializeCiphertext(
+        abe_->EncryptElement(setup_->pk, m, c.policy, rng));
+
+    Bytes transcript = blob;
+    for (std::size_t k = 0; k < c.keys.size(); ++k) {
+      DeterministicRng key_rng(c.seed + 1000 + k);
+      PrivateKey sk = abe_->KeyGen(setup_->pk, setup_->mk, c.keys[k], key_rng);
+      Secret recovered = abe_->DecryptBytes(sk, blob);
+      EXPECT_TRUE(recovered.ConstantTimeEquals(plaintext)) << k;
+      Append(transcript, Declassify(std::move(recovered),
+                                    "test: recovered known-answer plaintext"));
+      std::optional<pairing::Fp2> element =
+          abe_->DecryptElement(sk, abe_->DeserializeCiphertext(ct));
+      ASSERT_TRUE(element.has_value()) << k;
+      EXPECT_EQ(*element, m) << k;
+      Append(transcript, element->ToBytes());
+    }
+    got.push_back(c.name + ":" + std::to_string(blob.size()) + ":" +
+                  DigestHex(transcript));
+
+    DeterministicRng key_rng(c.seed + 2000);
+    PrivateKey outsider =
+        abe_->KeyGen(setup_->pk, setup_->mk, c.unsatisfying, key_rng);
+    try {
+      (void)abe_->DecryptBytes(outsider, blob);
+      ADD_FAILURE() << "an unsatisfying key decrypted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("do not satisfy"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(abe_->DecryptElement(outsider, abe_->DeserializeCiphertext(ct))
+                     .has_value());
+  }
+  std::vector<std::string> want = {
+      "or-1:618:d8a24c71492653932f25157dfd36074473ed4544c4c6dc82426bb997b884c7f4",
+      "or-17:4955:4f2b00b7722e603fca7a72232083a5b402918b17832d84046332b30b23867432",
+      "or-400:109049:"
+      "9dd2a4ab85bdd58ddb681de7069f5f2770b8b92d75c552e44f7ffcb2082b70e7",
+      "2-of-3:1154:"
+      "3cd0256b97dac8ad79bf156ede720de86204b0c659a4ca65675c4a0e5b76681a",
+      "nested:1737:"
+      "bab3f67c07ef89526422979dbbb19f8b0ec1c7cfd2b6687f390ce1f7e56ceb52"};
+  EXPECT_EQ(got, want);
+}
+
+// Offset in an EncryptBytes blob of leaf `leaf`'s C_y point (C'_y follows
+// it): past the length prefix, the policy, C̃, C and the leaf count.
+std::size_t LeafPointOffset(const TypeAPairing& pairing, ByteSpan blob,
+                            std::size_t leaf) {
+  const std::size_t eb = pairing.field()->element_bytes();
+  const std::size_t pt = G1Point::SerializedSize(pairing.field());
+  const std::size_t policy_len = GetU32(blob.subspan(4));
+  return 4 + 4 + policy_len + 2 * eb + pt + 4 + leaf * 2 * pt;
+}
+
+TEST_F(CpAbeTest, DecryptRejectsGarbledLeafPoints) {
+  // A bit flip in a leaf point's x coordinate takes it off the curve. The
+  // holder of user:u16 pairs leaf 16 and never leaf 3.
+  const DecryptCase c = DecryptCases()[1];
+  const Secret plaintext(ToBytes("garbled leaf plaintext"));
+  DeterministicRng rng(c.seed);
+  Bytes blob = Declassify(abe_->EncryptBytes(setup_->pk, c.policy, plaintext, rng),
+                          "test: ABE ciphertext to garble");
+  DeterministicRng key_rng(c.seed + 1000);
+  PrivateKey sk = abe_->KeyGen(setup_->pk, setup_->mk, {"user:u16"}, key_rng);
+  ASSERT_TRUE(abe_->DecryptBytes(sk, blob).ConstantTimeEquals(plaintext));
+
+  const std::size_t eb = pairing_->field()->element_bytes();
+  for (std::size_t leaf : {16, 3}) {
+    for (std::size_t point : {0, 1}) {
+      SCOPED_TRACE("leaf " + std::to_string(leaf) + " point " +
+                   std::to_string(point));
+      Bytes garbled = blob;
+      const std::size_t x_last =
+          LeafPointOffset(*pairing_, blob, leaf) +
+          point * G1Point::SerializedSize(pairing_->field()) + eb;
+      garbled[x_last] ^= 1;
+      EXPECT_THROW((void)abe_->DecryptBytes(sk, garbled), Error);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace reed::abe

@@ -1,5 +1,7 @@
 #include "abe/cpabe.h"
 
+#include <algorithm>
+
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -22,6 +24,9 @@ struct AbeMetrics {
   obs::Histogram* table_build_us;
   // Multiplies of a base without a table: nonzero once the budget is full.
   obs::Counter* table_fallback_muls;
+  // One sample per key point whose Miller lines are recorded: 1 + 2 per
+  // attribute at KeyGen or key load, and one per stale handle at decrypt.
+  obs::Histogram* prepare_us;
 };
 
 AbeMetrics& Metrics() {
@@ -31,8 +36,69 @@ AbeMetrics& Metrics() {
                       &reg.GetCounter("abe.table.builds"),
                       &reg.GetGauge("abe.table.bytes"),
                       &reg.GetHistogram("abe.table.build_us"),
-                      &reg.GetCounter("abe.table.fallback_muls")};
+                      &reg.GetCounter("abe.table.fallback_muls"),
+                      &reg.GetHistogram("abe.prepare_us")};
   return m;
+}
+
+// A hybrid ciphertext's CP-ABE part with its structure checked and only
+// C̃ and C decoded; leaf points stay bytes until Leaf() decodes one.
+struct CiphertextView {
+  PolicyNode policy;
+  Fp2 c_tilde;
+  G1Point c;
+  std::size_t leaf_count = 0;
+  ByteSpan leaves;  // leaf_count × (C_y || C'_y)
+
+  CiphertextLeaf Leaf(const pairing::FpField* f, std::size_t i) const {
+    const std::size_t pt = G1Point::SerializedSize(f);
+    return {G1Point::FromBytes(f, leaves.subspan(2 * pt * i, pt)),
+            G1Point::FromBytes(f, leaves.subspan(2 * pt * i + pt, pt))};
+  }
+};
+
+CiphertextView ParseCiphertext(const pairing::FpField* f, ByteSpan blob) {
+  std::size_t fp2 = 2 * f->element_bytes();
+  std::size_t pt = G1Point::SerializedSize(f);
+  std::size_t off = 0;
+  auto need = [&](std::size_t n) {
+    if (n > blob.size() - off) throw Error("Ciphertext: truncated");
+  };
+  need(4);
+  std::uint32_t policy_len = GetU32(blob.subspan(off));
+  off += 4;
+  need(policy_len);
+  CiphertextView view;
+  view.policy = PolicyNode::Deserialize(blob.subspan(off, policy_len));
+  off += policy_len;
+  need(fp2);
+  view.c_tilde = Fp2::FromBytes(f, blob.subspan(off, fp2));
+  off += fp2;
+  need(pt);
+  view.c = G1Point::FromBytes(f, blob.subspan(off, pt));
+  off += pt;
+  need(4);
+  std::uint32_t nleaves = GetU32(blob.subspan(off));
+  off += 4;
+  if (nleaves != view.policy.LeafCount()) {
+    throw Error("Ciphertext: leaf count mismatch with policy");
+  }
+  need(std::size_t{nleaves} * 2 * pt);
+  view.leaf_count = nleaves;
+  view.leaves = blob.subspan(off, std::size_t{nleaves} * 2 * pt);
+  off += view.leaves.size();
+  if (off != blob.size()) throw Error("Ciphertext: trailing bytes");
+  return view;
+}
+
+// True if the key's attributes satisfy the (sub)tree.
+bool Satisfied(const PolicyNode& node, const PrivateKey& sk) {
+  if (node.IsLeaf()) return sk.components.count(node.attribute()) != 0;
+  std::size_t satisfied = 0;
+  for (const PolicyNode& child : node.children()) {
+    if (Satisfied(child, sk) && ++satisfied >= node.threshold()) return true;
+  }
+  return false;
 }
 }  // namespace
 
@@ -180,7 +246,27 @@ PrivateKey CpAbe::KeyGen(const PublicKey& pk, const MasterKey& mk,
       throw Error("CpAbe::KeyGen: duplicate attribute");
     }
   }
+  PrepareKey(sk);
   return sk;
+}
+
+KeyLines CpAbe::PreparePoint(const G1Point& point) const {
+  obs::ScopedTimer timer(*Metrics().prepare_us);
+  return std::make_shared<const pairing::MillerLines>(
+      pairing_->Prepare(point));
+}
+
+void CpAbe::PrepareKey(PrivateKey& sk) const {
+  sk.d_lines = PreparePoint(sk.d);
+  for (auto& [attr, comp] : sk.components) {
+    comp.d_lines = PreparePoint(comp.d);
+    comp.neg_d_prime_lines = PreparePoint(comp.d_prime.Neg());
+  }
+}
+
+KeyLines CpAbe::LinesFor(const KeyLines& lines, const G1Point& point) const {
+  if (lines && lines->point() == point) return lines;
+  return PreparePoint(point);
 }
 
 void CpAbe::ShareSecret(const PolicyNode& node, const BigInt& value,
@@ -244,60 +330,107 @@ Ciphertext CpAbe::EncryptElement(const PublicKey& pk, const Fp2& message,
   return ct;
 }
 
-std::optional<Fp2> CpAbe::DecryptNode(const PolicyNode& node,
-                                      const PrivateKey& sk,
-                                      const Ciphertext& ct,
-                                      std::size_t& leaf_index) const {
+void CpAbe::ChooseLeaves(const PolicyNode& node, const PrivateKey& sk,
+                         const std::optional<BigInt>& exponent,
+                         std::size_t& leaf_index,
+                         std::vector<PairedLeaf>& out) const {
+  if (node.IsLeaf()) {
+    out.push_back(
+        {leaf_index++, &sk.components.at(node.attribute()), exponent});
+    return;
+  }
+  // The first `threshold` satisfied children, recombined with Lagrange
+  // coefficients Δ_i(0) = Π_{j≠i} (0 − x_j)/(x_i − x_j) mod r at x = i + 1.
+  // The node's value is Π child_i^{Δ_i}, so a leaf's exponent is the
+  // product of the coefficients on its path; a 1-of-n gate's is 1.
+  const std::size_t k = node.threshold();
+  std::vector<std::uint64_t> xs;
+  for (std::size_t i = 0; i < node.children().size() && xs.size() < k; ++i) {
+    if (Satisfied(node.children()[i], sk)) xs.push_back(i + 1);
+  }
   const BigInt& r = pairing_->group_order();
   const bigint::MontContext& mod_r = pairing_->mod_r();
-  if (node.IsLeaf()) {
-    std::size_t idx = leaf_index++;
-    auto it = sk.components.find(node.attribute());
-    if (it == sk.components.end()) return std::nullopt;
-    const CiphertextLeaf& leaf = ct.leaves.at(idx);
-    // e(D_j, C_y) / e(D'_j, C'_y) = e(g,g)^{t·λ_y}, as Miller values:
-    // the division is e(−D'_j, C'_y), and the caller exponentiates once.
-    return pairing_->MillerLoop(it->second.d, leaf.c) *
-           pairing_->MillerLoop(it->second.d_prime.Neg(), leaf.c_prime);
-  }
-
-  // Evaluate every child (leaf_index bookkeeping requires full traversal),
-  // then combine any `threshold` successes with Lagrange coefficients.
-  std::vector<std::pair<std::uint64_t, Fp2>> successes;
+  std::size_t next = 0;  // the next chosen child, as an index into xs
   for (std::size_t i = 0; i < node.children().size(); ++i) {
-    std::optional<Fp2> child = DecryptNode(node.children()[i], sk, ct, leaf_index);
-    if (child.has_value() && successes.size() < node.threshold()) {
-      successes.emplace_back(i + 1, std::move(*child));
+    const PolicyNode& child = node.children()[i];
+    if (next == xs.size() || xs[next] != i + 1) {
+      leaf_index += child.LeafCount();
+      continue;
     }
+    const std::uint64_t xi = xs[next++];
+    std::optional<BigInt> child_exponent = exponent;
+    if (k > 1) {
+      BigInt num(1), den(1);
+      for (std::uint64_t xj : xs) {
+        if (xj == xi) continue;
+        num = mod_r.Mul(num, r - BigInt(xj));  // (0 - x_j) mod r
+        BigInt diff = (xi > xj) ? BigInt(xi - xj) : r - BigInt(xj - xi);
+        den = mod_r.Mul(den, diff);
+      }
+      BigInt lambda = mod_r.Mul(num, BigInt::InverseMod(den, r));
+      child_exponent =
+          exponent.has_value() ? mod_r.Mul(*exponent, lambda) : lambda;
+    }
+    ChooseLeaves(child, sk, child_exponent, leaf_index, out);
   }
-  if (successes.size() < node.threshold()) return std::nullopt;
+}
 
-  Fp2 result = Fp2::One(pairing_->field());
-  for (const auto& [xi, fi] : successes) {
-    // Δ_i(0) = Π_{j≠i} (0 - x_j) / (x_i - x_j) mod r
-    BigInt num(1), den(1);
-    for (const auto& [xj, unused] : successes) {
-      if (xj == xi) continue;
-      num = mod_r.Mul(num, r - BigInt(xj));  // (0 - x_j) mod r
-      BigInt diff = (xi > xj) ? BigInt(xi - xj) : r - BigInt(xj - xi);
-      den = mod_r.Mul(den, diff);
-    }
-    BigInt lambda = mod_r.Mul(num, BigInt::InverseMod(den, r));
-    result = result * fi.Pow(lambda);
+std::optional<Fp2> CpAbe::Decrypt(
+    const PrivateKey& sk, const PolicyNode& policy, const Fp2& c_tilde,
+    const G1Point& c,
+    const std::function<CiphertextLeaf(std::size_t)>& leaf_at) const {
+  if (!Satisfied(policy, sk)) return std::nullopt;
+  std::vector<PairedLeaf> paired;
+  std::size_t leaf_index = 0;
+  ChooseLeaves(policy, sk, std::nullopt, leaf_index, paired);
+
+  // M = C̃ · A / e(C, D). Per paired leaf, e(D_j, C_y) / e(D'_j, C'_y) =
+  // e(g,g)^{t·λ_y}, the division being e(−D'_j, C'_y); and e(C, D)⁻¹ =
+  // e(−C, D) = e(D, −C), as ê is symmetric on G1. So every pair has a key
+  // point first and runs over its prepared lines. Pairs are multiplied as
+  // Miller values, one shared loop per distinct leaf exponent (just one for
+  // an OR policy), and the whole product pays one final exponentiation.
+  std::vector<KeyLines> lines;  // keeps fresh preparations alive
+  std::vector<G1Point> points;  // the Q of every term; never reallocates
+  lines.reserve(1 + 2 * paired.size());
+  points.reserve(1 + 2 * paired.size());
+  struct Group {
+    const std::optional<BigInt>* exponent;
+    std::vector<pairing::MillerTerm> terms;
+  };
+  std::vector<Group> groups;
+  auto add_term = [&](const std::optional<BigInt>& exponent,
+                      const KeyLines& handle, const G1Point& key_point,
+                      G1Point q) {
+    lines.push_back(LinesFor(handle, key_point));
+    points.push_back(std::move(q));
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
+      return *g.exponent == exponent;
+    });
+    if (it == groups.end()) it = groups.insert(groups.end(), {&exponent, {}});
+    it->terms.push_back({lines.back().get(), &points.back()});
+  };
+  const std::optional<BigInt> unit;
+  add_term(unit, sk.d_lines, sk.d, c.Neg());
+  for (const PairedLeaf& leaf : paired) {
+    CiphertextLeaf points_y = leaf_at(leaf.index);
+    add_term(leaf.exponent, leaf.key->d_lines, leaf.key->d,
+             std::move(points_y.c));
+    add_term(leaf.exponent, leaf.key->neg_d_prime_lines,
+             leaf.key->d_prime.Neg(), std::move(points_y.c_prime));
   }
-  return result;
+  Fp2 f = Fp2::One(pairing_->field());
+  for (const Group& g : groups) {
+    Fp2 product = pairing_->MillerProduct(g.terms);
+    f = f * (g.exponent->has_value() ? product.Pow(**g.exponent) : product);
+  }
+  return c_tilde * pairing_->FinalExponentiation(f);
 }
 
 std::optional<Fp2> CpAbe::DecryptElement(const PrivateKey& sk,
                                          const Ciphertext& ct) const {
-  std::size_t leaf_index = 0;
-  std::optional<Fp2> a = DecryptNode(ct.policy, sk, ct, leaf_index);
-  if (!a.has_value()) return std::nullopt;
-  // M = C̃ · A / e(C, D), with A and e(C, D)⁻¹ = e(−C, D) still Miller
-  // values: the final exponentiation is a homomorphism, so the whole
-  // product pays it once.
-  Fp2 f = *a * pairing_->MillerLoop(ct.c.Neg(), sk.d);
-  return ct.c_tilde * pairing_->FinalExponentiation(f);
+  return Decrypt(sk, ct.policy, ct.c_tilde, ct.c,
+                 [&ct](std::size_t i) { return ct.leaves.at(i); });
 }
 
 Secret CpAbe::EncryptBytes(const PublicKey& pk, const PolicyNode& policy,
@@ -339,13 +472,17 @@ Secret CpAbe::DecryptBytes(const PrivateKey& sk, ByteSpan blob) const {
   if (blob.size() < 4 + ct_len + kIvSize + kMacSize) {
     throw Error("CpAbe::DecryptBytes: truncated");
   }
-  Ciphertext ct = DeserializeCiphertext(blob.subspan(4, ct_len));
+  CiphertextView view =
+      ParseCiphertext(pairing_->field(), blob.subspan(4, ct_len));
   ByteSpan iv = blob.subspan(4 + ct_len, kIvSize);
   ByteSpan payload = blob.subspan(4 + ct_len + kIvSize,
                                   blob.size() - 4 - ct_len - kIvSize - kMacSize);
   ByteSpan mac = blob.subspan(blob.size() - kMacSize);
 
-  std::optional<Fp2> m = DecryptElement(sk, ct);
+  std::optional<Fp2> m =
+      Decrypt(sk, view.policy, view.c_tilde, view.c, [&](std::size_t i) {
+        return view.Leaf(pairing_->field(), i);
+      });
   if (!m.has_value()) {
     throw Error("CpAbe::DecryptBytes: attributes do not satisfy policy");
   }
@@ -387,41 +524,15 @@ Bytes CpAbe::SerializeCiphertext(const Ciphertext& ct) const {
 
 Ciphertext CpAbe::DeserializeCiphertext(ByteSpan blob) const {
   const pairing::FpField* f = pairing_->field();
-  std::size_t fp2 = 2 * f->element_bytes();
-  std::size_t pt = G1Point::SerializedSize(f);
-  std::size_t off = 0;
-  auto need = [&](std::size_t n) {
-    if (off + n > blob.size()) throw Error("Ciphertext: truncated");
-  };
-  need(4);
-  std::uint32_t policy_len = GetU32(blob.subspan(off));
-  off += 4;
-  need(policy_len);
+  CiphertextView view = ParseCiphertext(f, blob);
   Ciphertext ct;
-  ct.policy = PolicyNode::Deserialize(blob.subspan(off, policy_len));
-  off += policy_len;
-  need(fp2);
-  ct.c_tilde = Fp2::FromBytes(f, blob.subspan(off, fp2));
-  off += fp2;
-  need(pt);
-  ct.c = G1Point::FromBytes(f, blob.subspan(off, pt));
-  off += pt;
-  need(4);
-  std::uint32_t nleaves = GetU32(blob.subspan(off));
-  off += 4;
-  if (nleaves != ct.policy.LeafCount()) {
-    throw Error("Ciphertext: leaf count mismatch with policy");
+  ct.policy = std::move(view.policy);
+  ct.c_tilde = std::move(view.c_tilde);
+  ct.c = std::move(view.c);
+  ct.leaves.reserve(view.leaf_count);
+  for (std::size_t i = 0; i < view.leaf_count; ++i) {
+    ct.leaves.push_back(view.Leaf(f, i));
   }
-  ct.leaves.reserve(nleaves);
-  for (std::uint32_t i = 0; i < nleaves; ++i) {
-    need(2 * pt);
-    CiphertextLeaf leaf;
-    leaf.c = G1Point::FromBytes(f, blob.subspan(off, pt));
-    leaf.c_prime = G1Point::FromBytes(f, blob.subspan(off + pt, pt));
-    off += 2 * pt;
-    ct.leaves.push_back(std::move(leaf));
-  }
-  if (off != blob.size()) throw Error("Ciphertext: trailing bytes");
   return ct;
 }
 
@@ -469,6 +580,7 @@ PrivateKey CpAbe::DeserializePrivateKey(const Secret& secret_blob) const {
     sk.components.emplace(std::move(attr), std::move(comp));
   }
   if (off != blob.size()) throw Error("PrivateKey: trailing bytes");
+  PrepareKey(sk);
   return sk;
 }
 

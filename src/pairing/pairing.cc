@@ -1,6 +1,7 @@
 #include "pairing/pairing.h"
 
 #include "bigint/prime.h"
+#include "util/secure.h"
 
 namespace reed::pairing {
 
@@ -71,18 +72,24 @@ struct MillerPoint {
   bool infinity = false;
 };
 
+// A tangent or chord line times its F_p scaling: a·xq + b + (c·yq)·i at
+// φ(Q) = (−xq, i·yq).
+struct LineCoeffs {
+  Fp a, b, c;
+};
+
 // Doubles V (Y ≠ 0) in place and returns the tangent line at the old V,
-// evaluated at φ(Q) = (−xq, i·yq) and scaled by 2YZ³ ∈ F_p*. With
-// λ = M/(2YZ), M = 3X² + Z⁴, the affine line λ(xq + X/Z²) − Y/Z³ + yq·i
-// times 2YZ³ is  M·(xq·Z² + X) − 2Y²  +  (2YZ·Z²·yq)·i.
-Fp2 DoubleStep(MillerPoint& v, const Fp& xq, const Fp& yq) {
+// scaled by 2YZ³ ∈ F_p*. With λ = M/(2YZ), M = 3X² + Z⁴, the affine line
+// λ(xq + X/Z²) − Y/Z³ + yq·i times 2YZ³ is
+// M·Z²·xq + (M·X − 2Y²)  +  (2YZ·Z²·yq)·i.
+LineCoeffs DoubleStep(MillerPoint& v) {
   Fp x2 = v.x.Square();
   Fp y2 = v.y.Square();
   Fp z2 = v.z.Square();
   Fp m = x2 + x2 + x2 + z2.Square();  // 3X² + Z⁴
   Fp z3 = (v.y + v.y) * v.z;          // 2YZ
   Fp two_y2 = y2 + y2;
-  Fp2 line(m * (xq * z2 + v.x) - two_y2, z3 * z2 * yq);
+  LineCoeffs line{m * z2, m * v.x - two_y2, z3 * z2};
 
   Fp s = v.x * two_y2;
   s = s + s;  // 4XY²
@@ -95,30 +102,24 @@ Fp2 DoubleStep(MillerPoint& v, const Fp& xq, const Fp& yq) {
   return line;
 }
 
-}  // namespace
-
-Fp2 TypeAPairing::MillerLoop(const G1Point& p, const G1Point& q) const {
-  const FpField* f = field_.get();
-  Fp2 result = Fp2::One(f);
-  if (p.is_infinity() || q.is_infinity()) return result;
-
+// The Miller loop's walk of V over the bits of r for first argument P
+// (not infinity). Each step calls sink.Square(), then sink.Line() for the
+// tangent and, on a set bit, the chord; vertical lines have values in F_p
+// and are skipped. The sink either multiplies each line into f at once
+// (MillerLoop) or records it (Prepare).
+template <typename Sink>
+void WalkMiller(const G1Point& p, const BigInt& r, Sink& sink) {
   const Fp& xp = p.x();
   const Fp& yp = p.y();
-  const Fp& xq = q.x();
-  const Fp& yq = q.y();
-  Fp xq_plus_xp = xq + xp;
-
-  MillerPoint v{xp, yp, Fp::One(f)};
-  const BigInt& r = params_.r;
+  MillerPoint v{xp, yp, Fp::One(xp.field())};
   for (std::size_t i = r.BitLength() - 1; i-- > 0;) {
-    result = result.Square();
+    sink.Square();
     if (!v.infinity) {
       if (v.y.IsZero()) {
-        // Vertical tangent: its value lies in F_p and the final
-        // exponentiation kills it, so V just moves to infinity.
+        // Vertical tangent: V just moves to infinity.
         v.infinity = true;
       } else {
-        result = result * DoubleStep(v, xq, yq);
+        sink.Line(DoubleStep(v));
       }
     }
     if (!r.Bit(i) || v.infinity) continue;
@@ -132,15 +133,15 @@ Fp2 TypeAPairing::MillerLoop(const G1Point& p, const G1Point& q) const {
       if (!rr.IsZero() || v.y.IsZero()) {
         v.infinity = true;
       } else {
-        (void)DoubleStep(v, xq, yq);
+        (void)DoubleStep(v);
       }
       continue;
     }
     // With λ = R/(Z·H), the chord through V and P at φ(Q) is
     // λ(xq + xp) − yp + yq·i; scaled by Z3 = Z·H ∈ F_p* it is
-    // R·(xq + xp) − yp·Z3  +  (yq·Z3)·i.
+    // R·xq + (R·xp − yp·Z3)  +  (yq·Z3)·i.
     Fp z3 = v.z * h;
-    result = result * Fp2(rr * xq_plus_xp - yp * z3, yq * z3);
+    sink.Line({rr, rr * xp - yp * z3, z3});
     Fp h2 = h.Square();
     Fp h3 = h2 * h;
     Fp u1h2 = v.x * h2;
@@ -149,7 +150,98 @@ Fp2 TypeAPairing::MillerLoop(const G1Point& p, const G1Point& q) const {
     v.x = std::move(x3);
     v.z = std::move(z3);
   }
-  return result;
+}
+
+// The value of a line at φ(Q).
+Fp2 LineAt(const Fp& a, const Fp& b, const Fp& c, const G1Point& q) {
+  return Fp2(a * q.x() + b, c * q.y());
+}
+
+struct EvaluateSink {
+  Fp2 f;
+  const G1Point& q;
+  void Square() { f = f.Square(); }
+  void Line(const LineCoeffs& l) { f = f * LineAt(l.a, l.b, l.c, q); }
+};
+
+}  // namespace
+
+Fp2 TypeAPairing::MillerLoop(const G1Point& p, const G1Point& q) const {
+  EvaluateSink sink{Fp2::One(field_.get()), q};
+  if (p.is_infinity() || q.is_infinity()) return sink.f;
+  WalkMiller(p, params_.r, sink);
+  return sink.f;
+}
+
+MillerLines& MillerLines::operator=(MillerLines&& o) noexcept {
+  if (this != &o) {
+    Wipe();
+    point_ = o.point_;
+    lines_ = std::move(o.lines_);
+    step_start_ = std::move(o.step_start_);
+  }
+  return *this;
+}
+
+MillerLines::~MillerLines() { Wipe(); }
+
+void MillerLines::Wipe() {
+  SecureZero(std::span(reinterpret_cast<std::uint8_t*>(lines_.data()),
+                       lines_.size() * sizeof(Line)));
+  SecureZero(std::span(reinterpret_cast<std::uint8_t*>(&point_),
+                       sizeof(point_)));
+  lines_.clear();
+}
+
+MillerLines TypeAPairing::Prepare(const G1Point& p) const {
+  MillerLines out;
+  out.point_ = p;
+  if (p.is_infinity()) return out;
+  struct RecordSink {
+    MillerLines& out;
+    void Square() {
+      out.step_start_.push_back(static_cast<std::uint16_t>(out.lines_.size()));
+    }
+    void Line(LineCoeffs l) {
+      out.lines_.push_back(
+          {std::move(l.a), std::move(l.b), std::move(l.c)});
+    }
+  } sink{out};
+  // Two lines per step at most: reserving keeps the walk to one allocation
+  // each, and no reallocation leaves an unwiped copy of a line behind.
+  const std::size_t steps = params_.r.BitLength() - 1;
+  std::size_t chords = 0;
+  for (std::size_t i = 0; i < steps; ++i) chords += params_.r.Bit(i) ? 1 : 0;
+  out.step_start_.reserve(steps + 1);
+  out.lines_.reserve(steps + chords);
+  WalkMiller(p, params_.r, sink);
+  out.step_start_.push_back(static_cast<std::uint16_t>(out.lines_.size()));
+  return out;
+}
+
+Fp2 TypeAPairing::MillerProduct(std::span<const MillerTerm> terms) const {
+  const std::size_t steps = params_.r.BitLength() - 1;
+  for (const MillerTerm& t : terms) {
+    if (!t.lines->step_start_.empty() &&
+        t.lines->step_start_.size() != steps + 1) {
+      throw Error("MillerProduct: lines recorded under another group order");
+    }
+  }
+  Fp2 f = Fp2::One(field_.get());
+  for (std::size_t k = 0; k < steps; ++k) {
+    f = f.Square();
+    for (const MillerTerm& t : terms) {
+      const MillerLines& lines = *t.lines;
+      // Infinity on either side contributes 1, as in MillerLoop.
+      if (lines.step_start_.empty() || t.q->is_infinity()) continue;
+      for (std::size_t j = lines.step_start_[k]; j < lines.step_start_[k + 1];
+           ++j) {
+        const MillerLines::Line& l = lines.lines_[j];
+        f = f * LineAt(l.a, l.b, l.c, *t.q);
+      }
+    }
+  }
+  return f;
 }
 
 Fp2 TypeAPairing::FinalExponentiation(const Fp2& f) const {

@@ -17,13 +17,64 @@
 // F_p too. All of these factors vanish in the final exponentiation: any
 // c ∈ F_p* has c^(p−1) = 1, so the loop's value changes but ê does not,
 // byte for byte.
+//
+// A first argument that recurs (a CP-ABE private key) can have its lines
+// recorded once (Prepare) and evaluated later for any Q; MillerProduct then
+// runs the loops of several (lines, Q) pairs in one walk with one shared
+// squaring per step (Granger–Smart, "On computing products of pairings",
+// ePrint 2006/172; Costello–Stebila, "Fixed Argument Pairings",
+// LATINCRYPT 2010). Both consumers share the one walk, and with it every
+// vertical and infinity case, so a prepared loop equals MillerLoop exactly.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "pairing/curve.h"
 
 namespace reed::pairing {
+
+// The Miller loop's lines for one fixed first argument P. Each tangent or
+// chord line, scaled by MillerLoop's F_p factor, is stored as (a, b, c) with
+// value a·xq + b + (c·yq)·i at φ(Q) = (−xq, i·yq). The default group order
+// gives 237 lines (159 tangents, 78 chords), ~50 KiB. Lines derived from a
+// secret point are secret too: the destructor wipes them.
+class MillerLines {
+ public:
+  MillerLines() = default;
+  MillerLines(MillerLines&&) noexcept = default;
+  MillerLines& operator=(MillerLines&&) noexcept;
+  MillerLines(const MillerLines&) = delete;
+  MillerLines& operator=(const MillerLines&) = delete;
+  ~MillerLines();
+
+  // The P the lines were recorded from.
+  const G1Point& point() const { return point_; }
+  std::size_t size() const { return lines_.size(); }
+  std::size_t bytes() const { return lines_.size() * sizeof(Line); }
+
+ private:
+  friend class TypeAPairing;
+  struct Line {
+    Fp a, b, c;
+  };
+  void Wipe();
+
+  G1Point point_;
+  std::vector<Line> lines_;
+  // Loop step k owns lines_[step_start_[k], step_start_[k + 1]): zero lines
+  // once V is at infinity, else the tangent, then the chord if r's bit is
+  // set. Empty when P is infinity.
+  std::vector<std::uint16_t> step_start_;
+};
+
+// One pair of a MillerProduct: prepared lines of P, and the point Q.
+struct MillerTerm {
+  const MillerLines* lines;
+  const G1Point* q;
+};
 
 struct TypeAParams {
   BigInt p;         // field prime, p ≡ 3 mod 4
@@ -68,6 +119,13 @@ class TypeAPairing {
   // F_p factor: compare results only after FinalExponentiation.
   Fp2 MillerLoop(const G1Point& p, const G1Point& q) const;
   Fp2 FinalExponentiation(const Fp2& f) const;
+
+  // The lines of MillerLoop(p, ·), recorded for later evaluation.
+  MillerLines Prepare(const G1Point& p) const;
+  // Π MillerLoop(term.lines->point(), *term.q), exactly, in one walk that
+  // squares once per step for all terms. Allocates nothing. Throws Error on
+  // lines recorded under another group order.
+  Fp2 MillerProduct(std::span<const MillerTerm> terms) const;
 
  private:
   TypeAParams params_;

@@ -543,7 +543,7 @@ std::size_t LeafPointOffset(const TypeAPairing& pairing, ByteSpan blob,
   return 4 + 4 + policy_len + 2 * eb + pt + 4 + leaf * 2 * pt;
 }
 
-TEST_F(CpAbeTest, DecryptRejectsGarbledLeafPoints) {
+TEST_F(CpAbeTest, GarbledLeafPoints) {
   // A bit flip in a leaf point's x coordinate takes it off the curve. The
   // holder of user:u16 pairs leaf 16 and never leaf 3.
   const DecryptCase c = DecryptCases()[1];
@@ -556,6 +556,7 @@ TEST_F(CpAbeTest, DecryptRejectsGarbledLeafPoints) {
   ASSERT_TRUE(abe_->DecryptBytes(sk, blob).ConstantTimeEquals(plaintext));
 
   const std::size_t eb = pairing_->field()->element_bytes();
+  const std::uint32_t ct_len = GetU32(blob);
   for (std::size_t leaf : {16, 3}) {
     for (std::size_t point : {0, 1}) {
       SCOPED_TRACE("leaf " + std::to_string(leaf) + " point " +
@@ -565,9 +566,58 @@ TEST_F(CpAbeTest, DecryptRejectsGarbledLeafPoints) {
           LeafPointOffset(*pairing_, blob, leaf) +
           point * G1Point::SerializedSize(pairing_->field()) + eb;
       garbled[x_last] ^= 1;
-      EXPECT_THROW((void)abe_->DecryptBytes(sk, garbled), Error);
+      // The full parse decodes every point and rejects either leaf.
+      EXPECT_THROW(
+          (void)abe_->DeserializeCiphertext(ByteSpan(garbled).subspan(4, ct_len)),
+          Error);
+      if (leaf == 16) {
+        EXPECT_THROW((void)abe_->DecryptBytes(sk, garbled), Error);
+      } else {
+        // Decrypt decodes only the points it pairs; an unpaired one cannot
+        // change the result (DESIGN.md §17).
+        EXPECT_TRUE(abe_->DecryptBytes(sk, garbled).ConstantTimeEquals(plaintext));
+      }
     }
   }
+}
+
+TEST_F(CpAbeTest, StaleKeyLinesArePreparedAfresh) {
+  // A key whose points change after preparation keeps handles recorded
+  // from the old points. Decrypt must notice and prepare the new points,
+  // or it would pair the wrong key.
+  DeterministicRng rng(13);
+  PolicyNode policy = PolicyNode::OrOfUsers({"alice", "bob"});
+  const Secret plaintext(ToBytes("stale handles"));
+  Bytes blob = Declassify(abe_->EncryptBytes(setup_->pk, policy, plaintext, rng),
+                          "test: ABE ciphertext for a stale key");
+  PrivateKey old_key = abe_->KeyGen(setup_->pk, setup_->mk, {"user:bob"}, rng);
+  PrivateKey new_key = abe_->KeyGen(setup_->pk, setup_->mk, {"user:bob"}, rng);
+
+  PrivateKey stale = old_key;  // old_key's handles
+  stale.d = new_key.d;
+  stale.components.at("user:bob").d = new_key.components.at("user:bob").d;
+  stale.components.at("user:bob").d_prime =
+      new_key.components.at("user:bob").d_prime;
+  ASSERT_NE(stale.d_lines->point(), stale.d);
+
+  obs::Histogram& prepare = obs::Registry::Global().GetHistogram("abe.prepare_us");
+  const std::uint64_t before = prepare.count();
+  EXPECT_TRUE(abe_->DecryptBytes(stale, blob).ConstantTimeEquals(plaintext));
+  EXPECT_EQ(prepare.count(), before + 3);  // D, D_j and −D'_j afresh
+
+  // Only the changed point is prepared again; a key without handles
+  // prepares all of its points.
+  PrivateKey half = new_key;
+  half.d = old_key.d;
+  EXPECT_THROW((void)abe_->DecryptBytes(half, blob), Error);  // wrong key
+  EXPECT_EQ(prepare.count(), before + 4);
+  PrivateKey bare;
+  bare.d = new_key.d;
+  bare.components["user:bob"] = {new_key.components.at("user:bob").d,
+                                 new_key.components.at("user:bob").d_prime,
+                                 nullptr, nullptr};
+  EXPECT_TRUE(abe_->DecryptBytes(bare, blob).ConstantTimeEquals(plaintext));
+  EXPECT_EQ(prepare.count(), before + 7);
 }
 
 }  // namespace

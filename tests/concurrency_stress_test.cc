@@ -88,6 +88,43 @@ TEST(CpAbeStress, ColdTablesFromFourThreads) {
   }
 }
 
+TEST(CpAbeStress, FourThreadsDecryptWithOnePreparedKey) {
+  // The key's Miller lines are shared, read-only, by every decrypt: four
+  // threads decrypting with one key must each recover their plaintexts.
+  auto pairing = std::make_shared<const pairing::TypeAPairing>(
+      pairing::TypeAParams::Default());
+  abe::CpAbe cpabe(pairing);
+  crypto::DeterministicRng rng(3);
+  abe::CpAbe::SetupResult keys = cpabe.Setup(rng);
+  const abe::PolicyNode policy =
+      abe::PolicyNode::OrOfUsers({"u1", "u2", "u3", "u4", "u5"});
+  const abe::PrivateKey sk = cpabe.KeyGen(keys.pk, keys.mk, {"user:u4"}, rng);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  std::vector<Secret> plaintexts;
+  std::vector<Bytes> blobs;
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    plaintexts.emplace_back(Bytes(40, static_cast<std::uint8_t>(i)));
+    blobs.push_back(Declassify(cpabe.EncryptBytes(keys.pk, policy,
+                                                  plaintexts.back(), rng),
+                               "test: ABE ciphertext decrypted concurrently"));
+  }
+  std::atomic<int> recovered{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::size_t k = static_cast<std::size_t>(t * kPerThread + i);
+        if (cpabe.DecryptBytes(sk, blobs[k]).ConstantTimeEquals(plaintexts[k])) {
+          recovered.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(recovered.load(), kThreads * kPerThread);
+}
+
 TEST(ThreadPoolStress, ConcurrentSubmitFromManyThreads) {
   ThreadPool pool(4);
   std::atomic<std::uint64_t> sum{0};

@@ -136,6 +136,28 @@ TEST(FuzzTest, AbeCiphertextDeserializer) {
            6, 150);
 }
 
+TEST(FuzzTest, AbeDecryptBytesView) {
+  // DecryptBytes parses the CP-ABE part through a view that decodes only
+  // the points the key pairs; every mutant must still end in Error or a
+  // decrypt, never a crash or an out-of-bounds read.
+  auto pairing = std::make_shared<const pairing::TypeAPairing>(
+      pairing::TypeAParams::Default());
+  abe::CpAbe cpabe(pairing);
+  DeterministicRng rng(8);
+  auto setup = cpabe.Setup(rng);
+  abe::PolicyNode policy = abe::PolicyNode::Threshold(
+      2, {abe::PolicyNode::Leaf("a"),
+          abe::PolicyNode::Or({abe::PolicyNode::Leaf("b"),
+                               abe::PolicyNode::Leaf("c")}),
+          abe::PolicyNode::Leaf("d")});
+  abe::PrivateKey sk = cpabe.KeyGen(setup.pk, setup.mk, {"a", "c"}, rng);
+  Bytes blob = Declassify(
+      cpabe.EncryptBytes(setup.pk, policy, Secret(Bytes(24, 7)), rng),
+      "test: ABE ciphertext to fuzz");
+  FuzzBlob(blob,
+           [&](const Bytes& b) { (void)cpabe.DecryptBytes(sk, b); }, 9, 150);
+}
+
 TEST(FuzzTest, RsaKeyPairDeserializer) {
   DeterministicRng rng(7);
   rsa::RsaKeyPair kp = rsa::GenerateKeyPair(512, rng);

@@ -1,7 +1,7 @@
 // The Montgomery kernel's no-allocation contract (bigint/mont.h): once a
 // context exists, FixedMont multiply, square and Pow, F_p / F_p² arithmetic
-// and the Miller loop perform no heap allocation, counted through a
-// replaced global operator new.
+// and the Miller loop, direct or over prepared lines, perform no heap
+// allocation, counted through a replaced global operator new.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -103,6 +103,22 @@ TEST(MontAllocTest, MillerLoopDoesNotAllocate) {
 
   std::uint64_t before = Allocations();
   pairing::Fp2 f = pairing.MillerLoop(p, q);
+  EXPECT_EQ(Allocations(), before);
+  EXPECT_FALSE(f.IsOne());
+}
+
+TEST(MontAllocTest, PreparedMillerProductDoesNotAllocate) {
+  pairing::TypeAPairing pairing(pairing::TypeAParams::Default());
+  pairing::G1Point p = pairing.HashToGroup(ToBytes("P"));
+  pairing::G1Point q = pairing.HashToGroup(ToBytes("Q"));
+  pairing::MillerLines p_lines = pairing.Prepare(p);
+  pairing::MillerLines q_lines = pairing.Prepare(q);
+  pairing::MillerLines g_lines = pairing.Prepare(pairing.generator());
+  const pairing::MillerTerm terms[] = {
+      {&p_lines, &q}, {&q_lines, &p}, {&g_lines, &pairing.generator()}};
+
+  std::uint64_t before = Allocations();
+  pairing::Fp2 f = pairing.MillerProduct(terms);
   EXPECT_EQ(Allocations(), before);
   EXPECT_FALSE(f.IsOne());
 }

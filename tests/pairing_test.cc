@@ -400,6 +400,90 @@ TEST(PairingHostilePointTest, SmallOrderPointsHitVerticalLines) {
   EXPECT_EQ(got, want);
 }
 
+// --------------------------- prepared Miller loops ---------------------------
+//
+// Prepare records MillerLoop's lines and MillerProduct evaluates them with
+// one squaring per step for every term: the product must equal the separate
+// loops' product as an F_p² element, before any final exponentiation, on
+// subgroup points and on every hostile point above, in either position.
+
+std::vector<std::pair<std::string, G1Point>> MillerPool() {
+  const TypeAPairing& e = SharedPairing();
+  const FpField* f = e.field();
+  DeterministicRng rng(11);
+  G1Point c = UnclearedCandidate(ToBytes("hostile"));
+  BigInt order = e.params().p + BigInt(1);
+  std::vector<std::pair<std::string, G1Point>> pool = {
+      {"generator", e.generator()},
+      {"random", e.generator().ScalarMul(e.RandomScalar(rng))},
+      {"hashed", e.HashToGroup(ToBytes("kat-P"))},
+      {"two-torsion", G1Point(Fp::Zero(f), Fp::Zero(f))},
+      {"uncleared", c},
+      {"infinity", G1Point::Infinity()}};
+  for (std::uint64_t n : {3, 4, 17}) {
+    pool.emplace_back("order " + std::to_string(n),
+                      c.ScalarMul(order / BigInt(n)));
+  }
+  return pool;
+}
+
+TEST(MillerProductTest, PrepareRecordsTangentsAndChords) {
+  const TypeAPairing& e = SharedPairing();
+  MillerLines lines = e.Prepare(e.generator());
+  EXPECT_EQ(lines.point(), e.generator());
+  EXPECT_EQ(lines.size(), 237u);  // 159 tangents, 78 chords for the default r
+  EXPECT_EQ(e.Prepare(G1Point::Infinity()).size(), 0u);
+}
+
+TEST(MillerProductTest, SingleTermEqualsMillerLoopInBothPositions) {
+  const TypeAPairing& e = SharedPairing();
+  std::vector<std::pair<std::string, G1Point>> pool = MillerPool();
+  std::vector<MillerLines> lines;
+  for (const auto& [name, point] : pool) lines.push_back(e.Prepare(point));
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (std::size_t j = 0; j < pool.size(); ++j) {
+      SCOPED_TRACE(pool[i].first + " x " + pool[j].first);
+      MillerTerm term{&lines[i], &pool[j].second};
+      EXPECT_EQ(e.MillerProduct({&term, 1}),
+                e.MillerLoop(pool[i].second, pool[j].second));
+    }
+  }
+}
+
+TEST(MillerProductTest, EqualsProductOfMillerLoops) {
+  const TypeAPairing& e = SharedPairing();
+  std::vector<std::pair<std::string, G1Point>> pool = MillerPool();
+  std::vector<MillerLines> lines;
+  for (const auto& [name, point] : pool) lines.push_back(e.Prepare(point));
+  DeterministicRng rng(12);
+  for (std::size_t n = 1; n <= 4; ++n) {
+    for (int round = 0; round < 6; ++round) {
+      std::vector<MillerTerm> terms;
+      Fp2 want = Fp2::One(e.field());
+      std::string trace;
+      for (std::size_t t = 0; t < n; ++t) {
+        std::size_t i = rng.Uniform(pool.size());
+        std::size_t j = rng.Uniform(pool.size());
+        terms.push_back({&lines[i], &pool[j].second});
+        want = want * e.MillerLoop(pool[i].second, pool[j].second);
+        trace += " (" + pool[i].first + ", " + pool[j].first + ")";
+      }
+      SCOPED_TRACE(trace);
+      EXPECT_EQ(e.MillerProduct(terms), want);
+    }
+  }
+  EXPECT_TRUE(e.MillerProduct({}).IsOne());
+}
+
+TEST(MillerProductTest, RejectsLinesFromAnotherGroupOrder) {
+  DeterministicRng rng(13);
+  TypeAPairing small(TypeAParams::Generate(40, 96, rng));
+  MillerLines lines = small.Prepare(small.generator());
+  const G1Point& q = SharedPairing().generator();
+  MillerTerm term{&lines, &q};
+  EXPECT_THROW((void)SharedPairing().MillerProduct({&term, 1}), Error);
+}
+
 // --------------------------- fixed-base tables ---------------------------
 //
 // G1FixedBase::Mul must equal ScalarMul bit for bit: CP-ABE ciphertexts and

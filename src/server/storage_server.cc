@@ -102,6 +102,8 @@ store::DurableEngine::RecoveryStats StorageServer::RecoveryStats() const {
 
 StorageServer::PutChunksResult StorageServer::PutChunks(
     const std::vector<std::pair<chunk::Fingerprint, Bytes>>& chunks) {
+  store::Wal::Writer writing(stores_->engine ? &stores_->engine->wal()
+                                             : nullptr);
   PutChunksResult result;
   {
     // One stats critical section per batch, not per chunk — with the
@@ -198,6 +200,8 @@ std::vector<Bytes> StorageServer::GetChunks(
 
 void StorageServer::PutObject(StoreId store, const std::string& name,
                               Bytes value) {
+  store::Wal::Writer writing(stores_->engine ? &stores_->engine->wal()
+                                             : nullptr);
   StoreFor(store).Put(name, std::move(value));
   if (stores_->engine) stores_->engine->Commit();
 }

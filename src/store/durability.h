@@ -28,8 +28,10 @@ enum class FsyncPolicy : std::uint8_t {
 struct DurabilityOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kGrouped;
   // How long a group-commit leader dwells before the batched fsync, giving
-  // concurrent writers a chance to ride the same flush. 0 = fsync at once
-  // (still shared by every commit already waiting).
+  // concurrent writers a chance to ride the same flush. The leader dwells
+  // only while another writer (Wal::Writer) is in flight on the same log: a
+  // lone writer fsyncs at once, as the window could only delay it. 0 =
+  // fsync at once (still shared by every commit already waiting).
   std::chrono::microseconds group_commit_window{500};
 };
 

@@ -13,6 +13,8 @@ struct WalMetrics {
   obs::Counter* append_bytes;
   obs::Counter* syncs;
   obs::Counter* group_rides;  // commits satisfied by another leader's fsync
+  obs::Counter* dwells;       // leaders that waited out the window
+  obs::Histogram* sync_us;    // each log fsync, pre-sync hook excluded
 };
 
 WalMetrics& Metrics() {
@@ -20,7 +22,9 @@ WalMetrics& Metrics() {
   static WalMetrics m{&reg.GetCounter("store.wal.appends"),
                       &reg.GetCounter("store.wal.append_bytes"),
                       &reg.GetCounter("store.wal.syncs"),
-                      &reg.GetCounter("store.wal.group_rides")};
+                      &reg.GetCounter("store.wal.group_rides"),
+                      &reg.GetCounter("store.wal.dwells"),
+                      &reg.GetHistogram("store.wal.sync_us")};
   return m;
 }
 
@@ -46,6 +50,14 @@ Wal::Wal(std::string path, DurabilityOptions options) : options_(options) {
   recovered_ = std::move(raw);
   file_ = util::File::OpenAppend(path);
   if (file_.Size() != valid) file_.Truncate(valid);
+}
+
+Wal::Writer::Writer(Wal* wal) : wal_(wal) {
+  if (wal_) wal_->writers_.fetch_add(1, std::memory_order_relaxed);
+}
+
+Wal::Writer::~Writer() {
+  if (wal_) wal_->writers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::uint64_t Wal::Append(RecordType type, ByteSpan payload) {
@@ -76,10 +88,12 @@ void Wal::Commit(std::uint64_t lsn) {
       }
       sync_in_progress_ = true;
     }
-    // Leader, no lock held: dwell so concurrent writers can pile on, then
-    // flush everything appended by the end of the window.
+    // Leader, no lock held: if another writer is in flight, dwell so it
+    // can pile on, then flush everything appended by the end of the window.
     if (options_.fsync_policy == FsyncPolicy::kGrouped &&
-        options_.group_commit_window > std::chrono::microseconds::zero()) {
+        options_.group_commit_window > std::chrono::microseconds::zero() &&
+        writers_.load(std::memory_order_relaxed) > 1) {
+      Metrics().dwells->Increment();
       std::this_thread::sleep_for(options_.group_commit_window);
     }
     std::uint64_t target;
@@ -90,8 +104,7 @@ void Wal::Commit(std::uint64_t lsn) {
     // Data before log: chunk segments reach disk no later than the index
     // records pointing into them.
     if (pre_sync_hook_) pre_sync_hook_();
-    file_.Sync();
-    Metrics().syncs->Increment();
+    SyncFile();
     {
       MutexLock lock(mu_);
       synced_lsn_ = target;
@@ -110,13 +123,18 @@ void Wal::Sync() {
     MutexLock lock(mu_);
     target = next_lsn_ - 1;
   }
-  file_.Sync();
-  Metrics().syncs->Increment();
+  SyncFile();
   {
     MutexLock lock(mu_);
     if (synced_lsn_ < target) synced_lsn_ = target;
   }
   synced_cv_.NotifyAll();
+}
+
+void Wal::SyncFile() {
+  obs::ScopedTimer timer(*Metrics().sync_us);
+  file_.Sync();
+  Metrics().syncs->Increment();
 }
 
 void Wal::Reset() {

@@ -6,7 +6,9 @@
 // Appends are ordered under one mutex (LockRank::kStoreWal, acquired while
 // the caller holds its shard lock); durability is a separate step with
 // leader-based GROUP COMMIT: the first committer becomes leader, dwells for
-// the configured window with no lock held, fires the pre-sync hook (the
+// the configured window with no lock held — but only while another writer
+// is in flight on this log, as PostgreSQL's commit_delay applies only with
+// commit_siblings other transactions active — fires the pre-sync hook (the
 // engine syncs container segments first — data before log), then fsyncs
 // once for every append that landed meanwhile. Followers ride the leader's
 // flush on a condvar.
@@ -16,6 +18,7 @@
 // records make the cut point unambiguous).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -30,6 +33,21 @@ namespace reed::store {
 class Wal {
  public:
   Wal(std::string path, DurabilityOptions options);
+
+  // Marks one writer — its appends and its Commit, e.g. one PutChunks batch
+  // or one PutObject — as in flight for its lifetime. A group-commit leader
+  // dwells only when some other writer is in flight, so a lone writer never
+  // waits out the window. A null log (in-memory store) counts nothing.
+  class Writer {
+   public:
+    explicit Writer(Wal* wal);
+    ~Writer();
+    Writer(const Writer&) = delete;
+    Writer& operator=(const Writer&) = delete;
+
+   private:
+    Wal* wal_;
+  };
 
   // Frames and appends one record; returns its LSN (1-based, monotone).
   // The record is in the OS page cache after this call — it survives a
@@ -67,6 +85,9 @@ class Wal {
   [[nodiscard]] std::uint64_t last_lsn() const;
 
  private:
+  // fsyncs the log file, counted and timed.
+  void SyncFile();
+
   const DurabilityOptions options_;
   std::function<void()> pre_sync_hook_;  // set once before concurrent use
 
@@ -77,6 +98,9 @@ class Wal {
   // the OS level and is exactly what lets followers keep appending during a
   // flush. Deliberately not GUARDED_BY for that reason.
   util::File file_;
+  // Live Writer scopes. Read by the leader without the lock: a writer that
+  // enters just after the read simply misses this flush's dwell.
+  std::atomic<int> writers_{0};
   std::uint64_t next_lsn_ REED_GUARDED_BY(mu_) = 1;
   std::uint64_t synced_lsn_ REED_GUARDED_BY(mu_) = 0;
   bool sync_in_progress_ REED_GUARDED_BY(mu_) = false;

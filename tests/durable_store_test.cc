@@ -5,11 +5,14 @@
 // suite covers the same machinery in-process at quick-tier speed.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chunk/fingerprint.h"
+#include "obs/metrics.h"
 #include "server/storage_server.h"
 #include "store/durable_engine.h"
 #include "store/log_format.h"
@@ -204,6 +207,94 @@ TEST(WalTest, GroupCommitMakesAppendsDurableUnderEveryPolicy) {
     EXPECT_EQ(records, 16u);
     std::filesystem::remove_all(dir);
   }
+}
+
+std::uint64_t WalCounter(const char* name) {
+  return obs::Registry::Global().GetCounter(name).value();
+}
+
+TEST(WalTest, LoneWriterNeverDwells) {
+  // With nobody else in flight the window could only delay the commit: a
+  // lone writer's leader fsyncs at once, however wide the window.
+  const std::string dir = FreshDir("wal_lone");
+  util::CreateDirectories(dir);
+  DurabilityOptions opts;
+  opts.fsync_policy = store::FsyncPolicy::kGrouped;
+  opts.group_commit_window = std::chrono::milliseconds(200);
+  store::Wal wal(dir + "/wal.log", opts);
+  const std::uint64_t dwells = WalCounter("store.wal.dwells");
+  const std::uint64_t syncs = WalCounter("store.wal.syncs");
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 4; ++i) {
+    store::Wal::Writer writing(&wal);
+    wal.Commit(wal.Append(RecordType::kObjectErase,
+                          store::EncodeObjectErase({0, std::to_string(i)})));
+  }
+  EXPECT_EQ(WalCounter("store.wal.dwells"), dwells);
+  EXPECT_EQ(WalCounter("store.wal.syncs"), syncs + 4);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(800));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalTest, ConcurrentWritersDwellAndRide) {
+  const std::string dir = FreshDir("wal_concurrent");
+  util::CreateDirectories(dir);
+  DurabilityOptions opts;
+  opts.fsync_policy = store::FsyncPolicy::kGrouped;
+  opts.group_commit_window = std::chrono::milliseconds(2);
+  store::Wal wal(dir + "/wal.log", opts);
+  const std::uint64_t dwells = WalCounter("store.wal.dwells");
+  const std::uint64_t rides = WalCounter("store.wal.group_rides");
+  constexpr int kThreads = 4;
+  constexpr int kCommits = 20;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&wal, t] {
+      for (int i = 0; i < kCommits; ++i) {
+        store::Wal::Writer writing(&wal);
+        wal.Commit(wal.Append(
+            RecordType::kObjectErase,
+            store::EncodeObjectErase({0, std::to_string(t * kCommits + i)})));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_GT(WalCounter("store.wal.dwells"), dwells);
+  EXPECT_GT(WalCounter("store.wal.group_rides"), rides);
+  store::Wal reopened(dir + "/wal.log", opts);
+  std::size_t offset = 0, records = 0;
+  while (offset < reopened.recovered().size()) {
+    offset += store::DecodeRecord(reopened.recovered(), offset).encoded_size;
+    ++records;
+  }
+  EXPECT_EQ(records, static_cast<std::size_t>(kThreads * kCommits));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StorageServerDurableTest, SingleWriterCommitsNeverDwell) {
+  // One writer at a time, as a rekey's PutObject calls are: every commit
+  // is fsynced (and timed) without a dwell.
+  const std::string dir = FreshDir("server_lone_writer");
+  StorageServer::Options opts;
+  opts.data_dir = dir;
+  opts.durability.fsync_policy = store::FsyncPolicy::kGrouped;
+  opts.durability.group_commit_window = std::chrono::milliseconds(50);
+  StorageServer server("srv", opts);
+  obs::Histogram& sync_us =
+      obs::Registry::Global().GetHistogram("store.wal.sync_us");
+  const std::uint64_t dwells = WalCounter("store.wal.dwells");
+  const std::uint64_t timed = sync_us.count();
+  for (int i = 0; i < 3; ++i) {
+    server.PutObject(StoreId::kKey, "keystate/f" + std::to_string(i),
+                     Pattern(32, static_cast<std::uint8_t>(i)));
+  }
+  Bytes data = Pattern(300, 9);
+  (void)server.PutChunks({{FpOf(data), data}});
+  EXPECT_EQ(WalCounter("store.wal.dwells"), dwells);
+  EXPECT_EQ(sync_us.count(), timed + 4);
+  server.Close();
+  std::filesystem::remove_all(dir);
 }
 
 // The harness every engine test drives: the same four stores StorageServer

@@ -50,6 +50,17 @@ struct StageMetrics {
   obs::Counter* download_bytes;
   obs::Counter* fetch_bytes;
   obs::Gauge* pipeline_inflight;
+  // Rekey stages, one sample per file (a group's one wrap-key encrypt and
+  // put land in wrap_us and store_us too): the key-state fetch, the unwrap
+  // (CP-ABE decrypt, or a group wrap key's), the key-regression wind, the
+  // re-wrap, the active stub re-encryption (fetch, decrypt, encrypt, put),
+  // and the key-state put.
+  obs::Histogram* rekey_fetch_us;
+  obs::Histogram* rekey_unwrap_us;
+  obs::Histogram* rekey_wind_us;
+  obs::Histogram* rekey_wrap_us;
+  obs::Histogram* rekey_stub_us;
+  obs::Histogram* rekey_store_us;
 };
 
 StageMetrics& Metrics() {
@@ -74,8 +85,21 @@ StageMetrics& Metrics() {
       &reg.GetCounter("client.download.files"),
       &reg.GetCounter("client.download.bytes"),
       &reg.GetCounter("client.download.fetch_bytes"),
-      &reg.GetGauge("client.pipeline.inflight_batches")};
+      &reg.GetGauge("client.pipeline.inflight_batches"),
+      &reg.GetHistogram("client.rekey.fetch_us"),
+      &reg.GetHistogram("client.rekey.unwrap_us"),
+      &reg.GetHistogram("client.rekey.wind_us"),
+      &reg.GetHistogram("client.rekey.wrap_us"),
+      &reg.GetHistogram("client.rekey.stub_us"),
+      &reg.GetHistogram("client.rekey.store_us")};
   return m;
+}
+
+// fn(), timed into `hist`.
+template <typename Fn>
+auto Timed(obs::Histogram& hist, Fn&& fn) {
+  obs::ScopedTimer timer(hist);
+  return fn();
 }
 
 crypto::ChaChaRng MakeClientRng(std::uint64_t seed) {
@@ -570,16 +594,20 @@ RekeyResult ReedClient::Rekey(const std::string& file_id,
                               const std::vector<std::string>& authorized_users,
                               RevocationMode mode) {
   const std::string sid = StorageId(file_id);
+  StageMetrics& m = Metrics();
   // 1. Retrieve and unwrap the current key state (requires authorization).
-  store::KeyStateRecord record = FetchKeyStateRecord(sid);
+  store::KeyStateRecord record =
+      Timed(*m.rekey_fetch_us, [&] { return FetchKeyStateRecord(sid); });
   if (record.owner_id != user_id_) {
     throw Error("ReedClient::Rekey: only the owner may rekey (owner is " +
                 record.owner_id + ")");
   }
-  rsa::KeyState current = UnwrapKeyState(record);
+  rsa::KeyState current =
+      Timed(*m.rekey_unwrap_us, [&] { return UnwrapKeyState(record); });
 
   // 2. Wind the state forward with the private derivation key.
-  rsa::KeyState next = regression_owner_.Wind(current);
+  rsa::KeyState next =
+      Timed(*m.rekey_wind_us, [&] { return regression_owner_.Wind(current); });
 
   // 3. Re-wrap under the new policy.
   std::vector<std::string> users = authorized_users;
@@ -591,8 +619,11 @@ RekeyResult ReedClient::Rekey(const std::string& file_id,
   record.policy.clear();
   policy.SerializeTo(record.policy);
   record.group_wrap_id.clear();  // individual rekey always wraps directly
-  record.wrapped_state = PublicKeyStateEnvelope(abe_->EncryptBytes(
-      abe_pk_, policy, next.Serialize(regression_owner_.public_key()), rng_));
+  record.wrapped_state = Timed(*m.rekey_wrap_us, [&] {
+    return PublicKeyStateEnvelope(abe_->EncryptBytes(
+        abe_pk_, policy, next.Serialize(regression_owner_.public_key()),
+        rng_));
+  });
 
   RekeyResult result;
   result.new_version = next.version;
@@ -600,6 +631,7 @@ RekeyResult ReedClient::Rekey(const std::string& file_id,
   // 4. Active revocation: immediately re-encrypt the stub file under the
   //    new file key (the trimmed packages never move — §IV-A).
   if (mode == RevocationMode::kActive) {
+    obs::ScopedTimer stub_timer(*m.rekey_stub_us);
     rsa::KeyRegressionMember member(regression_owner_.public_key());
     rsa::KeyState stub_state =
         member.UnwindTo(current, record.stub_key_version);
@@ -615,8 +647,10 @@ RekeyResult ReedClient::Rekey(const std::string& file_id,
     result.stub_bytes = new_blob.size();
   }
 
-  storage_->PutObject(server::StoreId::kKey, StateName(sid),
-                      record.Serialize());
+  Timed(*m.rekey_store_us, [&] {
+    storage_->PutObject(server::StoreId::kKey, StateName(sid),
+                        record.Serialize());
+  });
   return result;
 }
 
@@ -624,6 +658,7 @@ std::vector<RekeyResult> ReedClient::RekeyGroup(
     const std::vector<std::string>& file_ids,
     const std::vector<std::string>& authorized_users, RevocationMode mode) {
   if (file_ids.empty()) throw Error("ReedClient::RekeyGroup: empty group");
+  StageMetrics& m = Metrics();
 
   std::vector<std::string> users = authorized_users;
   if (std::find(users.begin(), users.end(), user_id_) == users.end()) {
@@ -634,9 +669,13 @@ std::vector<RekeyResult> ReedClient::RekeyGroup(
   // One CP-ABE encryption for the whole group: a fresh wrap key.
   Secret wrap_key = rng_.GenerateSecret(32);
   std::string wrap_id = "groupwrap/" + HexEncode(rng_.Generate(16));
-  storage_->PutObject(server::StoreId::kKey, wrap_id,
-                      PublicKeyStateEnvelope(abe_->EncryptBytes(
-                          abe_pk_, policy, wrap_key, rng_)));
+  Bytes wrapped_key = Timed(*m.rekey_wrap_us, [&] {
+    return PublicKeyStateEnvelope(
+        abe_->EncryptBytes(abe_pk_, policy, wrap_key, rng_));
+  });
+  Timed(*m.rekey_store_us, [&] {
+    storage_->PutObject(server::StoreId::kKey, wrap_id, std::move(wrapped_key));
+  });
 
   rsa::KeyRegressionOwner& owner = regression_owner_;
   std::vector<RekeyResult> results;
@@ -648,23 +687,30 @@ std::vector<RekeyResult> ReedClient::RekeyGroup(
   std::map<std::string, Secret> old_wrap_keys;
   for (const std::string& file_id : file_ids) {
     const std::string sid = StorageId(file_id);
-    store::KeyStateRecord record = FetchKeyStateRecord(sid);
+    store::KeyStateRecord record =
+        Timed(*m.rekey_fetch_us, [&] { return FetchKeyStateRecord(sid); });
     if (record.owner_id != user_id_) {
       throw Error("ReedClient::RekeyGroup: only the owner may rekey " + file_id);
     }
-    rsa::KeyState current = UnwrapKeyState(record, &old_wrap_keys);
-    rsa::KeyState next = owner.Wind(current);
+    rsa::KeyState current = Timed(*m.rekey_unwrap_us, [&] {
+      return UnwrapKeyState(record, &old_wrap_keys);
+    });
+    rsa::KeyState next =
+        Timed(*m.rekey_wind_us, [&] { return owner.Wind(current); });
 
     record.key_version = next.version;
     record.policy.clear();
     policy.SerializeTo(record.policy);
     record.group_wrap_id = wrap_id;
-    record.wrapped_state = PublicKeyStateEnvelope(
-        aont::WrapKeyBlob(next.Serialize(owner.public_key()), wrap_key, rng_));
+    record.wrapped_state = Timed(*m.rekey_wrap_us, [&] {
+      return PublicKeyStateEnvelope(aont::WrapKeyBlob(
+          next.Serialize(owner.public_key()), wrap_key, rng_));
+    });
 
     RekeyResult result;
     result.new_version = next.version;
     if (mode == RevocationMode::kActive) {
+      obs::ScopedTimer stub_timer(*m.rekey_stub_us);
       rsa::KeyRegressionMember member(owner.public_key());
       rsa::KeyState stub_state =
           member.UnwindTo(current, record.stub_key_version);
@@ -679,8 +725,10 @@ std::vector<RekeyResult> ReedClient::RekeyGroup(
       result.stub_reencrypted = true;
       result.stub_bytes = new_blob.size();
     }
-    storage_->PutObject(server::StoreId::kKey, StateName(sid),
-                        record.Serialize());
+    Timed(*m.rekey_store_us, [&] {
+      storage_->PutObject(server::StoreId::kKey, StateName(sid),
+                          record.Serialize());
+    });
     results.push_back(result);
   }
   return results;

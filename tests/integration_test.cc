@@ -187,6 +187,41 @@ TEST_F(IntegrationTest, RepeatedRekeyingWalksVersionsForward) {
   EXPECT_EQ(alice->Download("multi-rekey"), file);
 }
 
+TEST_F(IntegrationTest, RekeyStageTimersCountEachStage) {
+  // client.rekey.*_us: one sample per file and stage; a group adds its one
+  // wrap-key encrypt and put to wrap_us and store_us.
+  auto alice = system_->CreateClient("alice",
+                                     FastClientOptions(aont::Scheme::kEnhanced));
+  for (const char* id : {"timed-1", "timed-2", "timed-3"}) {
+    DiscardResult(alice->Upload(id, TestFile(32 << 10, 40), {"alice", "bob"}));
+  }
+  auto& reg = obs::Registry::Global();
+  const std::vector<std::string> stages = {"fetch", "unwrap", "wind",
+                                           "wrap",  "stub",   "store"};
+  auto counts = [&] {
+    std::vector<std::uint64_t> out;
+    for (const std::string& stage : stages) {
+      out.push_back(reg.GetHistogram("client.rekey." + stage + "_us").count());
+    }
+    return out;
+  };
+  auto delta = [&](const std::vector<std::uint64_t>& before) {
+    std::vector<std::uint64_t> now = counts();
+    for (std::size_t i = 0; i < now.size(); ++i) now[i] -= before[i];
+    return now;
+  };
+  std::vector<std::uint64_t> before = counts();
+  DiscardResult(alice->Rekey("timed-1", {"alice"}, RevocationMode::kLazy));
+  EXPECT_EQ(delta(before), (std::vector<std::uint64_t>{1, 1, 1, 1, 0, 1}));
+  before = counts();
+  DiscardResult(alice->Rekey("timed-1", {"alice"}, RevocationMode::kActive));
+  EXPECT_EQ(delta(before), (std::vector<std::uint64_t>{1, 1, 1, 1, 1, 1}));
+  before = counts();
+  DiscardResult(alice->RekeyGroup({"timed-1", "timed-2", "timed-3"}, {"alice"},
+                                  RevocationMode::kLazy));
+  EXPECT_EQ(delta(before), (std::vector<std::uint64_t>{3, 3, 3, 4, 0, 4}));
+}
+
 TEST_F(IntegrationTest, GroupRekeyingSharesOneAbeEncryption) {
   auto alice = system_->CreateClient("alice",
                                      FastClientOptions(aont::Scheme::kEnhanced));

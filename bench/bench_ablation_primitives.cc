@@ -275,6 +275,39 @@ void BM_TatePairing(benchmark::State& state) {
 }
 BENCHMARK(BM_TatePairing);
 
+// One Miller loop walking P, against MillerProduct over P's prepared lines:
+// n terms share one squaring per step and skip the point arithmetic (a
+// CP-ABE OR-policy decrypt runs n = 3).
+void BM_MillerLoop(benchmark::State& state) {
+  const auto& e = *Abe().pairing;
+  pairing::G1Point p = e.HashToGroup(ToBytes("P"));
+  pairing::G1Point q = e.HashToGroup(ToBytes("Q"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(e.MillerLoop(p, q));
+  }
+}
+BENCHMARK(BM_MillerLoop);
+
+void BM_MillerProduct(benchmark::State& state) {
+  const auto& e = *Abe().pairing;
+  std::vector<pairing::G1Point> points;
+  std::vector<pairing::MillerLines> lines;
+  for (std::int64_t i = 0; i < 2 * state.range(0); ++i) {
+    points.push_back(e.HashToGroup(ToBytes("pair-" + std::to_string(i))));
+  }
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    lines.push_back(e.Prepare(points[static_cast<std::size_t>(2 * i)]));
+  }
+  std::vector<pairing::MillerTerm> terms;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    terms.push_back({&lines[i], &points[2 * i + 1]});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(e.MillerProduct(terms));
+  }
+}
+BENCHMARK(BM_MillerProduct)->Arg(1)->Arg(3);
+
 void BM_G1ScalarMul(benchmark::State& state) {
   const auto& e = *Abe().pairing;
   pairing::G1Point p = e.HashToGroup(ToBytes("P"));
@@ -345,7 +378,29 @@ void BM_AbeDecrypt(benchmark::State& state) {
   }
   // ~Constant in #users for OR policies — why Fig 8 rekey decrypt is flat.
 }
-BENCHMARK(BM_AbeDecrypt)->Arg(1)->Arg(10)->Arg(50)->Arg(100);
+// Arg 17 is reedbench's policy size and 400 the upper half of Fig 8's
+// 100–500 users: the decrypt includes the blob's parse, so the flat slope
+// shows only if the unpaired leaves cost (nearly) nothing.
+BENCHMARK(BM_AbeDecrypt)
+    ->Arg(1)
+    ->Arg(10)
+    ->Arg(17)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(400);
+
+// A one-attribute key loaded from its blob: the parse plus the Miller lines
+// of its three points (D, D_j, −D'_j), which every later decrypt reuses.
+void BM_AbePrepareKey(benchmark::State& state) {
+  auto& f = Abe();
+  crypto::DeterministicRng rng(26);
+  Secret blob = f.cpabe->SerializePrivateKey(
+      f.cpabe->KeyGen(f.setup.pk, f.setup.mk, {"user:u0"}, rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.cpabe->DeserializePrivateKey(blob));
+  }
+}
+BENCHMARK(BM_AbePrepareKey);
 
 // --------------------------- REED schemes ---------------------------
 

@@ -1,7 +1,5 @@
 #include "abe/cpabe.h"
 
-#include <algorithm>
-
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -331,7 +329,7 @@ Ciphertext CpAbe::EncryptElement(const PublicKey& pk, const Fp2& message,
 }
 
 void CpAbe::ChooseLeaves(const PolicyNode& node, const PrivateKey& sk,
-                         const std::optional<BigInt>& exponent,
+                         const BigInt& exponent,
                          std::size_t& leaf_index,
                          std::vector<PairedLeaf>& out) const {
   if (node.IsLeaf()) {
@@ -358,7 +356,7 @@ void CpAbe::ChooseLeaves(const PolicyNode& node, const PrivateKey& sk,
       continue;
     }
     const std::uint64_t xi = xs[next++];
-    std::optional<BigInt> child_exponent = exponent;
+    BigInt child_exponent = exponent;
     if (k > 1) {
       BigInt num(1), den(1);
       for (std::uint64_t xj : xs) {
@@ -368,8 +366,7 @@ void CpAbe::ChooseLeaves(const PolicyNode& node, const PrivateKey& sk,
         den = mod_r.Mul(den, diff);
       }
       BigInt lambda = mod_r.Mul(num, BigInt::InverseMod(den, r));
-      child_exponent =
-          exponent.has_value() ? mod_r.Mul(*exponent, lambda) : lambda;
+      child_exponent = mod_r.Mul(exponent, lambda);
     }
     ChooseLeaves(child, sk, child_exponent, leaf_index, out);
   }
@@ -380,9 +377,10 @@ std::optional<Fp2> CpAbe::Decrypt(
     const G1Point& c,
     const std::function<CiphertextLeaf(std::size_t)>& leaf_at) const {
   if (!Satisfied(policy, sk)) return std::nullopt;
+  const BigInt one(1);
   std::vector<PairedLeaf> paired;
   std::size_t leaf_index = 0;
-  ChooseLeaves(policy, sk, std::nullopt, leaf_index, paired);
+  ChooseLeaves(policy, sk, one, leaf_index, paired);
 
   // M = C̃ · A / e(C, D). Per paired leaf, e(D_j, C_y) / e(D'_j, C'_y) =
   // e(g,g)^{t·λ_y}, the division being e(−D'_j, C'_y); and e(C, D)⁻¹ =
@@ -394,24 +392,14 @@ std::optional<Fp2> CpAbe::Decrypt(
   std::vector<G1Point> points;  // the Q of every term; never reallocates
   lines.reserve(1 + 2 * paired.size());
   points.reserve(1 + 2 * paired.size());
-  struct Group {
-    const std::optional<BigInt>* exponent;
-    std::vector<pairing::MillerTerm> terms;
-  };
-  std::vector<Group> groups;
-  auto add_term = [&](const std::optional<BigInt>& exponent,
-                      const KeyLines& handle, const G1Point& key_point,
-                      G1Point q) {
+  std::map<BigInt, std::vector<pairing::MillerTerm>> groups;  // by exponent
+  auto add_term = [&](const BigInt& exponent, const KeyLines& handle,
+                      const G1Point& key_point, G1Point q) {
     lines.push_back(LinesFor(handle, key_point));
     points.push_back(std::move(q));
-    auto it = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
-      return *g.exponent == exponent;
-    });
-    if (it == groups.end()) it = groups.insert(groups.end(), {&exponent, {}});
-    it->terms.push_back({lines.back().get(), &points.back()});
+    groups[exponent].push_back({lines.back().get(), &points.back()});
   };
-  const std::optional<BigInt> unit;
-  add_term(unit, sk.d_lines, sk.d, c.Neg());
+  add_term(one, sk.d_lines, sk.d, c.Neg());
   for (const PairedLeaf& leaf : paired) {
     CiphertextLeaf points_y = leaf_at(leaf.index);
     add_term(leaf.exponent, leaf.key->d_lines, leaf.key->d,
@@ -420,9 +408,9 @@ std::optional<Fp2> CpAbe::Decrypt(
              leaf.key->d_prime.Neg(), std::move(points_y.c_prime));
   }
   Fp2 f = Fp2::One(pairing_->field());
-  for (const Group& g : groups) {
-    Fp2 product = pairing_->MillerProduct(g.terms);
-    f = f * (g.exponent->has_value() ? product.Pow(**g.exponent) : product);
+  for (const auto& [exponent, terms] : groups) {
+    Fp2 product = pairing_->MillerProduct(terms);
+    f = f * (exponent == one ? product : product.Pow(exponent));
   }
   return c_tilde * pairing_->FinalExponentiation(f);
 }

@@ -179,17 +179,16 @@ class CpAbe {
   KeyLines LinesFor(const KeyLines& lines, const G1Point& point) const;
 
   // A leaf the decrypt pairs: its DFS index, the key's component for its
-  // attribute, and the product of the Lagrange coefficients on its path
-  // (nullopt for 1).
+  // attribute, and the product of the Lagrange coefficients on its path.
   struct PairedLeaf {
     std::size_t index;
     const AttributeKey* key;
-    std::optional<BigInt> exponent;
+    BigInt exponent;
   };
   // Picks, in every satisfied gate, the first `threshold` satisfied
   // children; leaf_index counts every leaf passed, chosen or not.
   void ChooseLeaves(const PolicyNode& node, const PrivateKey& sk,
-                    const std::optional<BigInt>& exponent,
+                    const BigInt& exponent,
                     std::size_t& leaf_index,
                     std::vector<PairedLeaf>& out) const;
   // M = C̃ · A / e(C, D) with the leaves' points drawn from `leaf_at` by

@@ -173,24 +173,11 @@ Fp2 TypeAPairing::MillerLoop(const G1Point& p, const G1Point& q) const {
   return sink.f;
 }
 
-MillerLines& MillerLines::operator=(MillerLines&& o) noexcept {
-  if (this != &o) {
-    Wipe();
-    point_ = o.point_;
-    lines_ = std::move(o.lines_);
-    step_start_ = std::move(o.step_start_);
-  }
-  return *this;
-}
-
-MillerLines::~MillerLines() { Wipe(); }
-
-void MillerLines::Wipe() {
+MillerLines::~MillerLines() {
   SecureZero(std::span(reinterpret_cast<std::uint8_t*>(lines_.data()),
                        lines_.size() * sizeof(Line)));
   SecureZero(std::span(reinterpret_cast<std::uint8_t*>(&point_),
                        sizeof(point_)));
-  lines_.clear();
 }
 
 MillerLines TypeAPairing::Prepare(const G1Point& p) const {
@@ -202,10 +189,7 @@ MillerLines TypeAPairing::Prepare(const G1Point& p) const {
     void Square() {
       out.step_start_.push_back(static_cast<std::uint16_t>(out.lines_.size()));
     }
-    void Line(LineCoeffs l) {
-      out.lines_.push_back(
-          {std::move(l.a), std::move(l.b), std::move(l.c)});
-    }
+    void Line(const LineCoeffs& l) { out.lines_.push_back({l.a, l.b, l.c}); }
   } sink{out};
   // Two lines per step at most: reserving keeps the walk to one allocation
   // each, and no reallocation leaves an unwiped copy of a line behind.

@@ -44,23 +44,21 @@ namespace reed::pairing {
 class MillerLines {
  public:
   MillerLines() = default;
+  // A move leaves the source empty; assignment would have to wipe the
+  // target first, and nothing needs it.
   MillerLines(MillerLines&&) noexcept = default;
-  MillerLines& operator=(MillerLines&&) noexcept;
-  MillerLines(const MillerLines&) = delete;
-  MillerLines& operator=(const MillerLines&) = delete;
+  MillerLines& operator=(MillerLines&&) = delete;
   ~MillerLines();
 
   // The P the lines were recorded from.
   const G1Point& point() const { return point_; }
   std::size_t size() const { return lines_.size(); }
-  std::size_t bytes() const { return lines_.size() * sizeof(Line); }
 
  private:
   friend class TypeAPairing;
   struct Line {
     Fp a, b, c;
   };
-  void Wipe();
 
   G1Point point_;
   std::vector<Line> lines_;

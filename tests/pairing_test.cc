@@ -435,11 +435,13 @@ TEST(MillerProductTest, PrepareRecordsTangentsAndChords) {
   EXPECT_EQ(e.Prepare(G1Point::Infinity()).size(), 0u);
 }
 
-TEST(MillerProductTest, SingleTermEqualsMillerLoopInBothPositions) {
+TEST(MillerProductTest, EqualsProductOfMillerLoops) {
   const TypeAPairing& e = SharedPairing();
   std::vector<std::pair<std::string, G1Point>> pool = MillerPool();
   std::vector<MillerLines> lines;
   for (const auto& [name, point] : pool) lines.push_back(e.Prepare(point));
+  // One term: every ordered pair of the pool, so each hostile point is
+  // walked and evaluated at.
   for (std::size_t i = 0; i < pool.size(); ++i) {
     for (std::size_t j = 0; j < pool.size(); ++j) {
       SCOPED_TRACE(pool[i].first + " x " + pool[j].first);
@@ -448,16 +450,10 @@ TEST(MillerProductTest, SingleTermEqualsMillerLoopInBothPositions) {
                 e.MillerLoop(pool[i].second, pool[j].second));
     }
   }
-}
-
-TEST(MillerProductTest, EqualsProductOfMillerLoops) {
-  const TypeAPairing& e = SharedPairing();
-  std::vector<std::pair<std::string, G1Point>> pool = MillerPool();
-  std::vector<MillerLines> lines;
-  for (const auto& [name, point] : pool) lines.push_back(e.Prepare(point));
+  // Two to four terms drawn from the pool.
   DeterministicRng rng(12);
-  for (std::size_t n = 1; n <= 4; ++n) {
-    for (int round = 0; round < 6; ++round) {
+  for (std::size_t n = 2; n <= 4; ++n) {
+    for (int round = 0; round < 8; ++round) {
       std::vector<MillerTerm> terms;
       Fp2 want = Fp2::One(e.field());
       std::string trace;

@@ -521,6 +521,56 @@ TEST(MleKeyClientTest, KeysAreHashOfFdhToTheD) {
   }
 }
 
+// A key manager that lies once: the client's s^e == h check is its only
+// defense, so a single flipped bit in one signature must fail the whole
+// GetKeys call and leave no key of that batch in the cache.
+TEST(MleKeyClientTest, FlippedSignatureBitFailsTheBatchAndCachesNothing) {
+  // Two batches of 13: the second one is corrupted. 13 is one full lane
+  // group of eight and a partial one of five, so the positions are the
+  // first and last slot of the full group and the first and last slot of
+  // the partial one.
+  constexpr std::size_t kBatch = 13;
+  for (const rsa::RsaKeyPair& keys : {SharedTestKeys(), SharedTestKeys1024()}) {
+    SCOPED_TRACE("modulus bits=" + std::to_string(keys.pub.n.BitLength()));
+    KeyManager km(keys, {});
+    const std::size_t nbytes = keys.pub.ByteLength();
+    for (std::size_t position : {std::size_t{0}, std::size_t{7}, std::size_t{8},
+                                 kBatch - 1}) {
+      SCOPED_TRACE("bad signature at " + std::to_string(position));
+      std::size_t calls = 0;
+      bool lie = true;
+      auto lying = std::make_shared<net::LocalChannel>([&](ByteSpan req) {
+        Bytes response = km.HandleRequest(req);
+        // Status byte, then one padded signature per element: flip the low
+        // bit of the chosen signature in the second batch.
+        if (lie && calls++ == 1) response[1 + position * nbytes + nbytes - 1] ^= 1;
+        return response;
+      });
+      MleKeyClient::Options opts;
+      opts.batch_size = kBatch;
+      MleKeyClient client("alice", keys.pub, lying, opts);
+      auto fps = MakeFingerprints(2 * kBatch, 80 + position);
+      DeterministicRng rng(81);
+      EXPECT_THROW((void)client.GetKeys(fps, rng), Error);
+
+      // The honest retry finds the first batch's keys in the cache and
+      // none of the second's.
+      lie = false;
+      auto got = client.GetKeys(fps, rng);
+      EXPECT_EQ(client.stats().cache_hits, kBatch);
+      EXPECT_EQ(client.stats().cache_misses, 3 * kBatch);
+      ASSERT_EQ(got.size(), fps.size());
+      for (std::size_t i = 0; i < fps.size(); ++i) {
+        BigInt s = rsa::PrivateApply(
+            keys.priv, rsa::FullDomainHash(fps[i].AsSpan(), keys.pub.n));
+        EXPECT_TRUE(got[i].ConstantTimeEquals(
+            crypto::Sha256::HashToBytes(s.ToBytesPadded(nbytes))))
+            << "key " << i;
+      }
+    }
+  }
+}
+
 TEST(MleKeyClientTest, OprfTimersRecordOncePerBatch) {
   auto& reg = obs::Registry::Global();
   const char* kClientTimers[] = {"oprf.client.blind_us",

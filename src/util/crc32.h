@@ -13,7 +13,12 @@
 namespace reed::util {
 
 // One-shot CRC-32 of `data`. Chain incremental computations by passing the
-// previous result as `seed` (Crc32(b, Crc32(a)) == Crc32(a||b)).
+// previous result as `seed` (Crc32(b, Crc32(a)) == Crc32(a||b)). Slice-by-8:
+// eight table reads per eight input bytes.
 [[nodiscard]] std::uint32_t Crc32(ByteSpan data, std::uint32_t seed = 0);
+
+// The same function one table byte at a time: the oracle Crc32 is tested
+// against.
+[[nodiscard]] std::uint32_t Crc32Bytewise(ByteSpan data, std::uint32_t seed = 0);
 
 }  // namespace reed::util

@@ -59,6 +59,36 @@ TEST(Crc32Test, SeedChainingMatchesConcatenation) {
   EXPECT_EQ(util::Crc32(ab), util::Crc32(b, util::Crc32(a)));
   EXPECT_NE(util::Crc32(a), util::Crc32(b));
   EXPECT_EQ(util::Crc32(ByteSpan()), 0u);
+  // Chaining across every split point, unaligned ones included.
+  for (std::size_t split = 0; split <= ab.size(); ++split) {
+    ByteSpan all(ab);
+    EXPECT_EQ(util::Crc32(all.subspan(split), util::Crc32(all.first(split))),
+              util::Crc32(ab))
+        << "split " << split;
+  }
+}
+
+TEST(Crc32Test, CheckValue) {
+  // The catalogued check value of CRC-32/ISO-HDLC (the zlib CRC).
+  const Bytes check = ToBytes("123456789");
+  EXPECT_EQ(util::Crc32(check), 0xCBF43926u);
+  EXPECT_EQ(util::Crc32Bytewise(check), 0xCBF43926u);
+}
+
+TEST(Crc32Test, SliceBy8MatchesByteLoopAtEveryLengthAndOffset) {
+  // Every length 0–1040 (the slice loop's tail 0–7 bytes at each) at every
+  // start offset 0–8 (unaligned words), with and without a seed.
+  Bytes buf = Pattern(1040 + 8, 5);
+  for (std::size_t i = 0; i < buf.size(); i += 7) buf[i] ^= 0xA5;  // not periodic
+  for (std::size_t offset = 0; offset <= 8; ++offset) {
+    for (std::size_t len = 0; len <= 1040; ++len) {
+      ByteSpan data = ByteSpan(buf).subspan(offset, len);
+      ASSERT_EQ(util::Crc32(data), util::Crc32Bytewise(data))
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(util::Crc32(data, 0x12345678u), util::Crc32Bytewise(data, 0x12345678u))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(LogFormatTest, RecordRoundtripAllTypes) {

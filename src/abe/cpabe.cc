@@ -1,11 +1,32 @@
 #include "abe/cpabe.h"
 
+#include <type_traits>
+
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "obs/metrics.h"
+#include "util/secure.h"
 
 namespace reed::abe {
+
+namespace {
+
+// Zeroes a secret key point in place. A G1Point is plain data (field
+// pointer, limbs, flag), so its bytes are the whole of it.
+void WipePoint(G1Point& p) {
+  static_assert(std::is_trivially_copyable_v<G1Point>);
+  SecureZero(std::span(reinterpret_cast<std::uint8_t*>(&p), sizeof(p)));
+}
+
+}  // namespace
+
+AttributeKey::~AttributeKey() {
+  WipePoint(d);
+  WipePoint(d_prime);
+}
+
+PrivateKey::~PrivateKey() { WipePoint(d); }
 
 namespace {
 constexpr std::size_t kIvSize = 16;

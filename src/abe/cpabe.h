@@ -56,7 +56,14 @@ struct MasterKey {
 // key's point, and prepares the point afresh otherwise.
 using KeyLines = std::shared_ptr<const pairing::MillerLines>;
 
+// The key points D, D_j and D'_j are secret. Both key types wipe them when
+// destroyed, as MillerLines wipes its lines, so no copy leaves them in
+// freed memory; an assignment overwrites every byte of the target's points.
+// AttributeKey stays an aggregate: it is copied where it would be moved,
+// which costs two reference counts.
 struct AttributeKey {
+  ~AttributeKey();
+
   G1Point d;        // D_j  = g^t · H(j)^{t_j}
   G1Point d_prime;  // D'_j = g^{t_j}
   KeyLines d_lines;            // lines of D_j
@@ -64,6 +71,13 @@ struct AttributeKey {
 };
 
 struct PrivateKey {
+  PrivateKey() = default;
+  PrivateKey(const PrivateKey&) = default;
+  PrivateKey(PrivateKey&&) noexcept = default;
+  PrivateKey& operator=(const PrivateKey&) = default;
+  PrivateKey& operator=(PrivateKey&&) noexcept = default;
+  ~PrivateKey();
+
   G1Point d;  // g^{(α+t)/β}
   std::map<std::string, AttributeKey> components;
   KeyLines d_lines;  // lines of D

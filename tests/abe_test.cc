@@ -3,6 +3,9 @@
 // known-answer ciphertexts for seeded RNG streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <new>
+
 #include "abe/cpabe.h"
 #include "crypto/random.h"
 #include "crypto/sha256.h"
@@ -236,6 +239,66 @@ TEST_F(CpAbeTest, KeySerializationRoundTrip) {
       abe_->EncryptBytes(pk_back, policy, Secret(ToBytes("hello")), rng),
       "test: ciphertext under the round-tripped public key");
   EXPECT_TRUE(abe_->DecryptBytes(back, blob).ConstantTimeEquals(ToBytes("hello")));
+}
+
+// --------------------------- key hygiene ---------------------------
+
+// The Montgomery limbs of a secret point's two coordinates: the bytes a
+// dead copy of the key must not leave behind.
+std::vector<Bytes> SecretLimbs(const G1Point& p) {
+  std::vector<Bytes> out;
+  for (const pairing::Fp* c : {&p.x(), &p.y()}) {
+    const auto& limbs = c->mont();
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(limbs.data());
+    out.emplace_back(bytes, bytes + sizeof(limbs));
+  }
+  return out;
+}
+
+// Whether `memory` still holds either coordinate.
+bool Holds(ByteSpan memory, const std::vector<Bytes>& secret) {
+  return std::any_of(secret.begin(), secret.end(), [&](const Bytes& limbs) {
+    return std::search(memory.begin(), memory.end(), limbs.begin(), limbs.end()) !=
+           memory.end();
+  });
+}
+
+// A key copied into raw storage leaves none of D, D_j or D'_j there once
+// destroyed, and an assignment leaves none of the old key's points.
+TEST_F(CpAbeTest, KeyPointsAreWipedOnDestructionAndAssignment) {
+  DeterministicRng rng(61);
+  PrivateKey alice = abe_->KeyGen(setup_->pk, setup_->mk, {"user:alice"}, rng);
+  PrivateKey bob = abe_->KeyGen(setup_->pk, setup_->mk, {"user:bob"}, rng);
+  const AttributeKey& comp = alice.components.at("user:alice");
+  const std::vector<Bytes> d = SecretLimbs(alice.d);
+  const std::vector<Bytes> d_j = SecretLimbs(comp.d);
+  const std::vector<Bytes> d_prime_j = SecretLimbs(comp.d_prime);
+
+  alignas(PrivateKey) std::uint8_t key_storage[sizeof(PrivateKey)];
+  ByteSpan key_memory(key_storage, sizeof(key_storage));
+  auto* key = new (key_storage) PrivateKey(alice);
+  ASSERT_TRUE(Holds(key_memory, d));
+  *key = bob;  // assignment overwrites the old D in place
+  EXPECT_FALSE(Holds(key_memory, d));
+  EXPECT_TRUE(Holds(key_memory, SecretLimbs(bob.d)));
+  *key = alice;
+  key->~PrivateKey();
+  EXPECT_FALSE(Holds(key_memory, d));
+
+  alignas(AttributeKey) std::uint8_t comp_storage[sizeof(AttributeKey)];
+  ByteSpan comp_memory(comp_storage, sizeof(comp_storage));
+  auto* moved = new (comp_storage) AttributeKey(std::move(AttributeKey(comp)));
+  ASSERT_TRUE(Holds(comp_memory, d_j));
+  ASSERT_TRUE(Holds(comp_memory, d_prime_j));
+  moved->~AttributeKey();
+  EXPECT_FALSE(Holds(comp_memory, d_j));
+  EXPECT_FALSE(Holds(comp_memory, d_prime_j));
+
+  // The original still decrypts: wiping touched only the dead copies.
+  PolicyNode policy = PolicyNode::OrOfUsers({"alice"});
+  Bytes blob = Declassify(abe_->EncryptBytes(setup_->pk, policy, Secret(ToBytes("k")), rng),
+                          "test: ciphertext for the wipe test");
+  EXPECT_TRUE(abe_->DecryptBytes(alice, blob).ConstantTimeEquals(ToBytes("k")));
 }
 
 TEST_F(CpAbeTest, MasterKeySerializationRoundTrip) {

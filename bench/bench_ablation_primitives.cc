@@ -28,6 +28,7 @@
 #include "pairing/bls.h"
 #include "rsa/blind_signature.h"
 #include "rsa/key_regression.h"
+#include "util/crc32.h"
 
 namespace {
 
@@ -49,6 +50,19 @@ void BM_Sha256(benchmark::State& state) {
   state.SetLabel(crypto::Sha256::UsingHardware() ? "sha-ni" : "portable");
 }
 BENCHMARK(BM_Sha256)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+
+// The durable store's record checksum over one 8,256-byte segment record
+// (an 8 KiB chunk and its framing): slice-by-8 against the byte loop.
+void BM_Crc32(benchmark::State& state) {
+  Bytes data = FixedData(8256);
+  const bool bytewise = state.range(0) == 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytewise ? util::Crc32Bytewise(data) : util::Crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(data.size()));
+  state.SetLabel(bytewise ? "bytewise" : "slice-by-8");
+}
+BENCHMARK(BM_Crc32)->ArgName("bytewise")->Arg(0)->Arg(1);
 
 void BM_AesCtr(benchmark::State& state) {
   Bytes key = FixedData(32, 2), iv = FixedData(16, 3);
@@ -116,28 +130,47 @@ OprfFixture& Oprf() {
   return f;
 }
 
-// Client-side blinding of one batch, serially, as MleKeyClient::GetKeys
+// The client's kernel for a bench: range(1) == 1 forces the scalar path,
+// 0 takes the widest one this CPU has for the key. The label names it.
+rsa::BlindSignatureClient OprfClient(benchmark::State& state) {
+  rsa::BlindSignatureClient client =
+      state.range(1) == 1
+          ? rsa::BlindSignatureClient(Oprf().keys.pub, bigint::LaneKernel::kScalar)
+          : rsa::BlindSignatureClient(Oprf().keys.pub);
+  state.SetLabel(bigint::LaneKernelName(client.kernel()));
+  return client;
+}
+
+// Client-side blinding of one batch on one thread, as one GetKeys batch
 // does it: draw the factors, invert them together (one inversion), blind
-// each chunk. /1 is a lone chunk, so its inversion is not shared;
-// per_chunk is the cost of one chunk in the batch.
+// the batch in lane groups. /1 is a lone chunk, so its inversion is not
+// shared; per_chunk is the cost of one chunk in the batch.
 void BM_OprfClientBlind(benchmark::State& state) {
-  rsa::BlindSignatureClient client(Oprf().keys.pub);
+  rsa::BlindSignatureClient client = OprfClient(state);
   crypto::DeterministicRng rng(11);
   const auto batch = static_cast<std::size_t>(state.range(0));
+  std::vector<Bytes> fps;
+  for (std::size_t i = 0; i < batch; ++i) fps.push_back(ToBytes("fp" + std::to_string(i)));
+  std::vector<ByteSpan> spans(fps.begin(), fps.end());
   for (auto _ : state) {
     std::vector<bigint::BigInt> factors;
     for (std::size_t i = 0; i < batch; ++i) factors.push_back(client.DrawFactor(rng));
     auto inverses = client.InvertFactors(factors);
-    for (std::size_t i = 0; i < batch; ++i) {
-      benchmark::DoNotOptimize(client.BlindWithInverse(
-          ToBytes("fingerprint"), factors[i], std::move(*inverses[i])));
-    }
+    std::vector<rsa::BlindedRequest> requests(batch);
+    client.BlindBatch(spans, factors, requests);
+    benchmark::DoNotOptimize(inverses.data());
+    benchmark::DoNotOptimize(requests.data());
+    benchmark::ClobberMemory();
   }
   state.counters["per_chunk"] = benchmark::Counter(
       static_cast<double>(batch),
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_OprfClientBlind)->Arg(1)->Arg(256);
+BENCHMARK(BM_OprfClientBlind)
+    ->ArgNames({"batch", "scalar"})
+    ->Args({1, 0})
+    ->Args({256, 0})
+    ->Args({256, 1});
 
 void BM_OprfManagerSign(benchmark::State& state) {
   rsa::BlindSignatureServer server(Oprf().keys.priv);
@@ -174,21 +207,38 @@ void BM_OprfManagerSignBatch(benchmark::State& state) {
   state.counters["per_sig"] = benchmark::Counter(
       static_cast<double>(batch),
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
-  state.SetLabel(bigint::LaneKernelName(bigint::MontLanes::Detected()));
+  state.SetLabel(bigint::LaneKernelName(bigint::DetectedLaneKernel()));
 }
 BENCHMARK(BM_OprfManagerSignBatch)->Arg(8)->Arg(256);
 
+// Unblinding and verifying one batch on one thread, in lane groups as
+// GetKeys does; per_chunk is the cost of one chunk in the batch.
 void BM_OprfClientUnblind(benchmark::State& state) {
   rsa::BlindSignatureServer server(Oprf().keys.priv);
-  rsa::BlindSignatureClient client(Oprf().keys.pub);
+  rsa::BlindSignatureClient client = OprfClient(state);
   crypto::DeterministicRng rng(13);
-  auto req = client.Blind(ToBytes("fp"), rng);
-  auto sig = server.Sign(req.blinded);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(client.Unblind(req, sig));
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  std::vector<rsa::BlindedRequest> requests;
+  std::vector<bigint::BigInt> sigs;
+  for (std::size_t i = 0; i < batch; ++i) {
+    requests.push_back(client.Blind(ToBytes("fp" + std::to_string(i)), rng));
+    sigs.push_back(server.Sign(requests.back().blinded));
   }
+  std::vector<Secret> keys(batch);
+  for (auto _ : state) {
+    client.UnblindBatch(requests, sigs, keys);
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_chunk"] = benchmark::Counter(
+      static_cast<double>(batch),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_OprfClientUnblind);
+BENCHMARK(BM_OprfClientUnblind)
+    ->ArgNames({"batch", "scalar"})
+    ->Args({1, 0})
+    ->Args({256, 0})
+    ->Args({256, 1});
 
 void BM_KeyRegressionWind(benchmark::State& state) {
   crypto::DeterministicRng rng(14);

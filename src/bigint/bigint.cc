@@ -308,18 +308,7 @@ BigInt BigInt::MulMod(const BigInt& a, const BigInt& b, const BigInt& m) {
 BigInt BigInt::PowMod(const BigInt& a, const BigInt& e, const BigInt& m) {
   if (m.IsZero()) throw Error("BigInt::PowMod: zero modulus");
   if (m.IsOne()) return BigInt();
-  if (m.IsOdd()) {
-    return MontContext(m).Pow(a, e);
-  }
-  // Even modulus: plain square-and-multiply (no caller in REED; kept for
-  // API completeness).
-  BigInt result(1);
-  BigInt base = a % m;
-  for (std::size_t i = e.BitLength(); i-- > 0;) {
-    result = MulMod(result, result, m);
-    if (e.Bit(i)) result = MulMod(result, base, m);
-  }
-  return result;
+  return MontContext(m).Pow(a, e);
 }
 
 BigInt BigInt::Gcd(BigInt a, BigInt b) {

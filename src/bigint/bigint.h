@@ -86,9 +86,8 @@ class BigInt {
   static BigInt SubMod(const BigInt& a, const BigInt& b, const BigInt& m);
   static BigInt MulMod(const BigInt& a, const BigInt& b, const BigInt& m);
 
-  // a^e mod m. An odd m runs on the Montgomery kernel (MontContext, so up
-  // to 2048 bits; wider throws Error); an even m, which nothing in REED
-  // uses, runs square-and-multiply over MulMod.
+  // a^e mod m on the Montgomery kernel (MontContext): m must be odd and at
+  // most 2048 bits, or m = 1; anything else throws Error.
   static BigInt PowMod(const BigInt& a, const BigInt& e, const BigInt& m);
 
   static BigInt Gcd(BigInt a, BigInt b);

@@ -1,6 +1,7 @@
 #include "bigint/mont.h"
 
 #include <type_traits>
+#include <vector>
 
 namespace reed::bigint {
 
@@ -343,6 +344,46 @@ BigInt MontContext::Reduce(const BigInt& x) const {
       [&](const auto& k) {
         using K = std::decay_t<decltype(k)>;
         return K::ToBigInt(k.FromMont(k.ToMont(x)));
+      },
+      kernel_);
+}
+
+bool MontContext::TryInvertAll(std::span<const BigInt> a,
+                               std::span<BigInt> out) const {
+  if (out.size() != a.size()) {
+    throw Error("MontContext::TryInvertAll: input and output sizes differ");
+  }
+  for (const BigInt& v : a) {
+    if (v >= modulus()) throw Error("MontContext::TryInvertAll: value not reduced");
+  }
+  if (a.empty()) return true;
+  return std::visit(
+      [&](const auto& k) {
+        using K = std::decay_t<decltype(k)>;
+        using Limbs = typename K::Limbs;
+        // Mul(x, y) = x·y·R⁻¹, so on plain values the prefix products carry
+        // powers of R⁻¹: prefix[i] = a_0 ··· a_i · R^−i.
+        const std::size_t n = a.size();
+        std::vector<Limbs> prefix(n);
+        prefix[0] = K::ToLimbs(a[0]);
+        for (std::size_t i = 1; i < n; ++i) {
+          k.Mul(prefix[i], prefix[i - 1], K::ToLimbs(a[i]));
+        }
+        std::optional<BigInt> total =
+            BigInt::TryInverseMod(K::ToBigInt(prefix[n - 1]), modulus());
+        if (!total) return false;
+        // inv = (a_0 ··· a_i)⁻¹ · R^i, starting at i = n − 1. Then
+        // Mul(inv, prefix[i − 1]) = a_i⁻¹ exactly, and Mul(inv, a_i) steps
+        // to i − 1; at i = 0 no power of R is left.
+        Limbs inv = K::ToLimbs(*total);
+        Limbs t;
+        for (std::size_t i = n; i-- > 1;) {
+          k.Mul(t, inv, prefix[i - 1]);
+          out[i] = K::ToBigInt(t);
+          k.Mul(inv, inv, K::ToLimbs(a[i]));
+        }
+        out[0] = K::ToBigInt(inv);
+        return true;
       },
       kernel_);
 }

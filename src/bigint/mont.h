@@ -22,6 +22,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <variant>
 
 #include "bigint/bigint.h"
@@ -103,6 +104,14 @@ class MontContext {
   // x mod n without division for x of up to twice the kernel's width
   // (ToMont, then FromMont).
   [[nodiscard]] BigInt Reduce(const BigInt& x) const;
+  // out[i] = a[i]⁻¹ mod n for every a[i] < n, by Montgomery's trick on the
+  // kernel's limbs: one BigInt inversion for the whole batch and three
+  // kernel multiplies per value, with no conversion in or out of Montgomery
+  // form. Returns false, with out unspecified, when the product of the
+  // values is not invertible (one of them shares a factor with n). Throws
+  // Error unless out holds a.size() values and every a[i] < n.
+  [[nodiscard]] bool TryInvertAll(std::span<const BigInt> a,
+                                  std::span<BigInt> out) const;
 
  private:
   std::variant<FixedMont<4>, FixedMont<8>, FixedMont<16>, FixedMont<32>> kernel_;

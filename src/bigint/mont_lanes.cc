@@ -1,6 +1,8 @@
 #include "bigint/mont_lanes.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -13,12 +15,17 @@ using u64 = std::uint64_t;
 
 namespace {
 
-constexpr std::size_t kLimbs = MontLanes::kLimbs;
-constexpr std::size_t kLanes = MontLanes::kLanes;
 constexpr unsigned kLimbBits = 52;
 constexpr u64 kLimbMask = (u64{1} << kLimbBits) - 1;
 constexpr std::size_t kWindow = 5;
 constexpr std::size_t kTableSize = std::size_t{1} << kWindow;
+
+// Eight values in 52-bit limbs, limb-major: limb j of every lane in
+// limb[j], one zmm load per limb.
+template <std::size_t L>
+struct alignas(64) Block {
+  u64 limb[L][kLanes];
+};
 
 // Limb j of x in radix 2^52.
 u64 Limb52(const BigInt& x, std::size_t j) {
@@ -30,18 +37,31 @@ u64 Limb52(const BigInt& x, std::size_t j) {
   return bits & kLimbMask;
 }
 
-std::array<u64, kLimbs> ToLimbs52(const BigInt& x) {
-  std::array<u64, kLimbs> out{};
-  for (std::size_t j = 0; j < kLimbs; ++j) out[j] = Limb52(x, j);
+template <std::size_t L>
+std::array<u64, L> ToLimbs52(const BigInt& x) {
+  std::array<u64, L> out{};
+  for (std::size_t j = 0; j < L; ++j) out[j] = Limb52(x, j);
   return out;
 }
 
-// Lane `lane` of a limb-major block of 52-bit limbs, as a BigInt.
-BigInt FromLimbs52(const u64 (&limbs)[kLimbs][kLanes], std::size_t lane) {
-  std::array<u64, (kLimbBits * kLimbs + 63) / 64> out{};
-  for (std::size_t j = 0; j < kLimbs; ++j) {
+// values[i] into lane i; lanes past values.size() hold `pad`.
+template <std::size_t L>
+void Pack(Block<L>& out, std::span<const BigInt> values, u64 pad = 0) {
+  for (std::size_t j = 0; j < L; ++j) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      out.limb[j][lane] = lane < values.size() ? Limb52(values[lane], j)
+                                               : (j == 0 ? pad : 0);
+    }
+  }
+}
+
+// Lane `lane` of a block, as a BigInt.
+template <std::size_t L>
+BigInt Unpack(const Block<L>& limbs, std::size_t lane) {
+  std::array<u64, (kLimbBits * L + 63) / 64> out{};
+  for (std::size_t j = 0; j < L; ++j) {
     std::size_t pos = kLimbBits * j;
-    u64 v = limbs[j][lane];
+    u64 v = limbs.limb[j][lane];
     out[pos / 64] |= v << (pos % 64);
     if (pos % 64 + kLimbBits > 64) out[pos / 64 + 1] |= v >> (64 - pos % 64);
   }
@@ -75,121 +95,249 @@ const CpuIfma kCpu;
 #define REED_IFMA __attribute__((target("avx512f,avx512ifma")))
 
 // A value per lane: limb j of all eight lanes in v[j].
-using Lanes = __m512i[kLimbs];
+template <std::size_t L>
+using Lanes = __m512i[L];
+
+template <std::size_t L>
+using Constants = typename MontLanes<L>::Constants;
 
 // out = a·b·R⁻¹ (mod n) in every lane, almost-Montgomery: a, b < 2n with
 // normalized 52-bit limbs give out < 2n, normalized. Operand scanning: each
 // b limb adds a_j·b_i into the columns, picks m to clear column 0, adds
 // m·n, and shifts one column down. A column gains less than 2^54 per round
-// (two low and two high 52-bit halves), so ten rounds stay below 2^58 and
-// carries wait for the one normalizing pass at the end. out may alias a or
-// b.
-REED_IFMA void Amm(Lanes& out, const Lanes& a, const Lanes& b,
-                   const MontLanes::Constants& c) {
+// (two low and two high 52-bit halves), so L rounds stay below L·2^54 —
+// 2^58 for ten limbs, 2^59 for twenty — and carries wait for the one
+// normalizing pass at the end. out may alias a or b.
+template <std::size_t L>
+REED_IFMA void Amm(Lanes<L>& out, const Lanes<L>& a, const Lanes<L>& b,
+                   const Constants<L>& c) {
+  static_assert(L <= 32, "a column must not overflow 64 bits");
   const __m512i zero = _mm512_setzero_si512();
   const __m512i k0 = _mm512_set1_epi64(static_cast<long long>(c.k0));
-  __m512i n[kLimbs];
-  for (std::size_t j = 0; j < kLimbs; ++j) {
-    n[j] = _mm512_set1_epi64(static_cast<long long>(c.n[j]));
-  }
-  __m512i acc[kLimbs];
-  for (std::size_t j = 0; j < kLimbs; ++j) acc[j] = zero;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
+  // The column loops are unrolled so that acc stays in registers (L of the
+  // 32); a and n are read as memory operands.
+  __m512i acc[L];
+#pragma GCC unroll 32
+  for (std::size_t j = 0; j < L; ++j) acc[j] = zero;
+  for (std::size_t i = 0; i < L; ++i) {
     const __m512i bi = b[i];
-    for (std::size_t j = 0; j < kLimbs; ++j) {
+#pragma GCC unroll 32
+    for (std::size_t j = 0; j < L; ++j) {
       acc[j] = _mm512_madd52lo_epu64(acc[j], a[j], bi);
     }
     // m = acc_0·k0 mod 2^52: the instruction reads only acc_0's low 52 bits.
     const __m512i m = _mm512_madd52lo_epu64(zero, acc[0], k0);
-    for (std::size_t j = 0; j < kLimbs; ++j) {
-      acc[j] = _mm512_madd52lo_epu64(acc[j], m, n[j]);
+#pragma GCC unroll 32
+    for (std::size_t j = 0; j < L; ++j) {
+      acc[j] = _mm512_madd52lo_epu64(acc[j], m, _mm512_set1_epi64(static_cast<long long>(c.n[j])));
     }
     // Column 0 is now a multiple of 2^52: carry it and shift down, adding
     // each high half into the column below its low half's.
     const __m512i carry = _mm512_maskz_srli_epi64(0xFF, acc[0], kLimbBits);
-    for (std::size_t j = 0; j + 1 < kLimbs; ++j) {
+#pragma GCC unroll 32
+    for (std::size_t j = 0; j + 1 < L; ++j) {
       acc[j] = _mm512_madd52hi_epu64(acc[j + 1], a[j], bi);
-      acc[j] = _mm512_madd52hi_epu64(acc[j], m, n[j]);
+      acc[j] = _mm512_madd52hi_epu64(acc[j], m, _mm512_set1_epi64(static_cast<long long>(c.n[j])));
     }
-    acc[kLimbs - 1] = _mm512_madd52hi_epu64(zero, a[kLimbs - 1], bi);
-    acc[kLimbs - 1] = _mm512_madd52hi_epu64(acc[kLimbs - 1], m, n[kLimbs - 1]);
+    acc[L - 1] = _mm512_madd52hi_epu64(zero, a[L - 1], bi);
+    acc[L - 1] = _mm512_madd52hi_epu64(
+        acc[L - 1], m, _mm512_set1_epi64(static_cast<long long>(c.n[L - 1])));
     acc[0] = _mm512_add_epi64(acc[0], carry);
   }
   const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kLimbMask));
-  for (std::size_t j = 0; j + 1 < kLimbs; ++j) {
+#pragma GCC unroll 32
+  for (std::size_t j = 0; j + 1 < L; ++j) {
     acc[j + 1] = _mm512_add_epi64(acc[j + 1], _mm512_maskz_srli_epi64(0xFF, acc[j], kLimbBits));
     out[j] = _mm512_and_si512(acc[j], mask);
   }
-  // Below 2n < 2^519, so the top limb holds the rest without a carry out.
-  out[kLimbs - 1] = acc[kLimbs - 1];
+  // Below 2n < 2^(52L − 1), so the top limb holds the rest without a carry
+  // out.
+  out[L - 1] = acc[L - 1];
+}
+
+template <std::size_t L>
+REED_IFMA void Broadcast(Lanes<L>& out, const std::array<u64, L>& limbs) {
+  for (std::size_t j = 0; j < L; ++j) {
+    out[j] = _mm512_set1_epi64(static_cast<long long>(limbs[j]));
+  }
+}
+
+template <std::size_t L>
+REED_IFMA void Load(Lanes<L>& out, const Block<L>& in) {
+  for (std::size_t j = 0; j < L; ++j) out[j] = _mm512_load_si512(in.limb[j]);
+}
+
+template <std::size_t L>
+REED_IFMA void Store(Block<L>& out, const Lanes<L>& x) {
+  for (std::size_t j = 0; j < L; ++j) _mm512_store_si512(out.limb[j], x[j]);
+}
+
+// out = x mod n for x < 2n in every lane: one masked subtract of n, and the
+// lanes whose subtraction did not borrow keep the difference.
+template <std::size_t L>
+REED_IFMA void StoreCanonical(Block<L>& out, const Lanes<L>& x, const Constants<L>& c) {
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kLimbMask));
+  __m512i borrow = _mm512_setzero_si512();
+  Lanes<L> diff;
+  for (std::size_t j = 0; j < L; ++j) {
+    __m512i d = _mm512_sub_epi64(
+        _mm512_sub_epi64(x[j], _mm512_set1_epi64(static_cast<long long>(c.n[j]))),
+        borrow);
+    borrow = _mm512_maskz_srli_epi64(0xFF, d, 63);
+    diff[j] = _mm512_and_si512(d, mask);
+  }
+  const __mmask8 keep_diff = _mm512_cmpeq_epi64_mask(borrow, _mm512_setzero_si512());
+  for (std::size_t j = 0; j < L; ++j) {
+    _mm512_store_si512(out.limb[j], _mm512_mask_mov_epi64(x[j], keep_diff, diff[j]));
+  }
 }
 
 // out = table[index] in every lane, reading all entries: each is ANDed with
 // a mask that is all ones only for the wanted one, so neither the loads nor
 // the branches depend on the index.
-REED_IFMA void Select(Lanes& out, const Lanes (&table)[kTableSize], u64 index) {
-  for (std::size_t j = 0; j < kLimbs; ++j) out[j] = _mm512_setzero_si512();
+template <std::size_t L>
+REED_IFMA void Select(Lanes<L>& out, const Lanes<L> (&table)[kTableSize], u64 index) {
+  for (std::size_t j = 0; j < L; ++j) out[j] = _mm512_setzero_si512();
   for (std::size_t e = 0; e < kTableSize; ++e) {
     // (e ^ index) − 1 has its top bit set only when e == index.
     const u64 hit = u64{0} - (((e ^ index) - 1) >> 63);
     const __m512i mask = _mm512_set1_epi64(static_cast<long long>(hit));
-    for (std::size_t j = 0; j < kLimbs; ++j) {
+    for (std::size_t j = 0; j < L; ++j) {
       out[j] = _mm512_or_si512(out[j], _mm512_and_si512(table[e][j], mask));
     }
   }
 }
 
-REED_IFMA void Broadcast(Lanes& out, const std::array<u64, kLimbs>& limbs) {
-  for (std::size_t j = 0; j < kLimbs; ++j) {
-    out[j] = _mm512_set1_epi64(static_cast<long long>(limbs[j]));
-  }
-}
-
-// io = io^exp mod n in every lane, io in plain form (limb-major, each lane
-// below n) in and out, exp > 0.
-REED_IFMA void PowIfma(u64 (&io)[kLimbs][kLanes], const BigInt& exp,
-                       const MontLanes::Constants& c) {
-  alignas(64) Lanes table[kTableSize];  // every entry is written below
-  Lanes x{};
-  for (std::size_t j = 0; j < kLimbs; ++j) x[j] = _mm512_load_si512(io[j]);
-  Lanes rr{};
-  Broadcast(rr, c.rr);
-  Broadcast(table[0], c.one);
-  Amm(table[1], x, rr, c);  // x·R mod n
+// io = io^exp mod n in every lane, io in plain form (each lane below n) in
+// and out, exp > 0.
+template <std::size_t L>
+REED_IFMA void PowIfma(Block<L>& io, const BigInt& exp, const Constants<L>& c) {
+  alignas(64) Lanes<L> table[kTableSize];  // every entry is written below
+  Lanes<L> x;
+  Load<L>(x, io);
+  Lanes<L> rr;
+  Broadcast<L>(rr, c.rr);
+  Broadcast<L>(table[0], c.one);
+  Amm<L>(table[1], x, rr, c);  // x·R mod n
   for (std::size_t e = 2; e < kTableSize; ++e) {
-    Amm(table[e], table[e - 1], table[1], c);
+    Amm<L>(table[e], table[e - 1], table[1], c);
   }
   // Every window costs kWindow squarings and one multiply, zero windows
   // included.
   std::size_t windows = (exp.BitLength() + kWindow - 1) / kWindow;
-  Lanes acc{};
-  Lanes entry{};
-  Select(acc, table, WindowAt(exp, (windows - 1) * kWindow));
+  Lanes<L> acc;
+  Lanes<L> entry;
+  Select<L>(acc, table, WindowAt(exp, (windows - 1) * kWindow));
   for (std::size_t k = windows - 1; k-- > 0;) {
-    for (std::size_t s = 0; s < kWindow; ++s) Amm(acc, acc, acc, c);
-    Select(entry, table, WindowAt(exp, k * kWindow));
-    Amm(acc, acc, entry, c);
+    for (std::size_t s = 0; s < kWindow; ++s) Amm<L>(acc, acc, acc, c);
+    Select<L>(entry, table, WindowAt(exp, k * kWindow));
+    Amm<L>(acc, acc, entry, c);
   }
-  // Leave Montgomery form: a·1·R⁻¹ for a < 2n is at most n, and n itself
-  // only for a value ≡ 0. One masked subtract of n makes it canonical.
-  Lanes unit{};
+  // Leave Montgomery form: a·1·R⁻¹ for a < 2n is at most n.
+  Lanes<L> unit;
+  for (std::size_t j = 0; j < L; ++j) unit[j] = _mm512_setzero_si512();
   unit[0] = _mm512_set1_epi64(1);
-  Amm(acc, acc, unit, c);
-  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kLimbMask));
-  __m512i borrow = _mm512_setzero_si512();
-  Lanes diff{};
-  for (std::size_t j = 0; j < kLimbs; ++j) {
-    __m512i d = _mm512_sub_epi64(
-        _mm512_sub_epi64(acc[j], _mm512_set1_epi64(static_cast<long long>(c.n[j]))),
-        borrow);
-    borrow = _mm512_maskz_srli_epi64(0xFF, d, 63);
-    diff[j] = _mm512_and_si512(d, mask);
+  Amm<L>(acc, acc, unit, c);
+  StoreCanonical<L>(io, acc, c);
+}
+
+// io = io^exp · factor mod n in every lane (factor = 1 when null), plain
+// form in and out, exp > 0 and public: square-and-multiply over exp's bits
+// from the top, then one multiply by the plain factor, which both applies
+// it and leaves Montgomery form.
+template <std::size_t L>
+REED_IFMA void PowPublicIfma(Block<L>& io, const BigInt& exp, const Block<L>* factor,
+                             const Constants<L>& c) {
+  Lanes<L> x;
+  Load<L>(x, io);
+  Lanes<L> rr;
+  Broadcast<L>(rr, c.rr);
+  Amm<L>(x, x, rr, c);  // x·R mod n
+  Lanes<L> acc;
+  for (std::size_t j = 0; j < L; ++j) acc[j] = x[j];
+  for (std::size_t bit = exp.BitLength() - 1; bit-- > 0;) {
+    Amm<L>(acc, acc, acc, c);
+    if (exp.Bit(bit)) Amm<L>(acc, acc, x, c);
   }
-  // Lanes whose subtraction did not borrow were ≥ n.
-  const __mmask8 keep_diff = _mm512_cmpeq_epi64_mask(borrow, _mm512_setzero_si512());
-  for (std::size_t j = 0; j < kLimbs; ++j) {
-    _mm512_store_si512(io[j], _mm512_mask_mov_epi64(acc[j], keep_diff, diff[j]));
+  Lanes<L> f;
+  if (factor != nullptr) {
+    Load<L>(f, *factor);
+  } else {
+    for (std::size_t j = 0; j < L; ++j) f[j] = _mm512_setzero_si512();
+    f[0] = _mm512_set1_epi64(1);
   }
+  Amm<L>(acc, acc, f, c);
+  StoreCanonical<L>(io, acc, c);
+}
+
+// io = io·b mod n in every lane, plain form in and out: io·R², then ·b.
+template <std::size_t L>
+REED_IFMA void MulIfma(Block<L>& io, const Block<L>& b, const Constants<L>& c) {
+  Lanes<L> x;
+  Load<L>(x, io);
+  Lanes<L> y;
+  Broadcast<L>(y, c.rr);
+  Amm<L>(x, x, y, c);  // x·R mod n
+  Load<L>(y, b);
+  Amm<L>(x, x, y, c);
+  StoreCanonical<L>(io, x, c);
+}
+
+// out[i] = a[i]⁻¹ mod n: Montgomery's trick run as eight interleaved
+// chains, lane k holding a[k], a[k + 8], ... (padding lanes hold 1). Like
+// MontContext::TryInvertAll it stays in plain form and tracks powers of R:
+// after t + 1 rows a lane's prefix is the product of its values times R^−t.
+// The eight lane totals are inverted together on the scalar path (one
+// BigInt inversion), and the walk back multiplies each lane's running
+// inverse by the previous prefix (the value's inverse, exactly) and by the
+// row's value (one power of R less). False when a total is not invertible.
+template <std::size_t L>
+REED_IFMA bool InvertAllIfma(std::span<const BigInt> a, std::span<BigInt> out,
+                             const MontContext& scalar, const Constants<L>& c) {
+  const std::size_t rows = (a.size() + kLanes - 1) / kLanes;
+  auto row_values = [&](std::size_t t) {
+    return a.subspan(t * kLanes, std::min(kLanes, a.size() - t * kLanes));
+  };
+  std::vector<Block<L>> row(rows);
+  std::vector<Block<L>> prefix(rows);  // below 2n, not reduced
+  Lanes<L> x;
+  Lanes<L> y;
+  for (std::size_t t = 0; t < rows; ++t) {
+    Pack<L>(row[t], row_values(t), 1);
+    if (t == 0) {
+      prefix[0] = row[0];
+      continue;
+    }
+    Load<L>(x, prefix[t - 1]);
+    Load<L>(y, row[t]);
+    Amm<L>(x, x, y, c);
+    Store<L>(prefix[t], x);
+  }
+  Block<L> io;
+  Load<L>(x, prefix[rows - 1]);
+  StoreCanonical<L>(io, x, c);
+  std::array<BigInt, kLanes> totals, inverses;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) totals[lane] = Unpack<L>(io, lane);
+  if (!scalar.TryInvertAll(totals, inverses)) return false;
+  Block<L> q;
+  Pack<L>(q, inverses);
+  Lanes<L> inv;
+  Load<L>(inv, q);
+  auto emit = [&](std::size_t t, const Lanes<L>& v) {
+    StoreCanonical<L>(io, v, c);
+    for (std::size_t lane = 0; lane < row_values(t).size(); ++lane) {
+      out[t * kLanes + lane] = Unpack<L>(io, lane);
+    }
+  };
+  for (std::size_t t = rows; t-- > 1;) {
+    Load<L>(y, prefix[t - 1]);
+    Amm<L>(x, inv, y, c);
+    emit(t, x);
+    Load<L>(y, row[t]);
+    Amm<L>(inv, inv, y, c);
+  }
+  emit(0, inv);
+  return true;
 }
 
 #undef REED_IFMA
@@ -202,24 +350,27 @@ const char* LaneKernelName(LaneKernel kernel) {
   return kernel == LaneKernel::kIfma8 ? "ifma8" : "scalar";
 }
 
-bool MontLanes::Supports(LaneKernel kernel) {
+bool SupportsLaneKernel(LaneKernel kernel) {
 #if defined(REED_X86)
   if (kernel == LaneKernel::kIfma8) return kCpu.ifma;
 #endif
   return kernel == LaneKernel::kScalar;
 }
 
-LaneKernel MontLanes::Detected() {
-  return Supports(LaneKernel::kIfma8) ? LaneKernel::kIfma8 : LaneKernel::kScalar;
+LaneKernel DetectedLaneKernel() {
+  return SupportsLaneKernel(LaneKernel::kIfma8) ? LaneKernel::kIfma8
+                                                : LaneKernel::kScalar;
 }
 
-MontLanes::MontLanes(const BigInt& modulus)
-    : MontLanes(modulus, modulus.BitLength() <= kMaxBits ? Detected()
+template <std::size_t L>
+MontLanes<L>::MontLanes(const BigInt& modulus)
+    : MontLanes(modulus, modulus.BitLength() <= kMaxBits ? DetectedLaneKernel()
                                                          : LaneKernel::kScalar) {}
 
-MontLanes::MontLanes(const BigInt& modulus, LaneKernel kernel)
+template <std::size_t L>
+MontLanes<L>::MontLanes(const BigInt& modulus, LaneKernel kernel)
     : scalar_(modulus), kernel_(kernel) {
-  if (!Supports(kernel)) {
+  if (!SupportsLaneKernel(kernel)) {
     throw Error(std::string("MontLanes: this CPU has no ") +
                 LaneKernelName(kernel) + " kernel");
   }
@@ -227,39 +378,109 @@ MontLanes::MontLanes(const BigInt& modulus, LaneKernel kernel)
   if (modulus.BitLength() > kMaxBits) {
     throw Error("MontLanes: modulus wider than the lane kernel");
   }
-  constexpr std::size_t kRBits = kLimbBits * kLimbs;
-  constants_.n = ToLimbs52(modulus);
-  constants_.one = ToLimbs52((BigInt(1) << kRBits) % modulus);
-  constants_.rr = ToLimbs52((BigInt(1) << (2 * kRBits)) % modulus);
+  constexpr std::size_t kRBits = kLimbBits * L;
+  constants_.n = ToLimbs52<L>(modulus);
+  constants_.one = ToLimbs52<L>((BigInt(1) << kRBits) % modulus);
+  constants_.rr = ToLimbs52<L>((BigInt(1) << (2 * kRBits)) % modulus);
   // −n⁻¹ mod 2^52 by Newton–Hensel lifting (1 → 64 correct low bits).
   u64 inv = 1;
   for (int i = 0; i < 6; ++i) inv *= 2 - constants_.n[0] * inv;
   constants_.k0 = (u64{0} - inv) & kLimbMask;
 }
 
-void MontLanes::Pow(std::span<const BigInt> base, const BigInt& exp,
-                    std::span<BigInt> out) const {
-  if (base.size() > kLanes || out.size() < base.size()) {
-    throw Error("MontLanes: at most eight bases, and room for each result");
+template <std::size_t L>
+void MontLanes<L>::CheckInputs(std::span<const BigInt> values,
+                               std::size_t count) const {
+  if (values.size() != count || count > kLanes) {
+    throw Error("MontLanes: at most eight values, as many in each input");
   }
-  for (const BigInt& b : base) {
-    if (b >= modulus()) throw Error("MontLanes: base not reduced");
+  for (const BigInt& v : values) {
+    if (v >= modulus()) throw Error("MontLanes: value not reduced");
   }
+}
+
+template <std::size_t L>
+void MontLanes<L>::Pow(std::span<const BigInt> base, const BigInt& exp,
+                       std::span<BigInt> out) const {
+  CheckInputs(base, base.size());
+  if (out.size() < base.size()) throw Error("MontLanes: no room for each result");
   if (kernel_ == LaneKernel::kScalar || exp.IsZero()) {
     for (std::size_t i = 0; i < base.size(); ++i) out[i] = scalar_.Pow(base[i], exp);
     return;
   }
 #if defined(REED_X86)
-  // Padding lanes hold 0.
-  alignas(64) u64 io[kLimbs][kLanes] = {};
-  for (std::size_t lane = 0; lane < base.size(); ++lane) {
-    for (std::size_t j = 0; j < kLimbs; ++j) io[j][lane] = Limb52(base[lane], j);
-  }
-  PowIfma(io, exp, constants_);
-  for (std::size_t lane = 0; lane < base.size(); ++lane) {
-    out[lane] = FromLimbs52(io, lane);
-  }
+  Block<L> io;
+  Pack<L>(io, base);
+  PowIfma<L>(io, exp, constants_);
+  for (std::size_t lane = 0; lane < base.size(); ++lane) out[lane] = Unpack<L>(io, lane);
 #endif
 }
+
+template <std::size_t L>
+void MontLanes<L>::PowPublic(std::span<const BigInt> base, const BigInt& exp,
+                             std::span<const BigInt> factor,
+                             std::span<BigInt> out) const {
+  CheckInputs(base, base.size());
+  if (!factor.empty()) CheckInputs(factor, base.size());
+  if (out.size() < base.size()) throw Error("MontLanes: no room for each result");
+  if (kernel_ == LaneKernel::kScalar || exp.IsZero()) {
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      out[i] = scalar_.Pow(base[i], exp);
+      if (!factor.empty()) out[i] = scalar_.Mul(out[i], factor[i]);
+    }
+    return;
+  }
+#if defined(REED_X86)
+  Block<L> io;
+  Block<L> f;
+  Pack<L>(io, base);
+  if (!factor.empty()) Pack<L>(f, factor);
+  PowPublicIfma<L>(io, exp, factor.empty() ? nullptr : &f, constants_);
+  for (std::size_t lane = 0; lane < base.size(); ++lane) out[lane] = Unpack<L>(io, lane);
+#endif
+}
+
+template <std::size_t L>
+void MontLanes<L>::Mul(std::span<const BigInt> a, std::span<const BigInt> b,
+                       std::span<BigInt> out) const {
+  CheckInputs(a, a.size());
+  CheckInputs(b, a.size());
+  if (out.size() < a.size()) throw Error("MontLanes: no room for each result");
+  if (kernel_ == LaneKernel::kScalar) {
+    for (std::size_t i = 0; i < a.size(); ++i) out[i] = scalar_.Mul(a[i], b[i]);
+    return;
+  }
+#if defined(REED_X86)
+  Block<L> io;
+  Block<L> y;
+  Pack<L>(io, a);
+  Pack<L>(y, b);
+  MulIfma<L>(io, y, constants_);
+  for (std::size_t lane = 0; lane < a.size(); ++lane) out[lane] = Unpack<L>(io, lane);
+#endif
+}
+
+template <std::size_t L>
+bool MontLanes<L>::TryInvertAll(std::span<const BigInt> a,
+                                std::span<BigInt> out) const {
+  // Fewer than two rows gain nothing from the lanes.
+  if (kernel_ == LaneKernel::kScalar || a.size() <= kLanes) {
+    return scalar_.TryInvertAll(a, out);
+  }
+  if (out.size() != a.size()) {
+    throw Error("MontLanes::TryInvertAll: input and output sizes differ");
+  }
+  for (const BigInt& v : a) {
+    if (v >= modulus()) throw Error("MontLanes: value not reduced");
+  }
+#if defined(REED_X86)
+  return InvertAllIfma<L>(a, out, scalar_, constants_);
+#else
+  return false;
+#endif
+}
+
+template class MontLanes<10>;
+template class MontLanes<20>;
 
 }  // namespace reed::bigint

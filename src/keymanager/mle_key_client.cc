@@ -1,5 +1,6 @@
 #include "keymanager/mle_key_client.h"
 
+#include <future>
 #include <optional>
 #include <thread>
 #include <unordered_map>
@@ -57,7 +58,10 @@ MleKeyClient::MleKeyClient(
     std::vector<std::shared_ptr<net::RpcChannel>> replicas,
     const Options& options)
     : client_id_(std::move(client_id)),
-      blind_client_(std::move(manager_key)),
+      blind_client_(options.lane_kernel
+                        ? rsa::BlindSignatureClient(std::move(manager_key),
+                                                    *options.lane_kernel)
+                        : rsa::BlindSignatureClient(std::move(manager_key))),
       replicas_(std::move(replicas)),
       options_(options),
       cache_(options.enable_cache ? options.key_cache_bytes : 0,
@@ -125,34 +129,54 @@ std::vector<Secret> MleKeyClient::GetKeys(
   std::size_t modulus_bytes = blind_client_.manager_key().ByteLength();
   for (std::size_t start = 0; start < missing.size();
        start += options_.batch_size) {
-    std::size_t end = std::min(missing.size(), start + options_.batch_size);
-    std::size_t n = end - start;
-    auto fp_at = [&](std::size_t i) {
-      return fps[missing[start + i]].AsSpan();
-    };
+    std::size_t n = std::min(missing.size() - start, options_.batch_size);
 
     // Factors are drawn serially and in order (the RNG is not thread-safe,
     // and this keeps the request bytes those of a serial Blind loop) and
-    // inverted together with one inversion; the blinding itself fans out.
+    // inverted together with one inversion. Blinding needs only r, so the
+    // pool blinds the lane groups of `width` chunks while one of its
+    // threads inverts.
     obs::ScopedTimer blind_timer(*Metrics().blind_us);
     std::vector<BigInt> factors;
     factors.reserve(n);
+    std::vector<ByteSpan> batch_fps;
+    batch_fps.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       factors.push_back(blind_client_.DrawFactor(rng));
+      batch_fps.push_back(fps[missing[start + i]].AsSpan());
     }
-    std::vector<std::optional<BigInt>> inverses = blind_client_.InvertFactors(factors);
-    std::vector<std::optional<rsa::BlindedRequest>> requests(n);
-    pool_.ParallelFor(n, [&](std::size_t i) {
-      if (!inverses[i]) return;
-      requests[i] = blind_client_.BlindWithInverse(fp_at(i), factors[i],
-                                                   std::move(*inverses[i]));
-    });
+    std::vector<std::optional<BigInt>> inverses;
+    std::future<void> inverted =
+        pool_.Submit([&] { inverses = blind_client_.InvertFactors(factors); });
+    std::vector<rsa::BlindedRequest> requests(n);
+    const std::size_t width = blind_client_.width();
+    const std::size_t groups = (n + width - 1) / width;
+    auto group = [&](std::size_t g) {
+      std::size_t lo = g * width;
+      return std::pair(lo, std::min(width, n - lo));
+    };
+    try {
+      pool_.ParallelFor(groups, [&](std::size_t g) {
+        auto [lo, count] = group(g);
+        blind_client_.BlindBatch(std::span(batch_fps).subspan(lo, count),
+                                 std::span(factors).subspan(lo, count),
+                                 std::span(requests).subspan(lo, count));
+      });
+    } catch (...) {
+      inverted.wait();  // it reads `factors` and writes `inverses`
+      throw;
+    }
+    inverted.get();
     std::vector<BigInt> blinded;
     blinded.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      // A factor sharing a prime with N: draw again.
-      if (!requests[i]) requests[i] = blind_client_.Blind(fp_at(i), rng);
-      blinded.push_back(requests[i]->blinded);
+      if (inverses[i]) {
+        requests[i].r_inv = std::move(*inverses[i]);
+      } else {
+        // A factor sharing a prime with N: draw again.
+        requests[i] = blind_client_.Blind(batch_fps[i], rng);
+      }
+      blinded.push_back(requests[i].blinded);
     }
     (void)blind_timer.Stop();
 
@@ -165,15 +189,20 @@ std::vector<Secret> MleKeyClient::GetKeys(
     ++stats_.batches_sent;
     Metrics().batches->Increment();
 
+    // A signature that fails s^e == h throws out of ParallelFor before any
+    // key of this batch reaches `keys` or the cache.
     obs::ScopedTimer unblind_timer(*Metrics().unblind_us);
-    pool_.ParallelFor(n, [&](std::size_t i) {
-      keys[missing[start + i]] = blind_client_.Unblind(*requests[i], sigs[i]);
+    std::vector<Secret> batch_keys(n);
+    pool_.ParallelFor(groups, [&](std::size_t g) {
+      auto [lo, count] = group(g);
+      blind_client_.UnblindBatch(std::span(requests).subspan(lo, count),
+                                 std::span(sigs).subspan(lo, count),
+                                 std::span(batch_keys).subspan(lo, count));
     });
     (void)unblind_timer.Stop();
-    if (options_.enable_cache) {
-      for (std::size_t i = start; i < end; ++i) {
-        cache_.Put(fps[missing[i]], keys[missing[i]]);
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (options_.enable_cache) cache_.Put(fps[missing[start + i]], batch_keys[i]);
+      keys[missing[start + i]] = std::move(batch_keys[i]);
     }
   }
   for (const auto& [index, first] : repeats) keys[index] = keys[first];

@@ -10,10 +10,13 @@
 // An MleKeyClient serves one caller at a time. Within a GetKeys call it
 // draws blinding factors serially from the caller's RNG, inverts each
 // batch's factors with one inversion (Montgomery's trick), then blinds and
-// unblinds each batch across its own pool (one thread per core).
+// unblinds each batch across its own pool (one thread per core), handing
+// each task whole lane groups of eight chunks on the IFMA kernel
+// (BlindSignatureClient::BlindBatch / UnblindBatch).
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "chunk/fingerprint.h"
 #include "keymanager/key_manager.h"
@@ -31,6 +34,10 @@ class MleKeyClient {
     std::size_t batch_size = 256;           // per-chunk requests per batch
     std::size_t key_cache_bytes = 512u << 20;  // 512 MB (paper §V-B)
     bool enable_cache = true;
+    // The lane kernel for blinding and unblinding; unset picks the widest
+    // one this CPU runs for the manager's modulus. Tests set it to compare
+    // the paths.
+    std::optional<bigint::LaneKernel> lane_kernel;
   };
 
   MleKeyClient(std::string client_id, rsa::RsaPublicKey manager_key,

@@ -70,7 +70,7 @@ void CrtContext::ApplyBatch(std::span<const BigInt> in,
   for (const BigInt& m : in) {
     if (m >= n_) throw Error("PrivateApply: message out of range");
   }
-  constexpr std::size_t kLanes = bigint::MontLanes::kLanes;
+  using bigint::kLanes;
   std::array<BigInt, kLanes> xp, xq, m1, m2;
   for (std::size_t start = 0; start < in.size(); start += kLanes) {
     std::size_t count = std::min(kLanes, in.size() - start);

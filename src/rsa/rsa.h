@@ -76,8 +76,8 @@ class CrtContext {
   BigInt Recombine(const BigInt& m1, const BigInt& m2) const;
 
   BigInt n_, dp_, dq_, qinv_;
-  bigint::MontLanes mod_p_;
-  bigint::MontLanes mod_q_;
+  bigint::MontLanes<10> mod_p_;  // a 1024-bit key's 512-bit halves
+  bigint::MontLanes<10> mod_q_;
 };
 
 // m^d mod n via CRT on fresh contexts; m must be < n.

@@ -4,6 +4,7 @@
 // kernel (bigint/mont_lanes.h) against the scalar one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bigint/bigint.h"
@@ -169,11 +170,14 @@ TEST(BigIntTest, ModularHelpers) {
 }
 
 TEST(BigIntTest, PowModSmallKnownValues) {
-  EXPECT_EQ(BigInt::PowMod(BigInt(2), BigInt(10), BigInt(1000)).ToU64(), 24u);
+  EXPECT_EQ(BigInt::PowMod(BigInt(2), BigInt(10), BigInt(1001)).ToU64(), 23u);
   EXPECT_EQ(BigInt::PowMod(BigInt(3), BigInt(0), BigInt(7)).ToU64(), 1u);
   EXPECT_EQ(BigInt::PowMod(BigInt(5), BigInt(117), BigInt(19)).ToU64(), 1u);
-  // Even modulus fallback path.
-  EXPECT_EQ(BigInt::PowMod(BigInt(3), BigInt(4), BigInt(100)).ToU64(), 81u % 100);
+  EXPECT_EQ(BigInt::PowMod(BigInt(3), BigInt(4), BigInt(101)).ToU64(), 81u);
+  EXPECT_TRUE(BigInt::PowMod(BigInt(3), BigInt(4), BigInt(1)).IsZero());
+  // Only odd moduli run: the Montgomery kernel has no even case.
+  EXPECT_THROW((void)BigInt::PowMod(BigInt(2), BigInt(10), BigInt(1000)), Error);
+  EXPECT_THROW((void)BigInt::PowMod(BigInt(2), BigInt(10), BigInt(0)), Error);
 }
 
 TEST(BigIntTest, FermatLittleTheorem) {
@@ -406,12 +410,12 @@ TEST(MontgomeryTest, SmallModuliInWideKernels) {
   }
 }
 
-// --- The lane kernel, on every path, against FixedMont::Pow per lane ------
+// --- The lane kernel, on every path and width, against MontContext --------
 
 class MontLanesTest : public ::testing::TestWithParam<LaneKernel> {
  protected:
   void SetUp() override {
-    if (!MontLanes::Supports(GetParam())) {
+    if (!SupportsLaneKernel(GetParam())) {
       GTEST_SKIP() << "this CPU has no " << LaneKernelName(GetParam())
                    << " lane kernel; that path was not run";
     }
@@ -426,16 +430,30 @@ BigInt OddModulus(DeterministicRng& rng, std::size_t bits) {
   return m;
 }
 
-TEST_P(MontLanesTest, PowMatchesFixedMontInEveryLane) {
-  DeterministicRng rng(45);
-  // The tests' RSA-512 halves, RSA-1024 halves, a random modulus at the
-  // 4n < 2^520 bound and the largest odd one below it.
-  std::vector<BigInt> moduli = {OddModulus(rng, 256), OddModulus(rng, 512),
-                                OddModulus(rng, MontLanes::kMaxBits),
-                                (BigInt(1) << MontLanes::kMaxBits) - BigInt(1)};
-  for (const BigInt& m : moduli) {
+// Moduli for the L-limb kernel: the widths REED gives it (the RSA-512 and
+// RSA-1024 halves for ten limbs; a whole RSA-512 and RSA-1024 N for
+// twenty), a random one at the 4n < R bound and the largest odd one below
+// it.
+template <std::size_t L>
+std::vector<BigInt> LaneModuli(DeterministicRng& rng) {
+  constexpr std::size_t kMax = MontLanes<L>::kMaxBits;
+  return {OddModulus(rng, 256 * (L / 10)), OddModulus(rng, 512 * (L / 10)),
+          OddModulus(rng, kMax), (BigInt(1) << kMax) - BigInt(1)};
+}
+
+// Eight values below m: 0, 1, m − 1 and 2, then random ones.
+std::vector<BigInt> LaneValues(DeterministicRng& rng, const BigInt& m) {
+  std::vector<BigInt> v = {BigInt(0), BigInt(1), m - BigInt(1), BigInt(2)};
+  while (v.size() < kLanes) v.push_back(BigInt::Random(rng, m));
+  return v;
+}
+
+template <std::size_t L>
+void CheckPowInEveryLane(LaneKernel kernel, std::uint64_t seed) {
+  DeterministicRng rng(seed);
+  for (const BigInt& m : LaneModuli<L>(rng)) {
     SCOPED_TRACE("modulus bits=" + std::to_string(m.BitLength()));
-    MontLanes lanes(m, GetParam());
+    MontLanes<L> lanes(m, kernel);
     const MontContext& oracle = lanes.context();  // FixedMont::Pow
     // Zero, one, window edges (a full window, one past it, the next one)
     // and full width, random or all ones.
@@ -443,12 +461,11 @@ TEST_P(MontLanesTest, PowMatchesFixedMontInEveryLane) {
                                      BigInt(33), BigInt::RandomBits(rng, m.BitLength()),
                                      (BigInt(1) << m.BitLength()) - BigInt(1)};
     // Each lane holds a different base, edges among them.
-    std::vector<BigInt> bases = {BigInt(0), BigInt(1), m - BigInt(1), BigInt(2)};
-    while (bases.size() < MontLanes::kLanes) bases.push_back(BigInt::Random(rng, m));
+    std::vector<BigInt> bases = LaneValues(rng, m);
     for (const BigInt& e : exponents) {
       SCOPED_TRACE("exponent bits=" + std::to_string(e.BitLength()));
       // Every group size: a short group pads the lanes past it.
-      for (std::size_t count = 1; count <= MontLanes::kLanes; ++count) {
+      for (std::size_t count = 1; count <= kLanes; ++count) {
         std::vector<BigInt> got(count);
         lanes.Pow(std::span(bases).first(count), e, got);
         for (std::size_t i = 0; i < count; ++i) {
@@ -464,17 +481,124 @@ TEST_P(MontLanesTest, PowMatchesFixedMontInEveryLane) {
   }
 }
 
-TEST_P(MontLanesTest, RejectsUnreducedBasesAndTooManyLanes) {
+TEST_P(MontLanesTest, PowMatchesFixedMontInEveryLane) {
+  CheckPowInEveryLane<10>(GetParam(), 45);
+  CheckPowInEveryLane<20>(GetParam(), 46);
+}
+
+// PowPublic's square-and-multiply chain and fused factor, and Mul, against
+// MontContext::Pow and Mul in every lane of every group size.
+template <std::size_t L>
+void CheckPublicChainInEveryLane(LaneKernel kernel, std::uint64_t seed) {
+  DeterministicRng rng(seed);
+  for (const BigInt& m : LaneModuli<L>(rng)) {
+    SCOPED_TRACE("modulus bits=" + std::to_string(m.BitLength()));
+    MontLanes<L> lanes(m, kernel);
+    const MontContext& oracle = lanes.context();
+    std::vector<BigInt> bases = LaneValues(rng, m);
+    // The same edges, in another lane order, as factors.
+    std::vector<BigInt> factors = LaneValues(rng, m);
+    std::rotate(factors.begin(), factors.begin() + 3, factors.end());
+    for (const BigInt& e : {BigInt(0), BigInt(1), BigInt(2), BigInt(3),
+                            BigInt(65537), BigInt::RandomBits(rng, 64)}) {
+      SCOPED_TRACE("exponent=" + e.ToHex());
+      for (std::size_t count = 1; count <= kLanes; ++count) {
+        auto b = std::span<const BigInt>(bases).first(count);
+        auto f = std::span<const BigInt>(factors).first(count);
+        std::vector<BigInt> got(count), got_times(count), product(count);
+        lanes.PowPublic(b, e, {}, got);
+        lanes.PowPublic(b, e, f, got_times);
+        lanes.Mul(b, f, product);
+        for (std::size_t i = 0; i < count; ++i) {
+          BigInt want = oracle.Pow(bases[i], e);
+          EXPECT_EQ(got[i], want) << "lane " << i << " of " << count;
+          EXPECT_EQ(got_times[i], oracle.Mul(want, factors[i]))
+              << "lane " << i << " of " << count;
+          EXPECT_EQ(product[i], oracle.Mul(bases[i], factors[i]))
+              << "lane " << i << " of " << count;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(MontLanesTest, PowPublicAndMulMatchScalarInEveryLane) {
+  CheckPublicChainInEveryLane<10>(GetParam(), 47);
+  CheckPublicChainInEveryLane<20>(GetParam(), 48);
+}
+
+// Eight interleaved chains of Montgomery's trick against one BigInt
+// inversion per value: every row count from one to a full 256-value batch,
+// partial last rows, and a value that shares a factor with n in the first,
+// a middle or the last, partial, row.
+template <std::size_t L>
+void CheckBatchInversion(LaneKernel kernel, std::uint64_t seed) {
+  DeterministicRng rng(seed);
+  for (const BigInt& p : {BigInt(1000003), BigInt::FromHex("ffffffffffffffc5")}) {
+    // m = p·q with q odd and m at the lane kernel's bound.
+    BigInt q = OddModulus(rng, MontLanes<L>::kMaxBits - p.BitLength());
+    BigInt m = p * q;
+    SCOPED_TRACE("modulus bits=" + std::to_string(m.BitLength()));
+    MontLanes<L> lanes(m, kernel);
+    for (std::size_t n : {0u, 1u, 8u, 9u, 17u, 64u, 255u, 256u}) {
+      SCOPED_TRACE("values=" + std::to_string(n));
+      std::vector<BigInt> values;
+      if (n > 0) values.push_back(BigInt(1));
+      if (n > 1) values.push_back(m - BigInt(1));
+      while (values.size() < n) {
+        BigInt v = BigInt::Random(rng, m);
+        if (BigInt::TryInverseMod(v, m)) values.push_back(std::move(v));
+      }
+      std::vector<BigInt> got(n);
+      ASSERT_TRUE(lanes.TryInvertAll(values, got));
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got[i], BigInt::InverseMod(values[i], m)) << "value " << i;
+      }
+      for (std::size_t bad : {std::size_t{0}, n / 2, n - 1}) {
+        if (n == 0) break;
+        std::vector<BigInt> with_bad = values;
+        with_bad[bad] = (bad % 2 == 0) ? p : BigInt(0);
+        EXPECT_FALSE(lanes.TryInvertAll(with_bad, got)) << "bad value at " << bad;
+      }
+    }
+    std::vector<BigInt> unreduced(20, BigInt(3));
+    unreduced[13] = m;
+    std::vector<BigInt> out(20);
+    EXPECT_THROW((void)lanes.TryInvertAll(unreduced, out), Error);
+    EXPECT_THROW((void)lanes.TryInvertAll(std::span(unreduced).first(19), out), Error);
+  }
+}
+
+TEST_P(MontLanesTest, BatchInversionMatchesInverseMod) {
+  CheckBatchInversion<10>(GetParam(), 50);
+  CheckBatchInversion<20>(GetParam(), 51);
+}
+
+template <std::size_t L>
+void CheckRejections(LaneKernel kernel) {
   BigInt m = (BigInt(1) << 255) + BigInt(1);
-  MontLanes lanes(m, GetParam());
-  std::vector<BigInt> out(MontLanes::kLanes + 1);
+  MontLanes<L> lanes(m, kernel);
+  std::vector<BigInt> out(kLanes + 1);
   std::vector<BigInt> unreduced = {BigInt(3), m};
+  std::vector<BigInt> two(2, BigInt(2));
   EXPECT_THROW(lanes.Pow(unreduced, BigInt(3), out), Error);
-  std::vector<BigInt> nine(MontLanes::kLanes + 1, BigInt(2));
+  EXPECT_THROW(lanes.PowPublic(unreduced, BigInt(3), {}, out), Error);
+  EXPECT_THROW(lanes.PowPublic(two, BigInt(3), unreduced, out), Error);
+  EXPECT_THROW(lanes.Mul(two, unreduced, out), Error);
+  std::vector<BigInt> nine(kLanes + 1, BigInt(2));
   EXPECT_THROW(lanes.Pow(nine, BigInt(3), out), Error);
-  EXPECT_THROW(lanes.Pow(std::span(nine).first(2), BigInt(3),
-                         std::span(out).first(1)),
-               Error);
+  EXPECT_THROW(lanes.PowPublic(nine, BigInt(3), {}, out), Error);
+  EXPECT_THROW(lanes.Mul(nine, nine, out), Error);
+  // Short outputs, and factors or multipliers that do not match the bases.
+  EXPECT_THROW(lanes.Pow(two, BigInt(3), std::span(out).first(1)), Error);
+  EXPECT_THROW(lanes.PowPublic(two, BigInt(3), {}, std::span(out).first(1)), Error);
+  EXPECT_THROW(lanes.PowPublic(two, BigInt(3), std::span(two).first(1), out), Error);
+  EXPECT_THROW(lanes.Mul(two, std::span(two).first(1), out), Error);
+}
+
+TEST_P(MontLanesTest, RejectsUnreducedBasesAndTooManyLanes) {
+  CheckRejections<10>(GetParam());
+  CheckRejections<20>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(EveryPath, MontLanesTest,
@@ -483,15 +607,14 @@ INSTANTIATE_TEST_SUITE_P(EveryPath, MontLanesTest,
                            return std::string(LaneKernelName(param_info.param));
                          });
 
-TEST(MontLanesKernelTest, WideModuliTakeTheScalarPath) {
-  EXPECT_TRUE(MontLanes::Supports(MontLanes::Detected()));
-  EXPECT_TRUE(MontLanes::Supports(LaneKernel::kScalar));
-  std::printf("lane kernel on this host: %s\n",
-              LaneKernelName(MontLanes::Detected()));
-  BigInt widest = (BigInt(1) << MontLanes::kMaxBits) - BigInt(1);
-  EXPECT_EQ(MontLanes(widest).kernel(), MontLanes::Detected());
-  BigInt too_wide = (BigInt(1) << (MontLanes::kMaxBits + 1)) - BigInt(1);
-  MontLanes scalar(too_wide);
+template <std::size_t L>
+void CheckWideModulusFallsBack() {
+  SCOPED_TRACE("limbs=" + std::to_string(L));
+  constexpr std::size_t kMax = MontLanes<L>::kMaxBits;
+  BigInt widest = (BigInt(1) << kMax) - BigInt(1);
+  EXPECT_EQ(MontLanes<L>(widest).kernel(), DetectedLaneKernel());
+  BigInt too_wide = (BigInt(1) << (kMax + 1)) - BigInt(1);
+  MontLanes<L> scalar(too_wide);
   EXPECT_EQ(scalar.kernel(), LaneKernel::kScalar);
   EXPECT_EQ(scalar.width(), 1u);
   std::vector<BigInt> got(2);
@@ -499,9 +622,58 @@ TEST(MontLanesKernelTest, WideModuliTakeTheScalarPath) {
   scalar.Pow(bases, BigInt(65537), got);
   EXPECT_EQ(got[0], BigInt::PowMod(bases[0], BigInt(65537), too_wide));
   EXPECT_EQ(got[1], BigInt::PowMod(bases[1], BigInt(65537), too_wide));
-  if (MontLanes::Supports(LaneKernel::kIfma8)) {
-    EXPECT_THROW(MontLanes(too_wide, LaneKernel::kIfma8), Error);
+  scalar.PowPublic(bases, BigInt(65537), {}, got);
+  EXPECT_EQ(got[0], BigInt::PowMod(bases[0], BigInt(65537), too_wide));
+  EXPECT_EQ(got[1], BigInt::PowMod(bases[1], BigInt(65537), too_wide));
+  if (SupportsLaneKernel(LaneKernel::kIfma8)) {
+    EXPECT_THROW(MontLanes<L>(too_wide, LaneKernel::kIfma8), Error);
   }
+}
+
+TEST(MontLanesKernelTest, WideModuliTakeTheScalarPath) {
+  EXPECT_TRUE(SupportsLaneKernel(DetectedLaneKernel()));
+  EXPECT_TRUE(SupportsLaneKernel(LaneKernel::kScalar));
+  std::printf("lane kernel on this host: %s\n",
+              LaneKernelName(DetectedLaneKernel()));
+  CheckWideModulusFallsBack<10>();
+  CheckWideModulusFallsBack<20>();
+}
+
+// Montgomery's trick on plain values (MontContext::TryInvertAll) against
+// one BigInt inversion per value, at every kernel width.
+TEST(MontgomeryTest, BatchInversionMatchesInverseModAtEveryWidth) {
+  DeterministicRng rng(49);
+  for (std::size_t bits : {61u, 255u, 512u, 1024u, 2047u}) {
+    SCOPED_TRACE("modulus bits=" + std::to_string(bits));
+    BigInt m = OddModulus(rng, bits);
+    MontContext ctx(m);
+    for (std::size_t n : {0u, 1u, 2u, 9u, 64u}) {
+      std::vector<BigInt> values;
+      values.push_back(BigInt(1));
+      if (n > 1) values.push_back(m - BigInt(1));
+      while (values.size() < n) {
+        BigInt v = BigInt::Random(rng, m);
+        if (BigInt::TryInverseMod(v, m)) values.push_back(std::move(v));
+      }
+      values.resize(n);
+      std::vector<BigInt> got(n);
+      ASSERT_TRUE(ctx.TryInvertAll(values, got)) << "n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got[i], BigInt::InverseMod(values[i], m)) << "n=" << n << " i=" << i;
+      }
+    }
+  }
+  // A value sharing a factor with m fails the whole batch; zero too.
+  BigInt m = BigInt(3) * BigInt(1000003);
+  MontContext ctx(m);
+  std::vector<BigInt> got(3);
+  std::vector<BigInt> shares = {BigInt(2), BigInt(6), BigInt(5)};
+  EXPECT_FALSE(ctx.TryInvertAll(shares, got));
+  std::vector<BigInt> zero = {BigInt(2), BigInt(0), BigInt(5)};
+  EXPECT_FALSE(ctx.TryInvertAll(zero, got));
+  std::vector<BigInt> unreduced = {BigInt(2), m, BigInt(5)};
+  EXPECT_THROW((void)ctx.TryInvertAll(unreduced, got), Error);
+  EXPECT_THROW((void)ctx.TryInvertAll(shares, std::span(got).first(2)), Error);
 }
 
 TEST(BigIntTest, RandomRespectsBound) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "crypto/random.h"
@@ -521,10 +522,29 @@ TEST(MleKeyClientTest, KeysAreHashOfFdhToTheD) {
   }
 }
 
+// The client's lane kernels: the scalar path runs on every host, the IFMA
+// one where the CPU has it.
+class ClientKernelTest : public ::testing::TestWithParam<bigint::LaneKernel> {
+ protected:
+  void SetUp() override {
+    if (!bigint::SupportsLaneKernel(GetParam())) {
+      GTEST_SKIP() << "this CPU has no " << bigint::LaneKernelName(GetParam())
+                   << " lane kernel; that path was not run";
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(EveryPath, ClientKernelTest,
+                         ::testing::Values(bigint::LaneKernel::kScalar,
+                                           bigint::LaneKernel::kIfma8),
+                         [](const auto& param_info) {
+                           return std::string(bigint::LaneKernelName(param_info.param));
+                         });
+
 // A key manager that lies once: the client's s^e == h check is its only
 // defense, so a single flipped bit in one signature must fail the whole
 // GetKeys call and leave no key of that batch in the cache.
-TEST(MleKeyClientTest, FlippedSignatureBitFailsTheBatchAndCachesNothing) {
+TEST_P(ClientKernelTest, FlippedSignatureBitFailsTheBatchAndCachesNothing) {
   // Two batches of 13: the second one is corrupted. 13 is one full lane
   // group of eight and a partial one of five, so the positions are the
   // first and last slot of the full group and the first and last slot of
@@ -548,6 +568,7 @@ TEST(MleKeyClientTest, FlippedSignatureBitFailsTheBatchAndCachesNothing) {
       });
       MleKeyClient::Options opts;
       opts.batch_size = kBatch;
+      opts.lane_kernel = GetParam();
       MleKeyClient client("alice", keys.pub, lying, opts);
       auto fps = MakeFingerprints(2 * kBatch, 80 + position);
       DeterministicRng rng(81);
@@ -567,6 +588,97 @@ TEST(MleKeyClientTest, FlippedSignatureBitFailsTheBatchAndCachesNothing) {
             crypto::Sha256::HashToBytes(s.ToBytesPadded(nbytes))))
             << "key " << i;
       }
+    }
+  }
+}
+
+// BlindBatch and UnblindBatch on the kernel under test against the scalar
+// oracles BlindWithInverse and Unblind, chunk by chunk.
+TEST_P(ClientKernelTest, LaneBatchesMatchScalarBlindAndUnblind) {
+  for (const rsa::RsaKeyPair& keys : {SharedTestKeys(), SharedTestKeys1024()}) {
+    SCOPED_TRACE("modulus bits=" + std::to_string(keys.pub.n.BitLength()));
+    rsa::BlindSignatureClient lanes(keys.pub, GetParam());
+    rsa::BlindSignatureServer server(keys.priv);
+    EXPECT_EQ(lanes.kernel(), GetParam());
+    for (std::size_t size : {1u, 7u, 8u, 9u, 256u}) {
+      SCOPED_TRACE("batch size=" + std::to_string(size));
+      DeterministicRng rng(90 + size);
+      auto fps = MakeFingerprints(static_cast<int>(size), 91 + size);
+      std::vector<ByteSpan> spans;
+      std::vector<BigInt> factors;
+      for (const auto& fp : fps) {
+        spans.push_back(fp.AsSpan());
+        factors.push_back(lanes.DrawFactor(rng));
+      }
+      // The factors 1 and N − 1 (so x = h and x = N − h), in the first
+      // lane group.
+      factors[0] = BigInt(1);
+      if (size > 1) factors[size - 2] = keys.pub.n - BigInt(1);
+      std::vector<std::optional<BigInt>> inverses = lanes.InvertFactors(factors);
+      std::vector<rsa::BlindedRequest> requests(size);
+      lanes.BlindBatch(spans, factors, requests);
+
+      std::vector<BigInt> sigs;
+      for (std::size_t i = 0; i < size; ++i) {
+        ASSERT_TRUE(inverses[i].has_value()) << i;
+        rsa::BlindedRequest want = lanes.BlindWithInverse(spans[i], factors[i], *inverses[i]);
+        EXPECT_EQ(requests[i].blinded, want.blinded) << "chunk " << i;
+        EXPECT_EQ(requests[i].h, want.h) << "chunk " << i;
+        requests[i].r_inv = *inverses[i];
+        sigs.push_back(server.Sign(requests[i].blinded));
+      }
+      std::vector<Secret> batch_keys(size);
+      lanes.UnblindBatch(requests, sigs, batch_keys);
+      for (std::size_t i = 0; i < size; ++i) {
+        EXPECT_TRUE(batch_keys[i].ConstantTimeEquals(lanes.Unblind(requests[i], sigs[i])))
+            << "chunk " << i;
+      }
+    }
+    // The signatures 1 and N − 1 verify only against h = 1 and h = N − 1;
+    // an r_inv of 1 makes s the signature itself.
+    std::vector<rsa::BlindedRequest> edges(2);
+    edges[0] = {BigInt(1), BigInt(1), BigInt(1)};
+    edges[1] = {keys.pub.n - BigInt(1), BigInt(1), keys.pub.n - BigInt(1)};
+    std::vector<BigInt> edge_sigs = {BigInt(1), keys.pub.n - BigInt(1)};
+    std::vector<Secret> edge_keys(2);
+    lanes.UnblindBatch(edges, edge_sigs, edge_keys);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_TRUE(edge_keys[i].ConstantTimeEquals(lanes.Unblind(edges[i], edge_sigs[i])));
+    }
+    // A mismatched h fails the batch, as it fails Unblind.
+    edges[1].h = BigInt(2);
+    EXPECT_THROW(lanes.UnblindBatch(edges, edge_sigs, edge_keys), Error);
+    EXPECT_THROW((void)lanes.Unblind(edges[1], edge_sigs[1]), Error);
+  }
+}
+
+// GetKeys on the kernel under test: the keys and the request frames are
+// those of the detected kernel's client.
+TEST_P(ClientKernelTest, GetKeysMatchesDetectedKernelByteForByte) {
+  for (const rsa::RsaKeyPair& keys : {SharedTestKeys(), SharedTestKeys1024()}) {
+    SCOPED_TRACE("modulus bits=" + std::to_string(keys.pub.n.BitLength()));
+    KeyManager km(keys, {});
+    auto run = [&](std::optional<bigint::LaneKernel> kernel,
+                   std::vector<Bytes>& frames) {
+      MleKeyClient::Options opts;
+      opts.batch_size = 21;  // two full lane groups and a partial one
+      opts.lane_kernel = kernel;
+      MleKeyClient client("alice", keys.pub,
+                          std::make_shared<net::LocalChannel>([&](ByteSpan req) {
+                            frames.emplace_back(req.begin(), req.end());
+                            return km.HandleRequest(req);
+                          }),
+                          opts);
+      DeterministicRng rng(95);
+      return client.GetKeys(MakeFingerprints(50, 96), rng);
+    };
+    std::vector<Bytes> want_frames, got_frames;
+    auto want = run(std::nullopt, want_frames);
+    auto got = run(GetParam(), got_frames);
+    EXPECT_EQ(got_frames, want_frames);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i].ConstantTimeEquals(want[i])) << "key " << i;
     }
   }
 }

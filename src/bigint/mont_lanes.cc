@@ -241,32 +241,26 @@ REED_IFMA void PowIfma(Block<L>& io, const BigInt& exp, const Constants<L>& c) {
   StoreCanonical<L>(io, acc, c);
 }
 
-// io = io^exp · factor mod n in every lane (factor = 1 when null), plain
-// form in and out, exp > 0 and public: square-and-multiply over exp's bits
-// from the top, then one multiply by the plain factor, which both applies
-// it and leaves Montgomery form.
+// io = io^exp · factor mod n in every lane, plain form in and out, exp > 0
+// and public: square-and-multiply over exp's bits from the top, then one
+// multiply by the plain factor, which both applies it and leaves
+// Montgomery form.
 template <std::size_t L>
-REED_IFMA void PowPublicIfma(Block<L>& io, const BigInt& exp, const Block<L>* factor,
+REED_IFMA void PowPublicIfma(Block<L>& io, const BigInt& exp, const Block<L>& factor,
                              const Constants<L>& c) {
   Lanes<L> x;
   Load<L>(x, io);
-  Lanes<L> rr;
-  Broadcast<L>(rr, c.rr);
-  Amm<L>(x, x, rr, c);  // x·R mod n
+  Lanes<L> y;
+  Broadcast<L>(y, c.rr);
+  Amm<L>(x, x, y, c);  // x·R mod n
   Lanes<L> acc;
   for (std::size_t j = 0; j < L; ++j) acc[j] = x[j];
   for (std::size_t bit = exp.BitLength() - 1; bit-- > 0;) {
     Amm<L>(acc, acc, acc, c);
     if (exp.Bit(bit)) Amm<L>(acc, acc, x, c);
   }
-  Lanes<L> f;
-  if (factor != nullptr) {
-    Load<L>(f, *factor);
-  } else {
-    for (std::size_t j = 0; j < L; ++j) f[j] = _mm512_setzero_si512();
-    f[0] = _mm512_set1_epi64(1);
-  }
-  Amm<L>(acc, acc, f, c);
+  Load<L>(y, factor);
+  Amm<L>(acc, acc, y, c);
   StoreCanonical<L>(io, acc, c);
 }
 
@@ -434,8 +428,8 @@ void MontLanes<L>::PowPublic(std::span<const BigInt> base, const BigInt& exp,
   Block<L> io;
   Block<L> f;
   Pack<L>(io, base);
-  if (!factor.empty()) Pack<L>(f, factor);
-  PowPublicIfma<L>(io, exp, factor.empty() ? nullptr : &f, constants_);
+  Pack<L>(f, factor, 1);  // no factor: 1 in every lane
+  PowPublicIfma<L>(io, exp, f, constants_);
   for (std::size_t lane = 0; lane < base.size(); ++lane) out[lane] = Unpack<L>(io, lane);
 #endif
 }

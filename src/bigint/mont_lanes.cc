@@ -1,8 +1,6 @@
 #include "bigint/mont_lanes.h"
 
-#include <algorithm>
 #include <string>
-#include <vector>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -167,11 +165,6 @@ REED_IFMA void Load(Lanes<L>& out, const Block<L>& in) {
   for (std::size_t j = 0; j < L; ++j) out[j] = _mm512_load_si512(in.limb[j]);
 }
 
-template <std::size_t L>
-REED_IFMA void Store(Block<L>& out, const Lanes<L>& x) {
-  for (std::size_t j = 0; j < L; ++j) _mm512_store_si512(out.limb[j], x[j]);
-}
-
 // out = x mod n for x < 2n in every lane: one masked subtract of n, and the
 // lanes whose subtraction did not borrow keep the difference.
 template <std::size_t L>
@@ -275,63 +268,6 @@ REED_IFMA void MulIfma(Block<L>& io, const Block<L>& b, const Constants<L>& c) {
   Load<L>(y, b);
   Amm<L>(x, x, y, c);
   StoreCanonical<L>(io, x, c);
-}
-
-// out[i] = a[i]⁻¹ mod n: Montgomery's trick run as eight interleaved
-// chains, lane k holding a[k], a[k + 8], ... (padding lanes hold 1). Like
-// MontContext::TryInvertAll it stays in plain form and tracks powers of R:
-// after t + 1 rows a lane's prefix is the product of its values times R^−t.
-// The eight lane totals are inverted together on the scalar path (one
-// BigInt inversion), and the walk back multiplies each lane's running
-// inverse by the previous prefix (the value's inverse, exactly) and by the
-// row's value (one power of R less). False when a total is not invertible.
-template <std::size_t L>
-REED_IFMA bool InvertAllIfma(std::span<const BigInt> a, std::span<BigInt> out,
-                             const MontContext& scalar, const Constants<L>& c) {
-  const std::size_t rows = (a.size() + kLanes - 1) / kLanes;
-  auto row_values = [&](std::size_t t) {
-    return a.subspan(t * kLanes, std::min(kLanes, a.size() - t * kLanes));
-  };
-  std::vector<Block<L>> row(rows);
-  std::vector<Block<L>> prefix(rows);  // below 2n, not reduced
-  Lanes<L> x;
-  Lanes<L> y;
-  for (std::size_t t = 0; t < rows; ++t) {
-    Pack<L>(row[t], row_values(t), 1);
-    if (t == 0) {
-      prefix[0] = row[0];
-      continue;
-    }
-    Load<L>(x, prefix[t - 1]);
-    Load<L>(y, row[t]);
-    Amm<L>(x, x, y, c);
-    Store<L>(prefix[t], x);
-  }
-  Block<L> io;
-  Load<L>(x, prefix[rows - 1]);
-  StoreCanonical<L>(io, x, c);
-  std::array<BigInt, kLanes> totals, inverses;
-  for (std::size_t lane = 0; lane < kLanes; ++lane) totals[lane] = Unpack<L>(io, lane);
-  if (!scalar.TryInvertAll(totals, inverses)) return false;
-  Block<L> q;
-  Pack<L>(q, inverses);
-  Lanes<L> inv;
-  Load<L>(inv, q);
-  auto emit = [&](std::size_t t, const Lanes<L>& v) {
-    StoreCanonical<L>(io, v, c);
-    for (std::size_t lane = 0; lane < row_values(t).size(); ++lane) {
-      out[t * kLanes + lane] = Unpack<L>(io, lane);
-    }
-  };
-  for (std::size_t t = rows; t-- > 1;) {
-    Load<L>(y, prefix[t - 1]);
-    Amm<L>(x, inv, y, c);
-    emit(t, x);
-    Load<L>(y, row[t]);
-    Amm<L>(inv, inv, y, c);
-  }
-  emit(0, inv);
-  return true;
 }
 
 #undef REED_IFMA
@@ -451,26 +387,6 @@ void MontLanes<L>::Mul(std::span<const BigInt> a, std::span<const BigInt> b,
   Pack<L>(y, b);
   MulIfma<L>(io, y, constants_);
   for (std::size_t lane = 0; lane < a.size(); ++lane) out[lane] = Unpack<L>(io, lane);
-#endif
-}
-
-template <std::size_t L>
-bool MontLanes<L>::TryInvertAll(std::span<const BigInt> a,
-                                std::span<BigInt> out) const {
-  // Fewer than two rows gain nothing from the lanes.
-  if (kernel_ == LaneKernel::kScalar || a.size() <= kLanes) {
-    return scalar_.TryInvertAll(a, out);
-  }
-  if (out.size() != a.size()) {
-    throw Error("MontLanes::TryInvertAll: input and output sizes differ");
-  }
-  for (const BigInt& v : a) {
-    if (v >= modulus()) throw Error("MontLanes: value not reduced");
-  }
-#if defined(REED_X86)
-  return InvertAllIfma<L>(a, out, scalar_, constants_);
-#else
-  return false;
 #endif
 }
 

@@ -86,14 +86,6 @@ class MontLanes {
   void Mul(std::span<const BigInt> a, std::span<const BigInt> b,
            std::span<BigInt> out) const;
 
-  // MontContext::TryInvertAll for any number of values, eight chains of
-  // Montgomery's trick at once on the IFMA kernel: out[i] = a[i]⁻¹ mod n
-  // for every a[i] < n, or false, with out unspecified, when one of them
-  // is not invertible. Still one BigInt inversion for the whole batch.
-  // Throws Error unless out holds a.size() values and every a[i] < n.
-  [[nodiscard]] bool TryInvertAll(std::span<const BigInt> a,
-                                  std::span<BigInt> out) const;
-
   // The IFMA kernel's constants, in 52-bit limbs.
   struct Constants {
     std::array<std::uint64_t, kLimbs> n{};    // the modulus

@@ -57,11 +57,16 @@ MleKeyClient::MleKeyClient(
     std::string client_id, rsa::RsaPublicKey manager_key,
     std::vector<std::shared_ptr<net::RpcChannel>> replicas,
     const Options& options)
+    : MleKeyClient(std::move(client_id),
+                   rsa::BlindSignatureClient(std::move(manager_key)),
+                   std::move(replicas), options) {}
+
+MleKeyClient::MleKeyClient(
+    std::string client_id, rsa::BlindSignatureClient blind_client,
+    std::vector<std::shared_ptr<net::RpcChannel>> replicas,
+    const Options& options)
     : client_id_(std::move(client_id)),
-      blind_client_(options.lane_kernel
-                        ? rsa::BlindSignatureClient(std::move(manager_key),
-                                                    *options.lane_kernel)
-                        : rsa::BlindSignatureClient(std::move(manager_key))),
+      blind_client_(std::move(blind_client)),
       replicas_(std::move(replicas)),
       options_(options),
       cache_(options.enable_cache ? options.key_cache_bytes : 0,

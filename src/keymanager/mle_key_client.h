@@ -16,7 +16,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "chunk/fingerprint.h"
 #include "keymanager/key_manager.h"
@@ -34,10 +33,6 @@ class MleKeyClient {
     std::size_t batch_size = 256;           // per-chunk requests per batch
     std::size_t key_cache_bytes = 512u << 20;  // 512 MB (paper §V-B)
     bool enable_cache = true;
-    // The lane kernel for blinding and unblinding; unset picks the widest
-    // one this CPU runs for the manager's modulus. Tests set it to compare
-    // the paths.
-    std::optional<bigint::LaneKernel> lane_kernel;
   };
 
   MleKeyClient(std::string client_id, rsa::RsaPublicKey manager_key,
@@ -49,6 +44,13 @@ class MleKeyClient {
   // same system-wide key pair, so any of them produces identical MLE keys;
   // the client fails over in order when a replica is unreachable.
   MleKeyClient(std::string client_id, rsa::RsaPublicKey manager_key,
+               std::vector<std::shared_ptr<net::RpcChannel>> replicas,
+               const Options& options);
+
+  // Blinds and unblinds with `blind_client`, on its lane kernel; the
+  // constructors above build one for the manager's key on the kernel this
+  // CPU detects. Tests pass one forced onto a kernel to compare the paths.
+  MleKeyClient(std::string client_id, rsa::BlindSignatureClient blind_client,
                std::vector<std::shared_ptr<net::RpcChannel>> replicas,
                const Options& options);
 

@@ -32,7 +32,7 @@ std::vector<std::optional<BigInt>> BlindSignatureClient::InvertFactors(
   for (const BigInt& f : factors) reduced.push_back(Reduced(f));
   std::vector<BigInt> inverses(factors.size());
   std::vector<std::optional<BigInt>> out(factors.size());
-  if (lanes_.TryInvertAll(reduced, inverses)) {
+  if (lanes_.context().TryInvertAll(reduced, inverses)) {
     for (std::size_t i = 0; i < factors.size(); ++i) out[i] = std::move(inverses[i]);
     return out;
   }

@@ -47,11 +47,11 @@ class BlindSignatureClient {
   [[nodiscard]] BigInt DrawFactor(crypto::Rng& rng) const;
 
   // Inverts a batch of factors mod N with Montgomery's trick
-  // (MontLanes::TryInvertAll): one inversion for the whole batch plus three
-  // multiplies per factor, eight chains at once on the IFMA kernel. Element i is nullopt when factors[i] is
-  // not invertible (it shares a prime with N, which a random draw hits with
-  // negligible probability); the others are still inverted. Pure and
-  // thread-safe.
+  // (MontContext::TryInvertAll): one inversion for the whole batch plus
+  // three Montgomery multiplies per factor. Element i is nullopt when
+  // factors[i] is not invertible (it shares a prime with N, which a random
+  // draw hits with negligible probability); the others are still inverted.
+  // Pure and thread-safe.
   [[nodiscard]] std::vector<std::optional<BigInt>> InvertFactors(
       const std::vector<BigInt>& factors) const;
 

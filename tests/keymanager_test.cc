@@ -568,8 +568,8 @@ TEST_P(ClientKernelTest, FlippedSignatureBitFailsTheBatchAndCachesNothing) {
       });
       MleKeyClient::Options opts;
       opts.batch_size = kBatch;
-      opts.lane_kernel = GetParam();
-      MleKeyClient client("alice", keys.pub, lying, opts);
+      MleKeyClient client("alice", rsa::BlindSignatureClient(keys.pub, GetParam()),
+                          {lying}, opts);
       auto fps = MakeFingerprints(2 * kBatch, 80 + position);
       DeterministicRng rng(81);
       EXPECT_THROW((void)client.GetKeys(fps, rng), Error);
@@ -658,23 +658,22 @@ TEST_P(ClientKernelTest, GetKeysMatchesDetectedKernelByteForByte) {
   for (const rsa::RsaKeyPair& keys : {SharedTestKeys(), SharedTestKeys1024()}) {
     SCOPED_TRACE("modulus bits=" + std::to_string(keys.pub.n.BitLength()));
     KeyManager km(keys, {});
-    auto run = [&](std::optional<bigint::LaneKernel> kernel,
+    auto run = [&](rsa::BlindSignatureClient blind_client,
                    std::vector<Bytes>& frames) {
       MleKeyClient::Options opts;
       opts.batch_size = 21;  // two full lane groups and a partial one
-      opts.lane_kernel = kernel;
-      MleKeyClient client("alice", keys.pub,
-                          std::make_shared<net::LocalChannel>([&](ByteSpan req) {
+      MleKeyClient client("alice", std::move(blind_client),
+                          {std::make_shared<net::LocalChannel>([&](ByteSpan req) {
                             frames.emplace_back(req.begin(), req.end());
                             return km.HandleRequest(req);
-                          }),
+                          })},
                           opts);
       DeterministicRng rng(95);
       return client.GetKeys(MakeFingerprints(50, 96), rng);
     };
     std::vector<Bytes> want_frames, got_frames;
-    auto want = run(std::nullopt, want_frames);
-    auto got = run(GetParam(), got_frames);
+    auto want = run(rsa::BlindSignatureClient(keys.pub), want_frames);
+    auto got = run(rsa::BlindSignatureClient(keys.pub, GetParam()), got_frames);
     EXPECT_EQ(got_frames, want_frames);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {

@@ -39,9 +39,6 @@ client::ClientOptions BenchClient(aont::Scheme scheme, std::size_t chunk_kb,
   opts.encryption_threads = 2;
   opts.pipeline.depth = depth;
   opts.pipeline.channels_per_server = channels;
-  // Smaller batches give the overlapped pipeline enough units in flight;
-  // a window of one keeps the paper's 4 MB batching.
-  if (depth > 1) opts.upload_batch_bytes = 1u << 20;
   opts.rng_seed = 42;
   return opts;
 }
@@ -158,7 +155,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- Pipelined data path: serial vs overlapped (enhanced, 8 KB) ---\n");
   // DESIGN.md §10: depth 1 is a window of one (encode and transfer
   // alternate); the overlapped config stripes 2 channels/server and keeps
-  // depth-1 batches on the wire while the next batch encodes. A slightly
+  // depth-1 units on the wire while the next unit encodes. A slightly
   // larger file than the smoke default amortizes per-file fixed costs
   // (CP-ABE wrap, metadata) that neither mode can overlap.
   std::size_t pipe_size = full ? (2ull << 30) : smoke ? (16ull << 20)

@@ -102,12 +102,14 @@ struct ReedCipher::PackageView {
   }
 };
 
-void ReedCipher::DecryptInto(ByteSpan trimmed_package, const Secret& stub,
+void ReedCipher::DecryptInto(ByteSpan trimmed_package, const Secret& stubs,
+                             std::size_t stub_offset,
                              MutableByteSpan out) const {
-  if (stub.size() != stub_size_) {
-    throw crypto::CryptoError("ReedCipher: stub size mismatch");
+  if (stub_offset > stubs.size() || stubs.size() - stub_offset < stub_size_) {
+    throw crypto::CryptoError("ReedCipher: stub out of range");
   }
-  const PackageView package{trimmed_package, stub.ExposeForCrypto()};
+  const PackageView package{
+      trimmed_package, stubs.ExposeForCrypto().subspan(stub_offset, stub_size_)};
   if (package.size() < PackageSize(1)) {
     throw crypto::CryptoError("ReedCipher: package too small");
   }
@@ -123,10 +125,13 @@ void ReedCipher::DecryptInto(ByteSpan trimmed_package, const Secret& stub,
 }
 
 Bytes ReedCipher::Decrypt(ByteSpan trimmed_package, const Secret& stub) const {
+  if (stub.size() != stub_size_) {
+    throw crypto::CryptoError("ReedCipher: stub size mismatch");
+  }
   const std::size_t package_size = trimmed_package.size() + stub.size();
   Bytes plain(package_size > PackageSize(0) ? package_size - PackageSize(0)
                                             : 0);
-  DecryptInto(trimmed_package, stub, plain);
+  DecryptInto(trimmed_package, stub, 0, plain);
   return plain;
 }
 

@@ -51,14 +51,17 @@ class ReedCipher {
   // Deterministically seals `chunk` under its 32-byte MLE key.
   [[nodiscard]] SealedChunk Encrypt(ByteSpan chunk, const Secret& mle_key) const;
 
-  // Reverts the package trimmed_package ‖ stub into `out`, which must be
-  // exactly the chunk's size: trimmed + stub − PackageSize(0) bytes. Reads
-  // both parts where they lie (no reassembled copy) and writes plaintext
-  // only into `out`, which must not overlap them. Throws Error if either
-  // part was tampered with (canary / hash-key verification), after zeroing
-  // `out`.
-  void DecryptInto(ByteSpan trimmed_package, const Secret& stub,
-                   MutableByteSpan out) const;
+  // Reverts the package trimmed_package ‖ stub into `out`, where the stub
+  // is the stub_size() bytes of `stubs` at `stub_offset` (so a restore
+  // reads each chunk's stub inside the whole stub file, without a copy).
+  // `out` must be exactly the chunk's size: trimmed + stub − PackageSize(0)
+  // bytes. Reads both parts where they lie (no reassembled copy) and writes
+  // plaintext only into `out`, which must not overlap them. Throws Error
+  // before writing if the stub lies outside `stubs`, and after zeroing
+  // `out` if either part was tampered with (canary / hash-key
+  // verification).
+  void DecryptInto(ByteSpan trimmed_package, const Secret& stubs,
+                   std::size_t stub_offset, MutableByteSpan out) const;
 
   // DecryptInto a fresh buffer of the chunk's size.
   [[nodiscard]] Bytes Decrypt(ByteSpan trimmed_package, const Secret& stub) const;

@@ -16,7 +16,8 @@
 namespace reed::chunk {
 
 struct Fingerprint {
-  std::array<std::uint8_t, 32> bytes{};
+  static constexpr std::size_t kSize = 32;
+  std::array<std::uint8_t, kSize> bytes{};
 
   static Fingerprint Of(ByteSpan data) {
     Fingerprint fp;

@@ -20,15 +20,15 @@ namespace {
 // stage, matching the cost attribution in the paper's Figs. 5-7. Timings are
 // recorded per batch (or per file operation), never per chunk, and the
 // metric pointers are resolved once per process — nothing here allocates on
-// the data path. The stage timers of the producer thread (chunking,
-// fingerprint, keygen, encode, wrap, metadata) run one after another, so
-// they add up to no more than the upload's wall time: chunking_us and
-// wrap_us time only the producer's wait on the chunker and wrap tasks (wrap
-// also covers the stub-file encryption after the join). Work on other
-// threads has its own timers — the chunker task's busy time in chunker_us,
-// each consumer's PutChunks in store_us — and overlaps the producer's
-// (DESIGN.md §10). Only durations and byte counts are recorded; all Secret
-// material stays inside the stages.
+// the data path. The stage timers of the producer thread (chunking, encode,
+// wrap, metadata) run one after another, so they add up to no more than the
+// upload's wall time: chunking_us and wrap_us time only the producer's wait
+// on the chunker and wrap tasks (wrap also covers the stub-file encryption
+// after the join). Work on other threads has its own timers — the chunker
+// task's busy time in chunker_us, the keygen task's fingerprint_us and
+// keygen_us, each consumer's PutChunks in store_us — and overlaps the
+// producer's (DESIGN.md §10). Only durations and byte counts are recorded;
+// all Secret material stays inside the stages.
 struct StageMetrics {
   obs::Histogram* chunking_us;
   obs::Histogram* chunker_us;
@@ -270,26 +270,30 @@ UploadResult ReedClient::UploadStream(
       });
   SecureZero(wrap_seed);
 
-  // Producer/consumer pipeline over ~upload_batch_bytes batches: a chunker
-  // task cuts batch k+1 while this thread produces batch k (fingerprint →
-  // keygen → parallel encode+fingerprint → in-order recipe and stub
-  // assembly) and up to depth-1 earlier batches ride the wire on consumer
-  // tasks. Recipe order, stub order, and dedup stats are byte-identical
-  // across depths: assembly happens here in batch order, and per-chunk
-  // dedup outcomes are order-independent (the server's ingest stripes make
-  // lookup+insert atomic per fingerprint).
+  // Four-stage pipeline over units of at most one key-manager batch
+  // (MleKeyClient::batch_size() chunks, so a unit never needs two OPRF round
+  // trips): the chunker task cuts unit k+2, a keygen task fingerprints unit
+  // k+1 on the encryption pool and runs its GetKeys, this thread encodes and
+  // assembles unit k, and up to depth-1 earlier units ride the wire on
+  // consumer tasks. Recipe order, stub order, and dedup stats are
+  // byte-identical across depths: assembly happens here in unit order, and
+  // per-chunk dedup outcomes are order-independent (the server's ingest
+  // stripes make lookup+insert atomic per fingerprint).
   //
-  // Thread discipline: keys_ (MleKeyClient) and rng_ are NOT thread-safe and
-  // are touched only by this producer thread; consumer tasks see only
-  // public-typed trimmed packages and the thread-safe StorageClient.
+  // Thread discipline: keys_ (MleKeyClient) and rng_ are NOT thread-safe.
+  // While the loop runs only the keygen task touches them, one task at a
+  // time: each starts after the previous one's future was read, so the
+  // future hands them on, and this thread takes rng_ back once the loop is
+  // over. Consumer tasks see only public-typed trimmed packages and the
+  // thread-safe StorageClient.
   store::FileRecipe recipe;
   recipe.file_id = sid;
   recipe.file_size = data.size();
   recipe.scheme = static_cast<std::uint8_t>(options_.scheme);
   recipe.stub_size = static_cast<std::uint32_t>(options_.stub_size);
-  // Each batch's stubs in their own exactly-sized buffer, joined once the
+  // Each unit's stubs in their own exactly-sized buffer, joined once the
   // chunk count is known, so no growing Secret leaves copies behind.
-  std::vector<Secret> batch_stubs;
+  std::vector<Secret> unit_stubs;
 
   UploadResult result;
   result.logical_bytes = data.size();
@@ -311,51 +315,69 @@ UploadResult ReedClient::UploadStream(
     result.stored_bytes += stats.stored_bytes;
   };
 
-  // Cuts one batch: at least one chunk, then chunks until it holds
-  // upload_batch_bytes of plaintext, so batch boundaries do not depend on
-  // where the chunks come from. An empty batch means the file is done.
-  auto cut_batch = [&next_chunk, &m,
-                    batch_bytes = options_.upload_batch_bytes] {
+  // Cuts one unit: chunks until it holds a key-manager batch, so unit
+  // boundaries do not depend on where the chunks come from. An empty unit
+  // means the file is done.
+  using Unit = std::vector<chunk::ChunkRef>;
+  auto cut_unit = [&next_chunk, &m, unit_chunks = keys_->batch_size()] {
     REED_FAULT_POINT("client.upload.chunk");
     schedfuzz::Perturb("client.upload.chunk");
     obs::ScopedTimer busy_timer(*m.chunker_us);
-    std::vector<chunk::ChunkRef> batch;
-    std::size_t bytes = 0;
-    while (batch.empty() || bytes < batch_bytes) {
+    Unit unit;
+    while (unit.size() < unit_chunks) {
       std::optional<chunk::ChunkRef> ref = next_chunk();
       if (!ref) break;
-      bytes += ref->length;
-      batch.push_back(*ref);
+      unit.push_back(*ref);
     }
-    return batch;
+    return unit;
   };
-  std::future<std::vector<chunk::ChunkRef>> next_batch =
-      std::async(std::launch::async, cut_batch);
 
-  for (;;) {
-    obs::ScopedTimer chunk_timer(*m.chunking_us);
-    const std::vector<chunk::ChunkRef> refs = next_batch.get();
-    (void)chunk_timer.Stop();
-    if (refs.empty()) break;
-    next_batch = std::async(std::launch::async, cut_batch);
-    const std::size_t n = refs.size();
-    result.chunk_count += n;
-
-    // Chunk fingerprints, parallel over the encryption pool (SHA-256 is the
-    // serial bottleneck the paper parallelizes away in §V-B).
+  // Chunk fingerprints, parallel over the encryption pool (SHA-256 is the
+  // serial bottleneck the paper parallelizes away in §V-B), then
+  // server-aided MLE key generation (batched OPRF + cache). Kept off the
+  // chunker task, whose serial cut is the bottleneck stage when the key
+  // cache hides keygen.
+  struct KeyedUnit {
+    Unit refs;
+    std::vector<Secret> keys;
+  };
+  auto keygen_unit = [this, data, &m](Unit refs) -> KeyedUnit {
+    schedfuzz::Perturb("client.upload.keygen");
     obs::ScopedTimer fp_timer(*m.fingerprint_us);
-    std::vector<chunk::Fingerprint> chunk_fps(n);
-    pool_.ParallelFor(n, [&](std::size_t i) {
-      chunk_fps[i] =
+    std::vector<chunk::Fingerprint> fps(refs.size());
+    pool_.ParallelFor(refs.size(), [&](std::size_t i) {
+      fps[i] =
           chunk::Fingerprint::Of(data.subspan(refs[i].offset, refs[i].length));
     });
     (void)fp_timer.Stop();
+    std::vector<Secret> keys =
+        Timed(*m.keygen_us, [&] { return keys_->GetKeys(fps, rng_); });
+    return {std::move(refs), std::move(keys)};
+  };
 
-    // Server-aided MLE key generation for this batch (batched OPRF + cache).
-    obs::ScopedTimer keygen_timer(*m.keygen_us);
-    std::vector<Secret> mle_keys = keys_->GetKeys(chunk_fps, rng_);
-    (void)keygen_timer.Stop();
-    schedfuzz::Perturb("client.upload.keygen");
+  std::future<Unit> next_cut = std::async(std::launch::async, cut_unit);
+  // Takes the next cut unit, starts cutting the one after it, and hands the
+  // unit to a keygen task. An invalid future means the file is done.
+  auto start_keygen = [&]() -> std::future<KeyedUnit> {
+    obs::ScopedTimer chunk_timer(*m.chunking_us);
+    Unit refs = next_cut.get();
+    (void)chunk_timer.Stop();
+    if (refs.empty()) return {};
+    next_cut = std::async(std::launch::async, cut_unit);
+    return std::async(std::launch::async, keygen_unit, std::move(refs));
+  };
+  // Depth 1 overlaps nothing: the next unit's keygen starts only once this
+  // unit is stored. Deeper pipelines run exactly one unit's keygen ahead,
+  // under this unit's encode.
+  const bool keygen_ahead = depth >= 2;
+  std::future<KeyedUnit> keyed = start_keygen();
+  while (keyed.valid()) {
+    // get() rethrows a keygen-task failure.
+    const KeyedUnit unit = keyed.get();
+    if (keygen_ahead) keyed = start_keygen();
+    const Unit& refs = unit.refs;
+    const std::size_t n = refs.size();
+    result.chunk_count += n;
 
     // CAONT encode, with the trimmed-package fingerprint folded into the
     // same parallel worker that produced the package (no second serial
@@ -366,7 +388,7 @@ UploadResult ReedClient::UploadStream(
     std::vector<chunk::Fingerprint> package_fps(n);
     pool_.ParallelFor(n, [&](std::size_t i) {
       sealed[i] = cipher_.Encrypt(
-          data.subspan(refs[i].offset, refs[i].length), mle_keys[i]);
+          data.subspan(refs[i].offset, refs[i].length), unit.keys[i]);
       package_fps[i] = chunk::Fingerprint::Of(sealed[i].trimmed_package);
     });
     (void)encode_timer.Stop();
@@ -383,11 +405,11 @@ UploadResult ReedClient::UploadStream(
       stubs.Append(sealed[i].stub);
       batch.emplace_back(package_fps[i], std::move(sealed[i].trimmed_package));
     }
-    batch_stubs.push_back(std::move(stubs));
+    unit_stubs.push_back(std::move(stubs));
 
-    // Window: at most depth-1 batches stay on the wire while the next one
-    // is produced. Depth 1 is a window of one: its batch is harvested
-    // before the next keygen starts, so encode and transfer alternate.
+    // Window: at most depth-1 units stay on the wire while the next one is
+    // produced. Depth 1 is a window of one: its unit is harvested before
+    // the next keygen starts, so keygen, encode and transfer alternate.
     while (!inflight.empty() && inflight.size() >= depth - 1) harvest();
     obs::GaugeGuard guard(*m.pipeline_inflight);
     inflight.emplace_back(
@@ -403,15 +425,16 @@ UploadResult ReedClient::UploadStream(
                    }),
         std::move(guard));
     if (inflight.size() >= depth) harvest();
+    if (!keygen_ahead) keyed = start_keygen();
   }
 
-  // Join the wrap while the tail batches are still on the wire; the stub
+  // Join the wrap while the tail units are still on the wire; the stub
   // file is encrypted under the file key of the state it wrapped.
   obs::ScopedTimer wrap_timer(*m.wrap_us);
   WrappedState wrapped = wrap.get();
   Secret stub_data;
   stub_data.Reserve(result.chunk_count * options_.stub_size);
-  for (const Secret& stubs : batch_stubs) stub_data.Append(stubs);
+  for (const Secret& stubs : unit_stubs) stub_data.Append(stubs);
   Secret stub_blob = aont::EncryptStubFile(
       stub_data, wrapped.state.DeriveFileKey(), rng_);
   store::KeyStateRecord record;
@@ -505,83 +528,85 @@ Bytes ReedClient::Download(const std::string& file_id) {
   // 3. Fetch trimmed packages in batches and revert chunks in parallel.
   aont::ReedCipher cipher(static_cast<aont::Scheme>(recipe.scheme),
                           recipe.stub_size);
-  Bytes file;
-  file.reserve(recipe.file_size);
-  std::vector<std::size_t> chunk_offsets(recipe.chunk_count());
-  {
-    std::size_t off = 0;
-    for (std::size_t i = 0; i < recipe.chunk_count(); ++i) {
-      chunk_offsets[i] = off;
-      off += recipe.chunk_sizes[i];
-    }
-    file.resize(off);
-  }
-  if (file.size() != recipe.file_size) {
-    throw Error("ReedClient::Download: recipe size mismatch");
-  }
-
-  // Fetches one batch of trimmed packages; runs on this thread (serial
-  // mode / first batch) or on a prefetch task overlapping the previous
-  // batch's decode. fetch_us measures only time spent inside GetChunks, so
-  // overlapped prefetch wall time is not double-counted against decode_us.
+  const std::size_t total = recipe.chunk_count();
+  // Fetches one batch of trimmed packages; runs on a task (the first batch,
+  // and every prefetch overlapping the previous batch's decode) or on this
+  // thread (later batches at depth 1). fetch_us measures only time spent
+  // inside GetChunks, so overlapped wall time is not double-counted against
+  // decode_us.
   auto fetch_batch = [&](std::size_t start, std::size_t end) {
-    // Runs on this thread (serial) or the prefetch task (pipelined): the
-    // same site covers both propagation paths.
+    // The same site covers every propagation path.
     REED_FAULT_POINT("client.download.fetch");
     std::vector<chunk::Fingerprint> fps(recipe.fingerprints.begin() + start,
                                         recipe.fingerprints.begin() + end);
     obs::ScopedTimer fetch_timer(*m.fetch_us);
-    std::vector<Bytes> packages = storage_->GetChunks(fps);
+    StorageClient::FetchedChunks packages = storage_->GetChunks(fps);
     (void)fetch_timer.Stop();
     std::uint64_t bytes = 0;
-    for (const Bytes& p : packages) bytes += p.size();
+    for (ByteSpan p : packages.chunks) bytes += p.size();
     m.fetch_bytes->Add(bytes);
     return packages;
   };
-
   constexpr std::size_t kFetchBatch = 512;
-  const std::size_t total = recipe.chunk_count();
   const bool prefetch = options_.pipeline.depth >= 2;
-  // Joined in its destructor (std::async), so a decode exception cannot
-  // leave a task referencing this frame behind. `next_guard` is declared
-  // after `next`, so on unwind the gauge drops before the future joins.
-  std::future<std::vector<Bytes>> next;
+  // Joined in its destructor (std::async), so an exception cannot leave a
+  // task referencing this frame behind. `next_guard` is declared after
+  // `next`, so on unwind the gauge drops before the future joins.
+  std::future<StorageClient::FetchedChunks> next;
   std::optional<obs::GaugeGuard> next_guard;
+  auto dispatch = [&](std::size_t start) {
+    const std::size_t end = std::min(total, start + kFetchBatch);
+    next_guard.emplace(*m.pipeline_inflight);
+    next = std::async(std::launch::async, [&fetch_batch, start, end] {
+      return fetch_batch(start, end);
+    });
+  };
+  // The first fetch goes out before the restore buffer is sized, so the
+  // buffer's zero-fill and first-touch page faults overlap the wire.
+  if (total > 0) dispatch(0);
+
+  Bytes file;
+  std::vector<std::size_t> chunk_offsets(total);
+  {
+    std::size_t off = 0;
+    for (std::size_t i = 0; i < total; ++i) {
+      chunk_offsets[i] = off;
+      off += recipe.chunk_sizes[i];
+    }
+    if (off != recipe.file_size) {
+      throw Error("ReedClient::Download: recipe size mismatch");
+    }
+    file.resize(off);
+  }
+
   for (std::size_t start = 0; start < total; start += kFetchBatch) {
-    std::size_t end = std::min(total, start + kFetchBatch);
-    std::vector<Bytes> packages;
+    const std::size_t end = std::min(total, start + kFetchBatch);
+    StorageClient::FetchedChunks packages;
     if (next.valid()) {
       schedfuzz::Perturb("client.download.fetch_join");
-      // get() rethrows a prefetch failure; the guard member then releases
-      // on unwind rather than here.
+      // get() rethrows a fetch failure; the guard member then releases on
+      // unwind rather than here.
       packages = next.get();
       next_guard.reset();
     } else {
       packages = fetch_batch(start, end);
     }
-    if (prefetch && end < total) {
-      std::size_t pstart = end;
-      std::size_t pend = std::min(total, end + kFetchBatch);
-      next_guard.emplace(*m.pipeline_inflight);
-      next = std::async(std::launch::async,
-                        [&fetch_batch, pstart, pend] {
-                          return fetch_batch(pstart, pend);
-                        });
-    }
+    if (prefetch && end < total) dispatch(end);
     schedfuzz::Perturb("client.download.decode");
     REED_FAULT_POINT("client.download.decode");
     obs::ScopedTimer decode_timer(*m.decode_us);
     pool_.ParallelFor(end - start, [&](std::size_t i) {
-      std::size_t idx = start + i;
-      if (packages[i].size() + recipe.stub_size !=
+      const std::size_t idx = start + i;
+      const ByteSpan package = packages.chunks[i];
+      if (package.size() + recipe.stub_size !=
           cipher.PackageSize(recipe.chunk_sizes[idx])) {
         throw Error("ReedClient::Download: chunk size mismatch");
       }
-      Secret stub = stub_data.Slice(idx * recipe.stub_size, recipe.stub_size);
-      // Each chunk decodes straight into its slice of the file.
+      // Each chunk decodes straight into its slice of the file, reading its
+      // stub in place in the stub file.
       MutableByteSpan slice = MutableByteSpan(file).subspan(
           chunk_offsets[idx], recipe.chunk_sizes[idx]);
-      cipher.DecryptInto(packages[i], stub, slice);
+      cipher.DecryptInto(package, stub_data, idx * recipe.stub_size, slice);
     });
     (void)decode_timer.Stop();
   }

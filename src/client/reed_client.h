@@ -1,12 +1,14 @@
 // The REED client (paper §III-A, §IV-D, §V "Client"): the software layer a
 // user machine runs to upload, download, and rekey files.
 //
-// Upload pipeline (DESIGN.md §10): a chunker task cuts ~4 MB batch i+1
-// while the producer runs batch i through chunk fingerprinting → OPRF MLE
-// keygen (with key cache) → basic/enhanced CAONT encryption (multi-threaded,
-// trimmed-package fingerprinting folded into the encode workers) → batched
-// upload of trimmed packages, with up to depth-1 batches on the wire
-// (PipelineOptions.depth). A wrap task CP-ABE-encrypts a fresh key state for
+// Upload pipeline (DESIGN.md §10), over units of one key-manager batch
+// (256 chunks by default): a chunker task cuts unit k+2, a keygen task runs
+// unit k+1 through chunk fingerprinting → OPRF MLE keygen (with key cache),
+// the producer runs unit k through basic/enhanced CAONT encryption
+// (multi-threaded, trimmed-package fingerprinting folded into the encode
+// workers), and up to depth-1 earlier units are on the wire as batched
+// uploads of trimmed packages (PipelineOptions.depth). A wrap task
+// CP-ABE-encrypts a fresh key state for
 // the whole upload; it is joined before the stub file is encrypted, then
 // recipe, encrypted stub file and wrapped key state are written in order.
 // Download pipeline: key state (CP-ABE decrypt + key-regression unwind) →
@@ -36,10 +38,11 @@
 namespace reed::client {
 
 // Overlapped data-path knobs (DESIGN.md §10). depth is the number of upload
-// batches allowed in flight at once: the producer thread encodes batch i+1
-// while up to depth-1 earlier batches are on the wire. depth = 1 is the same
-// pipeline with a window of one: each batch is stored before the next one's
-// keygen starts, so encode and transfer strictly alternate. On
+// units allowed in flight at once: the producer thread encodes unit k while
+// the keygen of unit k+1 runs and up to depth-1 earlier units are on the
+// wire. depth = 1 is the same pipeline with a window of one: each unit is
+// stored before the next one's keygen starts, so keygen, encode and
+// transfer strictly alternate. On
 // download, depth >= 2 prefetches the next fetch batch while the pool
 // decodes the current one.
 struct PipelineOptions {
@@ -58,7 +61,6 @@ struct ClientOptions {
   std::size_t avg_chunk_size = 8 * 1024;
   std::size_t fixed_chunk_size = 8 * 1024;
   std::size_t encryption_threads = 2;  // paper §VI-A.2
-  std::size_t upload_batch_bytes = 4u << 20;  // §V-B batching
   PipelineOptions pipeline;
   keymanager::MleKeyClient::Options key_options;
   // Non-empty: file identifiers are obfuscated with this salted hash before
@@ -163,7 +165,7 @@ class ReedClient {
   using ChunkSource = std::function<std::optional<chunk::ChunkRef>()>;
 
   // The one upload pipeline behind Upload and UploadChunked. `next_chunk` is
-  // called only from the chunker task, one batch at a time.
+  // called only from the chunker task, one unit at a time.
   UploadResult UploadStream(const std::string& file_id, ByteSpan data,
                             ChunkSource next_chunk,
                             const std::vector<std::string>& authorized_users);

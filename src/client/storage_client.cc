@@ -154,34 +154,40 @@ void StorageClient::ForEachTarget(const std::vector<std::size_t>& targets,
 
 StorageClient::PutStats StorageClient::PutChunks(
     const std::vector<std::pair<chunk::Fingerprint, Bytes>>& chunks) {
-  // Group into one request per target server.
-  std::vector<net::Writer> writers(data_servers_.size());
-  std::vector<std::uint32_t> counts(data_servers_.size(), 0);
+  // One request per target server, sized before it is written, so every
+  // package is copied once: straight into its server's frame.
+  const std::size_t servers = data_servers_.size();
+  std::vector<std::uint32_t> counts(servers, 0);
+  std::vector<std::size_t> frame_bytes(servers, 1 + 4);  // opcode, count
   for (const auto& [fp, data] : chunks) {
-    std::size_t target = fp.Short48() % data_servers_.size();
-    writers[target].Raw(fp.AsSpan());
-    writers[target].Blob(data);
+    std::size_t target = fp.Short48() % servers;
     ++counts[target];
+    frame_bytes[target] += chunk::Fingerprint::kSize + 4 + data.size();
   }
-
+  std::vector<net::Writer> requests(servers);
   std::vector<std::size_t> targets;
-  for (std::size_t s = 0; s < data_servers_.size(); ++s) {
-    if (counts[s] != 0) targets.push_back(s);
+  for (std::size_t s = 0; s < servers; ++s) {
+    if (counts[s] == 0) continue;
+    targets.push_back(s);
+    requests[s].Reserve(frame_bytes[s]);
+    requests[s].U8(static_cast<std::uint8_t>(Opcode::kPutChunks));
+    requests[s].U32(counts[s]);
+  }
+  for (const auto& [fp, data] : chunks) {
+    net::Writer& req = requests[fp.Short48() % servers];
+    req.Raw(fp.AsSpan());
+    req.Blob(data);
   }
 
   // Each server's transfer runs on its own pool worker: batch wall time is
   // max(per-server), not sum (tentpole fan-out). Each worker writes only its
   // own per_server slot; the merge below happens after all futures joined.
-  std::vector<PutStats> per_server(data_servers_.size());
+  std::vector<PutStats> per_server(servers);
   ForEachTarget(targets, [&](std::size_t s) {
     // Per-target, so an Nth-hit policy can fail one server of the fan-out
     // while the others complete (the partial-batch regression test).
     REED_FAULT_POINT("client.put_chunks.batch");
-    net::Writer req;
-    req.U8(static_cast<std::uint8_t>(Opcode::kPutChunks));
-    req.U32(counts[s]);
-    req.Raw(writers[s].bytes());
-    Bytes response = CallServer(s, req.Take());
+    Bytes response = CallServer(s, requests[s].bytes());
     net::Reader r(response);
     CheckStatus(r);
     per_server[s].duplicates = r.U32();
@@ -199,46 +205,46 @@ StorageClient::PutStats StorageClient::PutChunks(
   return stats;
 }
 
-std::vector<Bytes> StorageClient::GetChunks(
+StorageClient::FetchedChunks StorageClient::GetChunks(
     const std::vector<chunk::Fingerprint>& fps) {
   // Build per-server requests while remembering each chunk's slot.
-  std::vector<net::Writer> writers(data_servers_.size());
-  std::vector<std::uint32_t> counts(data_servers_.size(), 0);
-  std::vector<std::vector<std::size_t>> slots(data_servers_.size());
+  const std::size_t servers = data_servers_.size();
+  std::vector<std::vector<std::size_t>> slots(servers);
   for (std::size_t i = 0; i < fps.size(); ++i) {
-    std::size_t target = fps[i].Short48() % data_servers_.size();
-    writers[target].Raw(fps[i].AsSpan());
-    ++counts[target];
-    slots[target].push_back(i);
+    slots[fps[i].Short48() % servers].push_back(i);
   }
-
   std::vector<std::size_t> targets;
-  for (std::size_t s = 0; s < data_servers_.size(); ++s) {
-    if (counts[s] != 0) targets.push_back(s);
+  for (std::size_t s = 0; s < servers; ++s) {
+    if (!slots[s].empty()) targets.push_back(s);
   }
 
-  std::vector<Bytes> out(fps.size());
+  // Each worker fills only its own server's frame and the views of its own
+  // slots; `frames` is never resized, so the views stay put.
+  FetchedChunks out;
+  out.frames.resize(servers);
+  out.chunks.resize(fps.size());
   ForEachTarget(targets, [&](std::size_t s) {
     REED_FAULT_POINT("client.get_chunks.batch");
     net::Writer req;
+    req.Reserve(1 + 4 + slots[s].size() * chunk::Fingerprint::kSize);
     req.U8(static_cast<std::uint8_t>(Opcode::kGetChunks));
-    req.U32(counts[s]);
-    req.Raw(writers[s].bytes());
-    Bytes response = CallServer(s, req.Take());
-    net::Reader r(response);
+    req.U32(static_cast<std::uint32_t>(slots[s].size()));
+    for (std::size_t slot : slots[s]) req.Raw(fps[slot].AsSpan());
+    out.frames[s] = CallServer(s, req.bytes());
+    net::Reader r(out.frames[s]);
     CheckStatus(r);
     for (std::size_t slot : slots[s]) {
-      Bytes blob = r.Blob();
+      ByteSpan package = r.BlobView();
       // Integrity gate: the fingerprint doubles as a MAC over the trimmed
       // package (it is what dedup keyed on), so recompute it before any
       // decode work trusts the bytes. Catches tampered payloads AND
       // honest-server bugs that swap response ordering.
-      if (chunk::Fingerprint::Of(blob) != fps[slot]) {
+      if (chunk::Fingerprint::Of(package) != fps[slot]) {
         throw Error(
             "StorageClient: chunk integrity check failed for fingerprint " +
             fps[slot].ToHex());
       }
-      out[slot] = std::move(blob);
+      out.chunks[slot] = package;
     }
     r.ExpectEnd();
   });

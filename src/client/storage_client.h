@@ -48,11 +48,25 @@ class StorageClient {
   [[nodiscard]] PutStats PutChunks(
       const std::vector<std::pair<chunk::Fingerprint, Bytes>>& chunks);
 
+  // A GetChunks result without per-chunk copies: each server's response
+  // frame, and one view per requested chunk, in request order, into the
+  // frame that carried it. Move-only, so no view outlives its frame.
+  struct FetchedChunks {
+    FetchedChunks() = default;
+    FetchedChunks(FetchedChunks&&) = default;
+    FetchedChunks& operator=(FetchedChunks&&) = default;
+    FetchedChunks(const FetchedChunks&) = delete;
+    FetchedChunks& operator=(const FetchedChunks&) = delete;
+
+    std::vector<Bytes> frames;
+    std::vector<ByteSpan> chunks;
+  };
+
   // Fetches chunks (order-preserving), gathering concurrently from the
   // owning servers. Every returned package is verified against the
   // requested fingerprint — a server returning tampered or swapped bytes
   // is detected here, before any decode work trusts them.
-  [[nodiscard]] std::vector<Bytes> GetChunks(const std::vector<chunk::Fingerprint>& fps);
+  [[nodiscard]] FetchedChunks GetChunks(const std::vector<chunk::Fingerprint>& fps);
 
   void PutObject(server::StoreId store, const std::string& name, ByteSpan value);
   [[nodiscard]] Bytes GetObject(server::StoreId store, const std::string& name);

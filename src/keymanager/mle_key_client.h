@@ -63,6 +63,10 @@ class MleKeyClient {
 
   [[nodiscard]] Secret GetKey(const chunk::Fingerprint& fp, crypto::Rng& rng);
 
+  // Fingerprints per key-manager round trip: a GetKeys call over at most
+  // this many fingerprints sends at most one request.
+  [[nodiscard]] std::size_t batch_size() const { return options_.batch_size; }
+
   // Clears the key cache (the trace experiment resets it between users).
   void ClearCache();
 

@@ -62,6 +62,9 @@ class Writer {
   void Str(const Secret&) = delete;
   void Raw(const Secret&) = delete;
 
+  // Sizes the buffer up front, for a frame whose length is known.
+  void Reserve(std::size_t n) { buf_.reserve(n); }
+
   [[nodiscard]] Bytes Take() { return std::move(buf_); }
   const Bytes& bytes() const { return buf_; }
 
@@ -104,6 +107,12 @@ class Reader {
   }
 
   [[nodiscard]] Bytes Blob() {
+    ByteSpan view = BlobView();
+    return Bytes(view.begin(), view.end());
+  }
+
+  // Blob() without the copy: a view into the frame, valid while it lives.
+  [[nodiscard]] ByteSpan BlobView() {
     REED_FAULT_POINT("net.wire.read");
     std::uint32_t len = U32();
     if (len > max_blob_len_) {
@@ -111,7 +120,7 @@ class Reader {
                       " exceeds sanity cap " + std::to_string(max_blob_len_));
     }
     Need(len);
-    Bytes out(data_.begin() + off_, data_.begin() + off_ + len);
+    ByteSpan out = data_.subspan(off_, len);
     off_ += len;
     return out;
   }

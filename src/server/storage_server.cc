@@ -51,6 +51,39 @@ RpcMetrics& MetricsFor(Opcode op) {
   return unknown;
 }
 
+// Ingest stage timers: each chunk's time in every stage of the compound,
+// summed over one PutChunks batch and recorded once per batch, plus the
+// batch's group-commit wait. Stripe-lock waits count in none of them.
+struct IngestMetrics {
+  obs::Histogram* index_us;        // fingerprint lookups
+  obs::Histogram* append_us;       // container appends (segment records)
+  obs::Histogram* wal_append_us;   // index inserts with their WAL records
+  obs::Histogram* commit_wait_us;  // the batch's durability point
+};
+
+IngestMetrics& Ingest() {
+  auto& reg = obs::Registry::Global();
+  static IngestMetrics m{&reg.GetHistogram("server.ingest.index_us"),
+                         &reg.GetHistogram("server.ingest.append_us"),
+                         &reg.GetHistogram("server.ingest.wal_append_us"),
+                         &reg.GetHistogram("server.ingest.commit_wait_us")};
+  return m;
+}
+
+using IngestClock = std::chrono::steady_clock;
+
+// Adds the time since `since` to `total` and restarts `since`.
+void Lap(IngestClock::time_point& since, IngestClock::duration& total) {
+  IngestClock::time_point now = IngestClock::now();
+  total += now - since;
+  since = now;
+}
+
+void RecordUs(obs::Histogram& hist, IngestClock::duration d) {
+  auto us = std::chrono::duration_cast<std::chrono::microseconds>(d).count();
+  hist.Record(us < 0 ? 0 : static_cast<std::uint64_t>(us));
+}
+
 }  // namespace
 
 StorageServer::Stores::Stores(const Options& options)
@@ -117,6 +150,8 @@ StorageServer::PutChunksResult StorageServer::PutChunks(
   }
   static obs::Counter& ingest_contention =
       obs::Registry::Global().GetCounter("server.ingest.stripe_contention");
+  IngestMetrics& stages = Ingest();
+  IngestClock::duration index_time{}, append_time{}, wal_time{};
   for (const auto& [fp, data] : chunks) {
     // Lookup + append + insert must be one atomic step: if two clients race
     // on the same fingerprint with lookup and insert as separate critical
@@ -133,14 +168,19 @@ StorageServer::PutChunksResult StorageServer::PutChunks(
     ContendedMutexLock<obs::Counter> ingest(
         ingest_mu_[chunk::FingerprintHash{}(fp) % kIngestStripes].mu,
         ingest_contention);
-    if (stores_->index.Lookup(fp).has_value()) {
+    IngestClock::time_point lap = IngestClock::now();
+    const bool duplicate = stores_->index.Lookup(fp).has_value();
+    Lap(lap, index_time);
+    if (duplicate) {
       ++result.duplicates;
       continue;
     }
     store::ChunkLocation loc = stores_->containers.Append(data);
+    Lap(lap, append_time);
     bool inserted = false;
     try {
       inserted = stores_->index.Insert(fp, loc);
+      Lap(lap, wal_time);
     } catch (...) {
       // The append landed but the index entry did not (the fault sweep arms
       // exactly this window): discard the appended bytes so the failure
@@ -166,9 +206,14 @@ StorageServer::PutChunksResult StorageServer::PutChunks(
   static obs::Counter& dups = reg.GetCounter("server.dedup.duplicate_chunks");
   logical.Add(chunks.size());
   dups.Add(result.duplicates);
+  RecordUs(*stages.index_us, index_time);
+  RecordUs(*stages.append_us, append_time);
+  RecordUs(*stages.wal_append_us, wal_time);
   // Durability point: the batch's appends and index records ride one group
   // fsync (segments first via the WAL pre-sync hook). No locks held here.
+  IngestClock::time_point commit_start = IngestClock::now();
   if (stores_->engine) stores_->engine->Commit();
+  RecordUs(*stages.commit_wait_us, IngestClock::now() - commit_start);
   return result;
 }
 
@@ -354,6 +399,9 @@ Bytes StorageServer::HandleRequest(ByteSpan request) {
         }
         r.ExpectEnd();
         std::vector<Bytes> chunks = GetChunks(fps);
+        std::size_t frame_bytes = 1;
+        for (const Bytes& c : chunks) frame_bytes += 4 + c.size();
+        resp.Reserve(frame_bytes);
         resp.U8(0);
         for (const Bytes& c : chunks) resp.Blob(c);
         return finish(resp.Take());

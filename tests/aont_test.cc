@@ -187,12 +187,46 @@ TEST_P(ReedCipherTest, DecryptIntoWritesTheCallersBuffer) {
     Bytes chunk = TestChunk(5000);
     SealedChunk sealed = cipher.Encrypt(chunk, TestKey());
     Bytes out(chunk.size());
-    cipher.DecryptInto(sealed.trimmed_package, sealed.stub, out);
+    cipher.DecryptInto(sealed.trimmed_package, sealed.stub, 0, out);
     EXPECT_EQ(out, chunk) << "stub " << stub_size;
     Bytes wrong_size(chunk.size() + 1);
     EXPECT_THROW(
-        cipher.DecryptInto(sealed.trimmed_package, sealed.stub, wrong_size),
+        cipher.DecryptInto(sealed.trimmed_package, sealed.stub, 0, wrong_size),
         Error);
+  }
+}
+
+TEST_P(ReedCipherTest, DecryptIntoReadsItsStubInsideAStubFile) {
+  // Three chunks' stubs back to back, as a restore holds the stub file.
+  std::vector<Bytes> chunks = {TestChunk(3000, 11), TestChunk(4096, 12),
+                               TestChunk(5000, 13)};
+  std::vector<SealedChunk> sealed;
+  Secret stub_file;
+  for (const Bytes& chunk : chunks) {
+    sealed.push_back(cipher_.Encrypt(chunk, TestKey()));
+    stub_file.Append(sealed.back().stub);
+  }
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    Bytes out(chunks[i].size());
+    cipher_.DecryptInto(sealed[i].trimmed_package, stub_file,
+                        i * kDefaultStubSize, out);
+    EXPECT_EQ(out, chunks[i]) << "chunk " << i;
+  }
+  // Another chunk's stub fails the package's check; a stub reaching past
+  // the file, or an offset past it, is refused before anything is written.
+  Bytes out(chunks[0].size(), 0xAA);
+  EXPECT_THROW(cipher_.DecryptInto(sealed[0].trimmed_package, stub_file,
+                                   kDefaultStubSize, out),
+               Error);
+  EXPECT_EQ(out, Bytes(chunks[0].size(), 0));
+  for (std::size_t offset : {2 * kDefaultStubSize + 1, 3 * kDefaultStubSize,
+                             std::size_t{SIZE_MAX}}) {
+    Bytes untouched(chunks[2].size(), 0xAA);
+    EXPECT_THROW(cipher_.DecryptInto(sealed[2].trimmed_package, stub_file,
+                                     offset, untouched),
+                 Error)
+        << "offset " << offset;
+    EXPECT_EQ(untouched, Bytes(chunks[2].size(), 0xAA));
   }
 }
 
@@ -203,7 +237,7 @@ TEST_P(ReedCipherTest, FailedDecryptIntoLeavesZeros) {
   SealedChunk sealed = cipher_.Encrypt(chunk, TestKey());
   sealed.trimmed_package[100] ^= 1;
   Bytes out(chunk.size(), 0xAA);
-  EXPECT_THROW(cipher_.DecryptInto(sealed.trimmed_package, sealed.stub, out),
+  EXPECT_THROW(cipher_.DecryptInto(sealed.trimmed_package, sealed.stub, 0, out),
                Error);
   EXPECT_EQ(out, Bytes(chunk.size(), 0));
 }

@@ -327,6 +327,38 @@ TEST(StorageServerDurableTest, SingleWriterCommitsNeverDwell) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(StorageServerDurableTest, IngestStageTimersRecordOncePerBatch) {
+  const std::string dir = FreshDir("server_ingest_timers");
+  StorageServer::Options opts;
+  opts.data_dir = dir;
+  StorageServer server("srv", opts);
+  auto& reg = obs::Registry::Global();
+  obs::Histogram* stages[] = {&reg.GetHistogram("server.ingest.index_us"),
+                              &reg.GetHistogram("server.ingest.append_us"),
+                              &reg.GetHistogram("server.ingest.wal_append_us"),
+                              &reg.GetHistogram("server.ingest.commit_wait_us")};
+  std::vector<std::uint64_t> counts;
+  for (obs::Histogram* h : stages) counts.push_back(h->count());
+  std::vector<std::pair<chunk::Fingerprint, Bytes>> batch;
+  for (int i = 0; i < 16; ++i) {
+    Bytes data = Pattern(8192, static_cast<std::uint8_t>(i));
+    batch.emplace_back(FpOf(data), std::move(data));
+  }
+  EXPECT_EQ(server.PutChunks(batch).stored, batch.size());
+  const std::uint64_t appended_us = stages[1]->sum();
+  const std::uint64_t inserted_us = stages[2]->sum();
+  // All duplicates: one more sample per stage, and no time in the append
+  // or the insert, which a duplicate never reaches.
+  EXPECT_EQ(server.PutChunks(batch).duplicates, batch.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(stages[i]->count(), counts[i] + 2) << "stage " << i;
+  }
+  EXPECT_EQ(stages[1]->sum(), appended_us);
+  EXPECT_EQ(stages[2]->sum(), inserted_us);
+  server.Close();
+  std::filesystem::remove_all(dir);
+}
+
 // The harness every engine test drives: the same four stores StorageServer
 // bundles, attached to a fresh engine over one directory.
 struct EngineFixture {

@@ -69,8 +69,9 @@ ClientOptions SweepClientOptions(std::size_t depth) {
   ClientOptions opts;
   opts.avg_chunk_size = 4096;
   opts.encryption_threads = 2;
-  // Small batches force several pipeline iterations on small test files.
-  opts.upload_batch_bytes = 16 * 1024;
+  // Small key-manager batches (one per upload unit) force several pipeline
+  // iterations on small test files.
+  opts.key_options.batch_size = 4;
   opts.pipeline.depth = depth;
   opts.pipeline.channels_per_server = depth > 1 ? 2 : 1;
   opts.rng_seed = 7;

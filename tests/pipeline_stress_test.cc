@@ -6,13 +6,16 @@
 // exactly. The first test pins that equivalence on twin same-seed systems;
 // the UploadStream tests pin Upload (chunker task) against UploadChunked
 // and the chunker and wrap tasks' failure paths; the window test pins the
-// upload schedule each depth promises; the rest
+// upload schedule each depth promises; the keygen tests pin the look-ahead
+// keygen stage (its overlap, its request bytes, its failures); the rest
 // hammer one shared cluster from many pipelined clients at once — sized to
 // stay cheap enough for TSan, which is the point of the exercise.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "core/reed_system.h"
@@ -46,8 +49,9 @@ ClientOptions PipelinedOptions(std::size_t depth, std::size_t channels) {
   ClientOptions opts;
   opts.avg_chunk_size = 4096;
   opts.encryption_threads = 2;
-  // Small batches force many pipeline iterations even on small test files.
-  opts.upload_batch_bytes = 32 * 1024;
+  // Small key-manager batches (one per upload unit) force many pipeline
+  // iterations even on small test files.
+  opts.key_options.batch_size = 8;
   opts.pipeline.depth = depth;
   opts.pipeline.channels_per_server = channels;
   opts.rng_seed = 77;
@@ -355,6 +359,221 @@ TEST(PipelineWindowTest, PutChunksInFlightStaysWithinDepthWindow) {
       EXPECT_GE(record.peak_puts.load(), 1);
       EXPECT_LE(record.peak_puts.load(), static_cast<int>(depth - 1));
     }
+  }
+}
+
+// Key material for clients built by hand (below), from one seeded set-up.
+struct KeyMaterial {
+  explicit KeyMaterial(std::uint64_t seed)
+      : rng(seed),
+        km(rsa::GenerateKeyPair(512, rng), ManagerOptions()),
+        abe(std::make_shared<const abe::CpAbe>(
+            std::make_shared<const pairing::TypeAPairing>(
+                pairing::TypeAParams::Default()))),
+        setup(abe->Setup(rng)),
+        access_key(abe->KeyGen(setup.pk, setup.mk, {"user:alice"}, rng)),
+        derivation(rsa::GenerateKeyPair(512, rng)) {}
+
+  static keymanager::KeyManager::Options ManagerOptions() {
+    keymanager::KeyManager::Options opts;
+    opts.rsa_bits = 512;
+    return opts;
+  }
+
+  DeterministicRng rng;
+  keymanager::KeyManager km;
+  std::shared_ptr<const abe::CpAbe> abe;
+  abe::CpAbe::SetupResult setup;
+  abe::PrivateKey access_key;
+  rsa::RsaKeyPair derivation;
+};
+
+// Alice's client over one server that holds both data and key state (one
+// PutChunks per unit), reaching the key manager through `km_channel`, so a
+// test can record or corrupt the key manager's frames.
+std::unique_ptr<ReedClient> HandBuiltClient(
+    KeyMaterial& keys, server::StorageServer& storage,
+    std::shared_ptr<net::RpcChannel> km_channel, const ClientOptions& options) {
+  auto direct = std::make_shared<net::LocalChannel>(
+      [&storage](ByteSpan req) { return storage.HandleRequest(req); });
+  auto storage_client = std::make_shared<client::StorageClient>(
+      std::vector<std::shared_ptr<net::RpcChannel>>{direct}, direct);
+  auto mle = std::make_shared<keymanager::MleKeyClient>(
+      "alice", keys.km.public_key(), std::move(km_channel),
+      options.key_options);
+  return std::make_unique<ReedClient>("alice", options, storage_client, mle,
+                                      keys.abe, keys.setup.pk, keys.access_key,
+                                      keys.derivation);
+}
+
+TEST(KeygenAheadTest, NextUnitsKeyManagerCallOverlapsThisUnitsEncode) {
+  KeyMaterial keys(32);
+  auto& encodes =
+      obs::Registry::Global().GetHistogram("client.upload.encode_us");
+  // Unit 0 is 32 chunks of 128 KiB, unit 1 one small chunk: the look-ahead
+  // call for unit 1 needs one fingerprint and one blinding, so at depth >= 2
+  // it starts long before unit 0's 4 MiB encode ends.
+  constexpr std::size_t kUnit = 32;
+  constexpr std::size_t kBig = 128 * 1024;
+  Bytes data = TestFile(kUnit * kBig + 1000, 700);
+  std::vector<chunk::ChunkRef> refs;
+  for (std::size_t i = 0; i < kUnit; ++i) refs.push_back({i * kBig, kBig});
+  refs.push_back({kUnit * kBig, 1000});
+
+  for (std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    server::StorageServer storage("ahead-" + std::to_string(depth));
+    std::atomic<int> calls{0};
+    std::atomic<bool> overlapped{false};
+    std::uint64_t encoded_before = 0;
+    auto km_channel = std::make_shared<net::LocalChannel>([&](ByteSpan req) {
+      if (calls.fetch_add(1) == 1) {
+        // Unit 1's call. Unit 0's encode has not finished while the encode
+        // count stands still; hold the call until it moves, so that encode
+        // cannot be waiting for this call.
+        if (encodes.count() == encoded_before) overlapped = true;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (encodes.count() == encoded_before &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      }
+      return keys.km.HandleRequest(req);
+    });
+    ClientOptions opts = PipelinedOptions(depth, 1);
+    opts.key_options.batch_size = kUnit;
+    auto alice = HandBuiltClient(keys, storage, km_channel, opts);
+    encoded_before = encodes.count();
+    auto result = alice->UploadChunked("ahead", data, refs, {"alice"});
+    EXPECT_EQ(result.stored_chunks, refs.size());
+    EXPECT_EQ(calls.load(), 2);
+    EXPECT_EQ(alice->Download("ahead"), data);
+    if (depth == 1) {
+      EXPECT_FALSE(overlapped.load())
+          << "depth 1 ran unit 1's keygen under unit 0's encode";
+    } else {
+      EXPECT_TRUE(overlapped.load())
+          << "unit 1's key-manager call waited for unit 0's encode";
+    }
+  }
+}
+
+TEST(KeygenAheadTest, RequestFramesMatchSerialGetKeysLoop) {
+  // 600 fixed-size chunks: key-manager units of 256, 256 and 88.
+  KeyMaterial keys(33);
+  constexpr std::size_t kChunk = 512;
+  constexpr std::size_t kChunks = 600;
+  Bytes data = TestFile(kChunks * kChunk, 710);
+  auto recording = [&keys](std::vector<Bytes>& frames) {
+    return std::make_shared<net::LocalChannel>([&keys, &frames](ByteSpan req) {
+      frames.emplace_back(req.begin(), req.end());
+      return keys.km.HandleRequest(req);
+    });
+  };
+
+  // The same units through a serial GetKeys loop, from an RNG with the
+  // client's seed: its first 32 bytes seed the wrap task, the rest blind.
+  ClientOptions opts = PipelinedOptions(1, 1);
+  opts.avg_chunk_size = 0;
+  opts.fixed_chunk_size = kChunk;
+  opts.key_options = {};
+  std::vector<Bytes> want;
+  {
+    keymanager::MleKeyClient serial("alice", keys.km.public_key(),
+                                    recording(want), opts.key_options);
+    DeterministicRng rng(opts.rng_seed);
+    std::array<std::uint8_t, 32> wrap_seed;
+    rng.Fill(wrap_seed);
+    const std::size_t unit = serial.batch_size();
+    for (std::size_t start = 0; start < kChunks; start += unit) {
+      std::vector<chunk::Fingerprint> fps;
+      for (std::size_t i = start; i < std::min(kChunks, start + unit); ++i) {
+        fps.push_back(chunk::Fingerprint::Of(
+            ByteSpan(data).subspan(i * kChunk, kChunk)));
+      }
+      (void)serial.GetKeys(fps, rng);
+    }
+  }
+  ASSERT_EQ(want.size(), 3u);
+
+  for (std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    server::StorageServer storage("frames-" + std::to_string(depth));
+    opts.pipeline.depth = depth;
+    std::vector<Bytes> frames;
+    auto alice = HandBuiltClient(keys, storage, recording(frames), opts);
+    auto result = alice->Upload("pinned", data, {"alice"});
+    EXPECT_EQ(result.chunk_count, kChunks);
+    EXPECT_EQ(frames, want);
+  }
+}
+
+TEST(KeygenAheadTest, LookAheadKeygenFailurePublishesNothing) {
+  // Units of 8 chunks at depth 2: unit 1's keygen is the look-ahead beside
+  // unit 0's encode, and it fails.
+  KeyMaterial keys(34);
+  auto& inflight = obs::Registry::Global().GetGauge(
+      "client.pipeline.inflight_batches");
+  const std::size_t nbytes = keys.km.public_key().ByteLength();
+  Bytes data = TestFile(256 * 1024, 720);
+  struct Case {
+    const char* name;
+    bool flip;  // else: fail GetKeys at its fault site, on its 2nd hit
+  };
+  std::vector<Case> cases = {{"flipped-signature", true}};
+#if defined(REED_FAULT_INJECT)
+  cases.push_back({"keymanager.get_keys", false});
+#endif
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string id = std::string("ahead-") + c.name;
+    server::StorageServer storage(id);
+    std::atomic<int> calls{0};
+    std::atomic<bool> lie{c.flip};
+    auto km_channel = std::make_shared<net::LocalChannel>([&](ByteSpan req) {
+      Bytes response = keys.km.HandleRequest(req);
+      // Status byte, then one padded signature per element: flip the low
+      // bit of the first signature in unit 1's response.
+      if (lie && calls.fetch_add(1) == 1) response[nbytes] ^= 1;
+      return response;
+    });
+    ClientOptions opts = PipelinedOptions(2, 1);
+    auto alice = HandBuiltClient(keys, storage, km_channel, opts);
+    std::string msg;
+    {
+#if defined(REED_FAULT_INJECT)
+      fault::DisarmAll();
+      fault::ResetCounters();
+      std::optional<fault::ScopedFault> armed;
+      if (!c.flip) armed.emplace(c.name, fault::Policy::NthHit(2));
+#endif
+      try {
+        (void)alice->Upload(id, data, {"alice"});
+      } catch (const Error& e) {
+        msg = e.what();
+      }
+    }
+    EXPECT_FALSE(msg.empty()) << "Upload did not throw";
+    if (!c.flip) {
+      EXPECT_NE(msg.find(c.name), std::string::npos) << msg;
+    }
+    EXPECT_FALSE(storage.HasObject(server::StoreId::kData, "recipe/" + id));
+    EXPECT_FALSE(storage.HasObject(server::StoreId::kData, "stub/" + id));
+    EXPECT_FALSE(storage.HasObject(server::StoreId::kKey, "keystate/" + id));
+    EXPECT_EQ(inflight.value(), 0);
+
+    // Only unit 0's keys were cached: an honest retry hits exactly its
+    // chunks, and round-trips.
+    lie = false;
+    const auto before = alice->key_client().stats();
+    auto result = alice->Upload(id, data, {"alice"});
+    EXPECT_EQ(alice->key_client().stats().cache_hits - before.cache_hits,
+              opts.key_options.batch_size);
+    EXPECT_EQ(result.chunk_count,
+              alice->key_client().stats().cache_misses - before.cache_misses +
+                  opts.key_options.batch_size);
+    EXPECT_EQ(alice->Download(id), data);
   }
 }
 

@@ -106,10 +106,11 @@ TEST(StorageClientIntegrityTest, HonestFetchPassesTheGate) {
   std::vector<chunk::Fingerprint> fps;
   for (const auto& [fp, data] : chunks) fps.push_back(fp);
   (void)client.PutChunks(chunks);
-  std::vector<Bytes> fetched = client.GetChunks(fps);
-  ASSERT_EQ(fetched.size(), chunks.size());
+  auto fetched = client.GetChunks(fps);
+  ASSERT_EQ(fetched.chunks.size(), chunks.size());
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    EXPECT_EQ(fetched[i], chunks[i].second);
+    const ByteSpan got = fetched.chunks[i];
+    EXPECT_EQ(Bytes(got.begin(), got.end()), chunks[i].second);
   }
 }
 
@@ -156,9 +157,10 @@ TEST_F(StripedClientTest, RoundTripAndStripeRotation) {
       EXPECT_EQ(stats.duplicates, 64u);
     }
   }
-  std::vector<Bytes> fetched = client_->GetChunks(fps);
+  auto fetched = client_->GetChunks(fps);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    EXPECT_EQ(fetched[i], chunks[i].second);
+    const ByteSpan got = fetched.chunks[i];
+    EXPECT_EQ(Bytes(got.begin(), got.end()), chunks[i].second);
   }
 
   // Every server was reached through more than one of its stripes.

@@ -381,9 +381,12 @@ TEST_F(ShardedClusterTest, ChunksSpreadAcrossServersAndRoundTrip) {
   }
 
   // Order-preserving gather.
-  std::vector<Bytes> fetched = client_->GetChunks(fps);
-  ASSERT_EQ(fetched.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(fetched[i], chunks[i].second);
+  auto fetched = client_->GetChunks(fps);
+  ASSERT_EQ(fetched.chunks.size(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    const ByteSpan got = fetched.chunks[i];
+    EXPECT_EQ(Bytes(got.begin(), got.end()), chunks[i].second);
+  }
 }
 
 TEST_F(ShardedClusterTest, DedupAcrossUploadsOnSameShard) {

@@ -65,11 +65,14 @@ int main(int argc, char** argv) {
     std::filesystem::remove_all(dir);
     {
       server::StorageServer server("bench-recovery", DurableOptions(dir));
-      std::vector<std::pair<chunk::Fingerprint, Bytes>> chunks;
+      std::vector<Bytes> payloads;
+      std::vector<std::pair<chunk::Fingerprint, ByteSpan>> chunks;
       for (std::size_t i = 0; i < n; ++i) {
-        Bytes data = UniqueData(chunk_size, 0x9e3779b9 + i);
-        chunks.emplace_back(chunk::Fingerprint::Of(data), std::move(data));
-        if (chunks.size() == batch || i + 1 == n) {
+        payloads.push_back(UniqueData(chunk_size, 0x9e3779b9 + i));
+        if (payloads.size() == batch || i + 1 == n) {
+          for (const Bytes& data : payloads) {
+            chunks.emplace_back(chunk::Fingerprint::Of(data), data);
+          }
           const auto result = server.PutChunks(chunks);
           (void)result;
           // A recipe object per batch so the metadata plane has both
@@ -78,6 +81,7 @@ int main(int argc, char** argv) {
                            "recipe/batch-" + std::to_string(i / batch),
                            Bytes(128, 0x5A));
           chunks.clear();
+          payloads.clear();
         }
       }
 

@@ -36,6 +36,43 @@ RabinChunker::RabinChunker(Options options)
   }
 }
 
+std::uint64_t RabinChunker::WindowHash(const std::uint8_t* window) const {
+  std::uint64_t fp = 0;
+  for (std::size_t i = 0; i < tables_.window_size(); ++i) {
+    fp = tables_.Push(fp, window[i]);
+  }
+  return fp;
+}
+
+std::size_t RabinChunker::FirstMatchInBlock(const std::uint8_t* at) const {
+  // Lane k hashes positions [k * kLaneSpan, (k + 1) * kLaneSpan), each from
+  // its own warmed window; the steps of the four lanes do not depend on one
+  // another, so their table loads overlap.
+  const std::size_t w = tables_.window_size();
+  std::uint64_t fp[kLanes];
+  std::size_t hit[kLanes];
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    fp[k] = WindowHash(at + k * kLaneSpan - w);
+    hit[k] = kBlock;
+  }
+  for (std::size_t j = 0; j < kLaneSpan; ++j) {
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      const std::uint8_t* p = at + k * kLaneSpan + j;
+      fp[k] = tables_.Pop(tables_.Push(fp[k], *p), *(p - w));
+      if ((fp[k] & mask_) == mask_) [[unlikely]] {
+        // Lane 0's positions precede every other lane's.
+        if (k == 0) return j;
+        hit[k] = std::min(hit[k], k * kLaneSpan + j);
+      }
+    }
+  }
+  // The lowest lane that matched holds the block's earliest match.
+  for (std::size_t k = 1; k < kLanes; ++k) {
+    if (hit[k] != kBlock) return hit[k];
+  }
+  return kBlock;
+}
+
 std::size_t RabinChunker::Cut(ByteSpan rest) const {
   // A chunk ends at the first length L in [min_size, limit) whose trailing
   // window (the last w bytes, or all L bytes when L < w) matches the mask,
@@ -44,12 +81,23 @@ std::size_t RabinChunker::Cut(ByteSpan rest) const {
   if (limit <= options_.min_size) return limit;
   const std::size_t w = tables_.window_size();
   const std::uint8_t* in = rest.data();
-  std::size_t i = options_.min_size > w ? options_.min_size - w : 0;
+  std::size_t i = 0;  // next position (length i + 1) to test
   std::uint64_t fp = 0;
-  // Fill the window; below min_size no length may cut.
-  for (const std::size_t filled = std::min(i + w, limit); i < filled; ++i) {
-    fp = tables_.Push(fp, in[i]);
-    if (i + 1 >= options_.min_size && (fp & mask_) == mask_) return i + 1;
+  if (options_.min_size > w) {
+    // Every candidate's window is full and lies inside the chunk, so each
+    // position's hash is a function of its own w bytes: scan whole blocks
+    // in lanes, then warm one window for the serial remainder.
+    for (i = options_.min_size - 1; limit - i >= kBlock; i += kBlock) {
+      const std::size_t hit = FirstMatchInBlock(in + i);
+      if (hit != kBlock) return i + hit + 1;
+    }
+    fp = WindowHash(in + i - w);
+  } else {
+    // Fill the window; below min_size no length may cut.
+    for (const std::size_t filled = std::min(w, limit); i < filled; ++i) {
+      fp = tables_.Push(fp, in[i]);
+      if (i + 1 >= options_.min_size && (fp & mask_) == mask_) return i + 1;
+    }
   }
   // Roll: the byte leaving the window is still in the input.
   for (; i < limit; ++i) {

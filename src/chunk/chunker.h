@@ -45,8 +45,15 @@ class FixedSizeChunker : public Chunker {
 // after insertions/deletions elsewhere — the property dedup relies on.
 //
 // The window restarts at every boundary and no boundary falls before
-// min_size, so Cut hashes only the last window_size bytes before min_size
-// and then rolls, reading the outgoing byte from the input itself.
+// min_size. Once min_size > window_size, every candidate's window is full,
+// so the hash at a position is a function of the window_size bytes ending
+// there alone: Cut then scans from min_size - 1 on in blocks of four
+// interleaved lanes of 512 positions, each lane warming its own window, and
+// a block yields its earliest match. The block loop's remainder, and
+// parameterizations with min_size <= window_size, hash the window before
+// the first candidate and roll serially, reading the outgoing byte from the
+// input itself. Both paths cut exactly where the per-byte rolling window
+// cut; Cut stays const and keeps no state between calls.
 class RabinChunker : public Chunker {
  public:
   struct Options {
@@ -62,6 +69,16 @@ class RabinChunker : public Chunker {
   const Options& options() const { return options_; }
 
  private:
+  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kLaneSpan = 512;  // positions per lane
+  static constexpr std::size_t kBlock = kLanes * kLaneSpan;
+
+  // Fingerprint of the window_size bytes from `window` on.
+  std::uint64_t WindowHash(const std::uint8_t* window) const;
+  // Offset of the first position in [at, at + kBlock) whose trailing window
+  // matches, or kBlock; reads the window_size bytes before `at` too.
+  std::size_t FirstMatchInBlock(const std::uint8_t* at) const;
+
   Options options_;
   std::uint64_t mask_;
   RabinTables tables_;

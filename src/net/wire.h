@@ -131,8 +131,14 @@ class Reader {
   }
 
   [[nodiscard]] Bytes Raw(std::size_t n) {
+    ByteSpan view = RawView(n);
+    return Bytes(view.begin(), view.end());
+  }
+
+  // Raw() without the copy, like BlobView.
+  [[nodiscard]] ByteSpan RawView(std::size_t n) {
     Need(n);
-    Bytes out(data_.begin() + off_, data_.begin() + off_ + n);
+    ByteSpan out = data_.subspan(off_, n);
     off_ += n;
     return out;
   }

@@ -134,7 +134,7 @@ store::DurableEngine::RecoveryStats StorageServer::RecoveryStats() const {
 }
 
 StorageServer::PutChunksResult StorageServer::PutChunks(
-    const std::vector<std::pair<chunk::Fingerprint, Bytes>>& chunks) {
+    const std::vector<std::pair<chunk::Fingerprint, ByteSpan>>& chunks) {
   store::Wal::Writer writing(stores_->engine ? &stores_->engine->wal()
                                              : nullptr);
   PutChunksResult result;
@@ -373,11 +373,12 @@ Bytes StorageServer::HandleRequest(ByteSpan request) {
         if (static_cast<std::uint64_t>(count) * 36 > r.remaining()) {
           throw Error("StorageServer: chunk count exceeds payload");
         }
-        std::vector<std::pair<chunk::Fingerprint, Bytes>> chunks;
+        // Views into the request: a duplicate is never copied.
+        std::vector<std::pair<chunk::Fingerprint, ByteSpan>> chunks;
         chunks.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) {
-          chunk::Fingerprint fp = chunk::Fingerprint::FromBytes(r.Raw(32));
-          chunks.emplace_back(fp, r.Blob());
+          chunk::Fingerprint fp = chunk::Fingerprint::FromBytes(r.RawView(32));
+          chunks.emplace_back(fp, r.BlobView());
         }
         r.ExpectEnd();
         PutChunksResult res = PutChunks(chunks);
@@ -395,7 +396,7 @@ Bytes StorageServer::HandleRequest(ByteSpan request) {
         std::vector<chunk::Fingerprint> fps;
         fps.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) {
-          fps.push_back(chunk::Fingerprint::FromBytes(r.Raw(32)));
+          fps.push_back(chunk::Fingerprint::FromBytes(r.RawView(32)));
         }
         r.ExpectEnd();
         std::vector<Bytes> chunks = GetChunks(fps);

@@ -87,8 +87,11 @@ class StorageServer {
     std::size_t stored = 0;
     std::uint64_t stored_bytes = 0;
   };
+  // Each (fingerprint, trimmed package) pair views bytes the caller keeps
+  // alive for the call; only the chunks the dedup check keeps are copied,
+  // into the container store.
   [[nodiscard]] PutChunksResult PutChunks(
-      const std::vector<std::pair<chunk::Fingerprint, Bytes>>& chunks);
+      const std::vector<std::pair<chunk::Fingerprint, ByteSpan>>& chunks);
 
   // Throws Error if any fingerprint is unknown.
   [[nodiscard]] std::vector<Bytes> GetChunks(

@@ -371,6 +371,113 @@ TEST(RabinDifferentialTest, TraceSnapshotsAndChurnedCopy) {
   }
 }
 
+// --- Lane edges: the block scan against the same oracle ------------------
+//
+// Once min_size > window_size, Cut scans blocks of four lanes of 512
+// positions from min_size - 1 on and rolls serially over the remainder.
+
+constexpr std::size_t kLaneBlock = 4 * 512;
+
+enum class Fill { kRandom, kFourSymbols, kMostlyZero };
+
+// Four-symbol and mostly-zero data repeat windows, so small averages match
+// in several lanes of one block and the earliest match has to win.
+Bytes Generate(DeterministicRng& rng, Fill fill, std::size_t n) {
+  Bytes data = rng.Generate(n);
+  for (std::uint8_t& b : data) {
+    if (fill == Fill::kFourSymbols) b = static_cast<std::uint8_t>(b & 3);
+    if (fill == Fill::kMostlyZero && b >= 4) b = 0;
+  }
+  return data;
+}
+
+// One random parameterization; min_size falls below, at or above the window
+// and at block multiples +-1, and max_size leaves a remainder that is not a
+// whole block (or exactly one block +-1) after min_size - 1.
+RabinChunker::Options RandomLaneOptions(DeterministicRng& rng) {
+  RabinChunker::Options o;
+  o.window_size = 1 + rng.Uniform(80);
+  const std::size_t w = o.window_size;
+  switch (rng.Uniform(6)) {
+    case 0: o.min_size = 1 + rng.Uniform(w); break;  // <= window
+    case 1: o.min_size = w + 1; break;
+    case 2: o.min_size = w + 2 + rng.Uniform(300); break;
+    default:
+      o.min_size = (1 + rng.Uniform(2)) * kLaneBlock - 1 + rng.Uniform(3);
+      break;
+  }
+  const std::size_t scan = o.min_size - 1;
+  switch (rng.Uniform(4)) {
+    case 0: o.max_size = scan + (1 + rng.Uniform(3)) * kLaneBlock - 1 + rng.Uniform(3); break;
+    case 1: o.max_size = o.min_size + rng.Uniform(kLaneBlock); break;
+    default: o.max_size = o.min_size + rng.Uniform(4 * kLaneBlock); break;
+  }
+  if (o.max_size % kLaneBlock == 0) ++o.max_size;
+  o.average_size = std::size_t{1} << (1 + rng.Uniform(12));
+  return o;
+}
+
+TEST(RabinLaneTest, RandomParameterizationsMatchOracle) {
+  DeterministicRng rng(47);
+  std::size_t lane_params = 0;
+  for (int t = 0; t < 240; ++t) {
+    const RabinChunker::Options o = RandomLaneOptions(rng);
+    if (o.min_size > o.window_size) ++lane_params;
+    for (Fill fill : {Fill::kRandom, Fill::kFourSymbols, Fill::kMostlyZero}) {
+      SCOPED_TRACE("t=" + std::to_string(t) + " w=" +
+                   std::to_string(o.window_size) + " fill=" +
+                   std::to_string(static_cast<int>(fill)));
+      ExpectSameCuts(o, Generate(rng, fill, 1 + rng.Uniform(48 * 1024)));
+    }
+  }
+  EXPECT_GE(lane_params, 150u);
+}
+
+TEST(RabinLaneTest, InputsEndingAtEveryOffsetOfTheLastBlock) {
+  // Lengths from one block past min_size - 1 to three blocks past it, so
+  // the input ends at every offset of a first and of a second block, and
+  // the remainder after the blocks takes every size from 0 to a block.
+  DeterministicRng rng(48);
+  for (Fill fill : {Fill::kRandom, Fill::kFourSymbols}) {
+    RabinChunker::Options o{.min_size = 100, .max_size = 1 << 20,
+                            .average_size = 4096};
+    const RabinChunker chunker(o);
+    const Bytes data = Generate(rng, fill, o.min_size - 1 + 3 * kLaneBlock + 2);
+    for (std::size_t n = o.min_size - 1 + kLaneBlock - 1; n <= data.size(); ++n) {
+      const ByteSpan input = ByteSpan(data).first(n);
+      ASSERT_EQ(chunker.Cut(input), OracleSplit(o, input).front().length)
+          << "n=" << n << " fill=" << static_cast<int>(fill);
+    }
+  }
+  // At average 2 the mask is the low bit: a zero window never matches and a
+  // window ending in byte 1 always does. A lone 1 at offset n is then the
+  // first match of a longer input, and the first n bytes hold none.
+  RabinChunker::Options o{.min_size = 100, .max_size = 1 << 20,
+                          .average_size = 2};
+  const RabinChunker chunker(o);
+  Bytes data(o.min_size - 1 + 3 * kLaneBlock + 2, 0);
+  for (std::size_t n = o.min_size - 1; n + 1 < data.size(); ++n) {
+    data[n] = 1;
+    ASSERT_EQ(chunker.Cut(data), n + 1) << "n=" << n;
+    ASSERT_EQ(chunker.Cut(ByteSpan(data).first(n)), n) << "n=" << n;
+    data[n] = 0;
+  }
+}
+
+TEST(RabinLaneTest, EarliestMatchAcrossLanesWins) {
+  // Small averages put matches in most lanes of a block; the cut must be
+  // the earliest one, whichever lane found it first.
+  DeterministicRng rng(49);
+  for (std::size_t avg : {2, 16, 64, 512}) {
+    for (Fill fill : {Fill::kRandom, Fill::kFourSymbols, Fill::kMostlyZero}) {
+      RabinChunker::Options o{.min_size = 49, .max_size = 3 * kLaneBlock + 7,
+                              .average_size = avg};
+      SCOPED_TRACE("avg=" + std::to_string(avg));
+      ExpectSameCuts(o, Generate(rng, fill, 256 * 1024));
+    }
+  }
+}
+
 TEST(RabinChunkerTest, CutIsTheFirstChunkOfSplit) {
   RabinChunker chunker(PaperChunking(4096));
   DeterministicRng rng(46);

@@ -76,6 +76,14 @@ std::vector<std::pair<chunk::Fingerprint, Bytes>> Batch(int batch) {
   return chunks;
 }
 
+// StorageServer::PutChunks takes views; `batch` outlives the call.
+std::vector<std::pair<chunk::Fingerprint, ByteSpan>> Views(
+    const std::vector<std::pair<chunk::Fingerprint, Bytes>>& batch) {
+  std::vector<std::pair<chunk::Fingerprint, ByteSpan>> views;
+  for (const auto& [fp, data] : batch) views.emplace_back(fp, data);
+  return views;
+}
+
 Bytes RecipeBytes(int batch) {
   Bytes out(48);
   for (std::size_t k = 0; k < out.size(); ++k) {
@@ -115,7 +123,8 @@ void KillSelfAtSite(const char* /*site*/) { (void)raise(SIGKILL); }
     StorageServer server("crash-child", DurableOptions(dir));
     util::File ack = util::File::OpenAppend(dir + ".ack");
     for (int b = 0; b < kBatches; ++b) {
-      (void)server.PutChunks(Batch(b));
+      const auto batch = Batch(b);
+      (void)server.PutChunks(Views(batch));
       server.PutObject(StoreId::kData, "recipe/b" + std::to_string(b),
                        RecipeBytes(b));
       const std::string line = std::to_string(b) + "\n";
@@ -294,7 +303,8 @@ TailSweepSetup BuildPristineStore() {
   {
     StorageServer server("torn-setup", DurableOptions(setup.pristine));
     for (int b = 0; b < 3; ++b) {
-      (void)server.PutChunks(Batch(b));
+      const auto batch = Batch(b);
+      (void)server.PutChunks(Views(batch));
       server.PutObject(StoreId::kData, "recipe/b" + std::to_string(b),
                        RecipeBytes(b));
     }

@@ -339,11 +339,12 @@ TEST(StorageServerDurableTest, IngestStageTimersRecordOncePerBatch) {
                               &reg.GetHistogram("server.ingest.commit_wait_us")};
   std::vector<std::uint64_t> counts;
   for (obs::Histogram* h : stages) counts.push_back(h->count());
-  std::vector<std::pair<chunk::Fingerprint, Bytes>> batch;
+  std::vector<Bytes> payloads;
   for (int i = 0; i < 16; ++i) {
-    Bytes data = Pattern(8192, static_cast<std::uint8_t>(i));
-    batch.emplace_back(FpOf(data), std::move(data));
+    payloads.push_back(Pattern(8192, static_cast<std::uint8_t>(i)));
   }
+  std::vector<std::pair<chunk::Fingerprint, ByteSpan>> batch;
+  for (const Bytes& data : payloads) batch.emplace_back(FpOf(data), data);
   EXPECT_EQ(server.PutChunks(batch).stored, batch.size());
   const std::uint64_t appended_us = stages[1]->sum();
   const std::uint64_t inserted_us = stages[2]->sum();
@@ -572,11 +573,12 @@ TEST(StorageServerDurableTest, ReopenPreservesChunksObjectsAndDedup) {
   opts.data_dir = dir;
   StorageServer server("srv", opts);
 
-  std::vector<std::pair<chunk::Fingerprint, Bytes>> batch;
+  std::vector<Bytes> payloads;
   for (int i = 0; i < 8; ++i) {
-    Bytes data = Pattern(200, static_cast<std::uint8_t>(30 + i));
-    batch.emplace_back(FpOf(data), data);
+    payloads.push_back(Pattern(200, static_cast<std::uint8_t>(30 + i)));
   }
+  std::vector<std::pair<chunk::Fingerprint, ByteSpan>> batch;
+  for (const Bytes& data : payloads) batch.emplace_back(FpOf(data), data);
   auto put = server.PutChunks(batch);
   EXPECT_EQ(put.stored, batch.size());
   server.PutObject(StoreId::kData, "stub/f1", Pattern(64, 40));
@@ -591,7 +593,7 @@ TEST(StorageServerDurableTest, ReopenPreservesChunksObjectsAndDedup) {
   for (const auto& [fp, data] : batch) fps.push_back(fp);
   std::vector<Bytes> got = server.GetChunks(fps);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(got[i], batch[i].second);
+    EXPECT_EQ(got[i], payloads[i]);
   }
   EXPECT_EQ(server.GetObject(StoreId::kData, "stub/f1"), Pattern(64, 40));
   EXPECT_EQ(server.GetObject(StoreId::kKey, "keystate/f1"), Pattern(32, 41));

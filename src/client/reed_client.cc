@@ -529,11 +529,9 @@ Bytes ReedClient::Download(const std::string& file_id) {
   aont::ReedCipher cipher(static_cast<aont::Scheme>(recipe.scheme),
                           recipe.stub_size);
   const std::size_t total = recipe.chunk_count();
-  // Fetches one batch of trimmed packages; runs on a task (the first batch,
-  // and every prefetch overlapping the previous batch's decode) or on this
-  // thread (later batches at depth 1). fetch_us measures only time spent
-  // inside GetChunks, so overlapped wall time is not double-counted against
-  // decode_us.
+  // Fetches one batch of trimmed packages on a task. fetch_us measures only
+  // time spent inside GetChunks, so overlapped wall time is not
+  // double-counted against decode_us.
   auto fetch_batch = [&](std::size_t start, std::size_t end) {
     // The same site covers every propagation path.
     REED_FAULT_POINT("client.download.fetch");
@@ -548,7 +546,10 @@ Bytes ReedClient::Download(const std::string& file_id) {
     return packages;
   };
   constexpr std::size_t kFetchBatch = 512;
-  const bool prefetch = options_.pipeline.depth >= 2;
+  // Every batch is fetched on a task and joined below. Depth 1 dispatches
+  // batch k+1 once batch k is decoded, a window of one; deeper pipelines
+  // dispatch it before batch k's decode, so the fetch overlaps it.
+  const bool fetch_ahead = options_.pipeline.depth >= 2;
   // Joined in its destructor (std::async), so an exception cannot leave a
   // task referencing this frame behind. `next_guard` is declared after
   // `next`, so on unwind the gauge drops before the future joins.
@@ -581,17 +582,12 @@ Bytes ReedClient::Download(const std::string& file_id) {
 
   for (std::size_t start = 0; start < total; start += kFetchBatch) {
     const std::size_t end = std::min(total, start + kFetchBatch);
-    StorageClient::FetchedChunks packages;
-    if (next.valid()) {
-      schedfuzz::Perturb("client.download.fetch_join");
-      // get() rethrows a fetch failure; the guard member then releases on
-      // unwind rather than here.
-      packages = next.get();
-      next_guard.reset();
-    } else {
-      packages = fetch_batch(start, end);
-    }
-    if (prefetch && end < total) dispatch(end);
+    schedfuzz::Perturb("client.download.fetch_join");
+    // get() rethrows a fetch failure; the guard member then releases on
+    // unwind rather than here.
+    const StorageClient::FetchedChunks packages = next.get();
+    next_guard.reset();
+    if (fetch_ahead && end < total) dispatch(end);
     schedfuzz::Perturb("client.download.decode");
     REED_FAULT_POINT("client.download.decode");
     obs::ScopedTimer decode_timer(*m.decode_us);
@@ -609,6 +605,7 @@ Bytes ReedClient::Download(const std::string& file_id) {
       cipher.DecryptInto(package, stub_data, idx * recipe.stub_size, slice);
     });
     (void)decode_timer.Stop();
+    if (!fetch_ahead && end < total) dispatch(end);
   }
   m.download_files->Increment();
   m.download_bytes->Add(file.size());

@@ -36,26 +36,19 @@ ReedSystem::ReedSystem(const SystemOptions& options)
   server::StorageServer::Options server_opts;
   server_opts.read_seek_seconds = options_.disk_seek_seconds;
   server_opts.durability = options_.durability;
+  auto make_server = [&](const std::string& name) {
+    // No cluster directory: each server picks its own scratch directory.
+    server_opts.data_dir =
+        options_.data_dir.empty() ? "" : options_.data_dir + "/" + name;
+    return std::make_unique<server::StorageServer>(name, server_opts);
+  };
   for (std::size_t i = 0; i < options_.num_data_servers; ++i) {
-    std::string name = "data-server-" + std::to_string(i);
-    if (!options_.data_dir.empty()) {
-      server_opts.data_dir = options_.data_dir + "/" + name;
-    }
-    data_servers_.push_back(
-        std::make_unique<server::StorageServer>(name, server_opts));
+    data_servers_.push_back(make_server("data-server-" + std::to_string(i)));
   }
-  if (!options_.data_dir.empty()) {
-    server_opts.data_dir = options_.data_dir + "/key-server";
-  }
-  key_server_ =
-      std::make_unique<server::StorageServer>("key-server", server_opts);
+  key_server_ = make_server("key-server");
 }
 
 void ReedSystem::ReopenServers(bool checkpoint_first) {
-  if (options_.data_dir.empty()) {
-    throw store::StoreError(
-        "ReedSystem: ReopenServers requires a durable data_dir");
-  }
   for (const auto& srv : data_servers_) {
     if (checkpoint_first) srv->Close();
     srv->Reopen();

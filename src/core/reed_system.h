@@ -30,9 +30,10 @@ struct SystemOptions {
   double disk_seek_seconds = 0;
   // 0 = seed from the OS; fixed seeds make whole-system runs reproducible.
   std::uint64_t rng_seed = 0;
-  // Non-empty = durable servers: each gets its own subdirectory
-  // (data-server-<i>/, key-server/) under this path and recovers whatever it
-  // finds there on construction. Empty keeps the in-memory servers.
+  // Each server gets its own subdirectory (data-server-<i>/, key-server/)
+  // under this path and recovers whatever it finds there on construction.
+  // Empty = every server keeps its store in its own scratch directory
+  // (StorageServer::Options::data_dir).
   std::string data_dir;
   store::DurabilityOptions durability;
 
@@ -71,8 +72,7 @@ class ReedSystem {
   server::StorageServer& data_server(std::size_t i) { return *data_servers_.at(i); }
   server::StorageServer& key_server() { return *key_server_; }
 
-  // Durable deployments only (throws StoreError otherwise): restarts every
-  // storage server from disk — Close() (checkpoint) first when
+  // Restarts every storage server from disk — Close() (checkpoint) first when
   // `checkpoint_first`, else a cold crash-recovery reopen. Server addresses
   // are stable, so existing clients and channels keep working. Callers must
   // be quiesced (no in-flight uploads).

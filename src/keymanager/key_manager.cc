@@ -133,7 +133,7 @@ Bytes KeyManager::HandleRequest(ByteSpan request) {
     std::vector<BigInt> blinded;
     blinded.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-      blinded.push_back(BigInt::FromBytes(r.Raw(nbytes)));
+      blinded.push_back(BigInt::FromBytes(r.RawView(nbytes)));
     }
     r.ExpectEnd();
 
@@ -166,7 +166,7 @@ std::vector<BigInt> KeyManager::DecodeResponse(ByteSpan response,
   std::vector<BigInt> sigs;
   sigs.reserve(expected_count);
   for (std::size_t i = 0; i < expected_count; ++i) {
-    sigs.push_back(BigInt::FromBytes(r.Raw(modulus_bytes)));
+    sigs.push_back(BigInt::FromBytes(r.RawView(modulus_bytes)));
   }
   r.ExpectEnd();
   return sigs;

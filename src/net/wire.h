@@ -130,12 +130,8 @@ class Reader {
     return ToString(b);
   }
 
-  [[nodiscard]] Bytes Raw(std::size_t n) {
-    ByteSpan view = RawView(n);
-    return Bytes(view.begin(), view.end());
-  }
-
-  // Raw() without the copy, like BlobView.
+  // Raw bytes without a length prefix (fixed-width fields), viewing the
+  // message like BlobView.
   [[nodiscard]] ByteSpan RawView(std::size_t n) {
     Need(n);
     ByteSpan out = data_.subspan(off_, n);

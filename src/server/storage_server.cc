@@ -86,57 +86,38 @@ void RecordUs(obs::Histogram& hist, IngestClock::duration d) {
 
 }  // namespace
 
-StorageServer::Stores::Stores(const Options& options)
-    : engine(options.data_dir.empty()
-                 ? nullptr
-                 : std::make_unique<store::DurableEngine>(options.data_dir,
-                                                          options.durability)),
-      containers(options.container_capacity,
-                 engine ? &engine->segments() : nullptr),
-      index(engine ? &engine->wal() : nullptr),
-      data_objects(engine ? &engine->wal() : nullptr, store::kDataStoreTag),
-      key_objects(engine ? &engine->wal() : nullptr, store::kKeyStoreTag) {
-  // The engine opened (and tail-truncated) the on-disk logs before the
-  // stores attached to them; now replay disk state into the fresh stores.
-  if (engine) engine->Recover(containers, index, data_objects, key_objects);
-}
-
 StorageServer::StorageServer(std::string name)
     : StorageServer(std::move(name), Options()) {}
 
 StorageServer::StorageServer(std::string name, Options options)
-    : name_(std::move(name)),
-      options_(std::move(options)),
-      stores_(std::make_unique<Stores>(options_)) {}
+    : name_(std::move(name)), options_(std::move(options)) {
+  if (options_.data_dir.empty()) {
+    scratch_.emplace("reed-server-");
+    options_.data_dir = scratch_->path();
+    options_.durability.fsync_policy = store::FsyncPolicy::kNone;
+  }
+  Reopen();
+}
 
 StorageServer::~StorageServer() = default;
 
 void StorageServer::Reopen() {
-  if (options_.data_dir.empty()) {
-    throw store::StoreError(
-        "StorageServer: Reopen requires a durable data_dir");
-  }
   // Destroy first (closing the log descriptors), then recover from disk —
   // the moral equivalent of a process restart, minus the exec.
-  stores_.reset();
-  stores_ = std::make_unique<Stores>(options_);
+  engine_.reset();
+  engine_ = std::make_unique<store::DurableEngine>(
+      options_.data_dir, options_.durability, options_.container_capacity);
 }
 
-void StorageServer::Close() {
-  if (!stores_->engine) return;
-  stores_->engine->Checkpoint(stores_->index, stores_->data_objects,
-                              stores_->key_objects);
-}
+void StorageServer::Close() { engine_->Checkpoint(); }
 
 store::DurableEngine::RecoveryStats StorageServer::RecoveryStats() const {
-  if (!stores_->engine) return {};
-  return stores_->engine->recovery_stats();
+  return engine_->recovery_stats();
 }
 
 StorageServer::PutChunksResult StorageServer::PutChunks(
     const std::vector<std::pair<chunk::Fingerprint, ByteSpan>>& chunks) {
-  store::Wal::Writer writing(stores_->engine ? &stores_->engine->wal()
-                                             : nullptr);
+  store::Wal::Writer writing(engine_->wal());
   PutChunksResult result;
   {
     // One stats critical section per batch, not per chunk — with the
@@ -169,30 +150,30 @@ StorageServer::PutChunksResult StorageServer::PutChunks(
         ingest_mu_[chunk::FingerprintHash{}(fp) % kIngestStripes].mu,
         ingest_contention);
     IngestClock::time_point lap = IngestClock::now();
-    const bool duplicate = stores_->index.Lookup(fp).has_value();
+    const bool duplicate = engine_->index().Lookup(fp).has_value();
     Lap(lap, index_time);
     if (duplicate) {
       ++result.duplicates;
       continue;
     }
-    store::ChunkLocation loc = stores_->containers.Append(data);
+    store::ChunkLocation loc = engine_->containers().Append(data);
     Lap(lap, append_time);
     bool inserted = false;
     try {
-      inserted = stores_->index.Insert(fp, loc);
+      inserted = engine_->index().Insert(fp, loc);
       Lap(lap, wal_time);
     } catch (...) {
       // The append landed but the index entry did not (the fault sweep arms
       // exactly this window): discard the appended bytes so the failure
       // leaves no orphaned container data behind.
-      stores_->containers.Discard(loc);
+      engine_->containers().Discard(loc);
       throw;
     }
     if (!inserted) {
       // Unreachable while the ingest stripe serializes lookup+insert; if it
       // ever fires, dedup accounting is wrong — discard our losing copy and
       // fail loudly rather than report the chunk as stored.
-      stores_->containers.Discard(loc);
+      engine_->containers().Discard(loc);
       throw Error("StorageServer: concurrent insert raced for fingerprint " +
                   fp.ToHex());
     }
@@ -212,7 +193,7 @@ StorageServer::PutChunksResult StorageServer::PutChunks(
   // Durability point: the batch's appends and index records ride one group
   // fsync (segments first via the WAL pre-sync hook). No locks held here.
   IngestClock::time_point commit_start = IngestClock::now();
-  if (stores_->engine) stores_->engine->Commit();
+  engine_->Commit();
   RecordUs(*stages.commit_wait_us, IngestClock::now() - commit_start);
   return result;
 }
@@ -224,12 +205,12 @@ std::vector<Bytes> StorageServer::GetChunks(
   std::set<std::uint32_t> containers_touched;
   for (const auto& fp : fps) {
     REED_FAULT_POINT("server.chunks.read");
-    auto loc = stores_->index.Lookup(fp);
+    auto loc = engine_->index().Lookup(fp);
     if (!loc.has_value()) {
       throw Error("StorageServer: unknown fingerprint " + fp.ToHex());
     }
     containers_touched.insert(loc->container_id);
-    out.push_back(stores_->containers.Read(*loc));
+    out.push_back(engine_->containers().Read(*loc));
   }
   if (options_.read_seek_seconds > 0 && !containers_touched.empty()) {
     // Disk model: a restore batch is served with reads sorted by container
@@ -245,10 +226,9 @@ std::vector<Bytes> StorageServer::GetChunks(
 
 void StorageServer::PutObject(StoreId store, const std::string& name,
                               Bytes value) {
-  store::Wal::Writer writing(stores_->engine ? &stores_->engine->wal()
-                                             : nullptr);
+  store::Wal::Writer writing(engine_->wal());
   StoreFor(store).Put(name, std::move(value));
-  if (stores_->engine) stores_->engine->Commit();
+  engine_->Commit();
 }
 
 Bytes StorageServer::GetObject(StoreId store, const std::string& name) const {
@@ -266,23 +246,23 @@ StorageServer::Stats StorageServer::stats() const {
     s.logical_chunks = logical_chunks_;
     s.logical_bytes = logical_bytes_;
   }
-  auto cs = stores_->containers.stats();
+  auto cs = engine_->containers().stats();
   s.unique_chunks = cs.chunks;
   s.physical_bytes = cs.bytes;
-  s.data_object_bytes = stores_->data_objects.total_bytes();
-  s.key_object_bytes = stores_->key_objects.total_bytes();
+  s.data_object_bytes = engine_->data_objects().total_bytes();
+  s.key_object_bytes = engine_->key_objects().total_bytes();
   return s;
 }
 
 StorageServer::ConsistencyReport StorageServer::CheckConsistency() const {
   ConsistencyReport report;
-  stores_->index.ForEach([&](const chunk::Fingerprint& fp,
-                     const store::ChunkLocation& loc) {
+  engine_->index().ForEach([&](const chunk::Fingerprint& fp,
+                               const store::ChunkLocation& loc) {
     ++report.index_entries;
     report.index_bytes += loc.length;
     if (!report.ok) return;
     try {
-      Bytes chunk = stores_->containers.Read(loc);
+      Bytes chunk = engine_->containers().Read(loc);
       if (chunk.size() != loc.length) {
         report.ok = false;
         report.detail = "short read for fingerprint " + fp.ToHex();
@@ -294,7 +274,7 @@ StorageServer::ConsistencyReport StorageServer::CheckConsistency() const {
                       e.what();
     }
   });
-  auto cs = stores_->containers.stats();
+  auto cs = engine_->containers().stats();
   report.stored_chunks = cs.chunks;
   report.stored_bytes = cs.bytes;
   if (report.ok && report.stored_chunks != report.index_entries) {
@@ -317,8 +297,8 @@ std::string StorageServer::PackageDigest() const {
   // then read and hash outside them so the per-entry work never holds a
   // shard lock across a container read.
   std::vector<std::pair<chunk::Fingerprint, store::ChunkLocation>> entries;
-  stores_->index.ForEach([&](const chunk::Fingerprint& fp,
-                     const store::ChunkLocation& loc) {
+  engine_->index().ForEach([&](const chunk::Fingerprint& fp,
+                               const store::ChunkLocation& loc) {
     entries.emplace_back(fp, loc);
   });
   std::sort(entries.begin(), entries.end(),
@@ -334,7 +314,7 @@ std::string StorageServer::PackageDigest() const {
   crypto::Sha256 hash;
   for (const auto& [fp, loc] : entries) {
     hash.Update(fp.AsSpan());
-    hash.Update(stores_->containers.Read(loc));
+    hash.Update(engine_->containers().Read(loc));
   }
   crypto::Sha256Digest digest = hash.Finish();
   return HexEncode(ByteSpan(digest.data(), digest.size()));

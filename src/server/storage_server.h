@@ -16,12 +16,12 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "net/wire.h"
-#include "store/container_store.h"
 #include "store/durable_engine.h"
-#include "store/index.h"
+#include "util/file_io.h"
 #include "util/thread_annotations.h"
 
 namespace reed::server {
@@ -50,10 +50,12 @@ class StorageServer {
     // in new containers interleaved with old ones), which is what degrades
     // restore speed in the paper's Fig. 10 / [Lillibridge FAST'13]. 0 = off.
     double read_seek_seconds = 0;
-    // Non-empty = durable mode (DESIGN.md §12): containers, the fingerprint
-    // index, and both object stores persist under this directory, and
-    // construction runs crash recovery over whatever it finds there. Empty
-    // keeps the historical in-memory behaviour.
+    // Containers, the fingerprint index, and both object stores persist
+    // under this directory (DESIGN.md §12), and construction runs crash
+    // recovery over whatever it finds there. Empty = a scratch directory
+    // the server creates and removes in its destructor; it cannot outlive
+    // the process, so it runs with FsyncPolicy::kNone whatever
+    // `durability` says.
     std::string data_dir;
     store::DurabilityOptions durability;
   };
@@ -66,18 +68,17 @@ class StorageServer {
 
   // --- durable lifecycle (open happens in the constructor) ---
 
-  // Durable mode only (throws StoreError otherwise): drops all in-memory
-  // state and recovers from disk, exactly like a process restart, while the
-  // object identity (and any channels pointing at it) stays valid. Caller
-  // must be quiesced — this is a lifecycle operation, not a data path.
+  // Drops all in-memory state and recovers from disk, exactly like a
+  // process restart, while the object identity (and any channels pointing
+  // at it) stays valid. Caller must be quiesced — this is a lifecycle
+  // operation, not a data path.
   void Reopen();
 
-  // Durable mode: checkpoints the metadata plane and flushes everything so
-  // a subsequent open replays nothing. The server remains usable. No-op in
-  // memory-only mode.
+  // Checkpoints the metadata plane and flushes everything so a subsequent
+  // open replays nothing. The server remains usable.
   void Close();
 
-  // Recovery statistics from the last open/Reopen (zeros in memory mode).
+  // Recovery statistics from the last open/Reopen.
   [[nodiscard]] store::DurableEngine::RecoveryStats RecoveryStats() const;
 
   // --- direct API (also reachable via HandleRequest) ---
@@ -145,32 +146,20 @@ class StorageServer {
   [[nodiscard]] std::string PackageDigest() const;
 
  private:
-  // The four stores plus (in durable mode) the engine that recovers and
-  // persists them, bundled so Reopen() can rebuild everything in place with
-  // one pointer swap while the StorageServer address — captured raw by
-  // in-process channels (core::ReedSystem) — stays stable.
-  struct Stores {
-    explicit Stores(const Options& options);
-
-    std::unique_ptr<store::DurableEngine> engine;  // null in memory mode
-    store::ContainerStore containers;
-    store::FingerprintIndex index;
-    store::ObjectStore data_objects;
-    store::ObjectStore key_objects;
-  };
-
-  const store::ObjectStore& StoreFor(StoreId id) const {
-    return id == StoreId::kData ? stores_->data_objects
-                                : stores_->key_objects;
-  }
-  store::ObjectStore& StoreFor(StoreId id) {
-    return id == StoreId::kData ? stores_->data_objects
-                                : stores_->key_objects;
+  store::ObjectStore& StoreFor(StoreId id) const {
+    return id == StoreId::kData ? engine_->data_objects()
+                                : engine_->key_objects();
   }
 
   std::string name_;
   Options options_;
-  std::unique_ptr<Stores> stores_;
+  // Set when Options::data_dir was empty; declared before engine_ so the
+  // engine closes its files before the directory is removed.
+  std::optional<util::ScratchDir> scratch_;
+  // Reopen() rebuilds the engine in place with one pointer swap while the
+  // StorageServer address — captured raw by in-process channels
+  // (core::ReedSystem) — stays stable.
+  std::unique_ptr<store::DurableEngine> engine_;
 
   // Serializes the dedup check-then-store step in PutChunks; see there.
   // index_ and containers_ lock themselves — the ingest stripes guard the

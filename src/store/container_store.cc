@@ -29,7 +29,7 @@ ContainerMetrics& Metrics() {
 
 }  // namespace
 
-ContainerStore::ContainerStore(std::size_t container_capacity, SegmentLog* log)
+ContainerStore::ContainerStore(std::size_t container_capacity, SegmentLog& log)
     : capacity_(container_capacity), log_(log) {
   if (capacity_ == 0) throw StoreError("ContainerStore: zero capacity");
   containers_.emplace_back();
@@ -51,9 +51,7 @@ ChunkLocation ContainerStore::Append(ByteSpan data) {
     ++stats_.containers;
     Metrics().containers_opened->Increment();
     current = &containers_.back();
-    if (log_ != nullptr) {
-      log_->Rotate(static_cast<std::uint32_t>(containers_.size() - 1));
-    }
+    log_.Rotate(static_cast<std::uint32_t>(containers_.size() - 1));
   }
   ChunkLocation loc;
   loc.container_id = static_cast<std::uint32_t>(containers_.size() - 1);
@@ -67,7 +65,7 @@ ChunkLocation ContainerStore::Append(ByteSpan data) {
   // Mirror to the segment log while the writer lock pins the (id, offset)
   // ordering — replay re-applies records in file order and must land every
   // chunk at the same logical coordinates.
-  if (log_ != nullptr) log_->AppendChunk(loc.container_id, loc.offset, data);
+  log_.AppendChunk(loc.container_id, loc.offset, data);
   return loc;
 }
 
@@ -75,7 +73,7 @@ void ContainerStore::Discard(const ChunkLocation& loc) {
   WriterMutexLock lock(mu_);
   DiscardLocked(loc);
   Metrics().discards->Increment();
-  if (log_ != nullptr) log_->AppendDiscard(loc);
+  log_.AppendDiscard(loc);
 }
 
 void ContainerStore::DiscardLocked(const ChunkLocation& loc) {

@@ -3,13 +3,12 @@
 // backend I/O. Locations are stable (container id, offset, length) triples
 // recorded by the fingerprint index and file recipes.
 //
-// Persistence is optional: attach a SegmentLog and every append/discard is
-// mirrored as a framed record in the per-container segment files while the
-// in-memory vector doubles as the read cache (the full store stays
-// memory-resident; DESIGN.md §12). The Replay* methods are the recovery
-// path — they rebuild the identical in-memory state from segment records
-// WITHOUT re-logging, and verify that replayed locations land exactly where
-// the original appends did.
+// Every append/discard is mirrored as a framed record in the SegmentLog's
+// per-container segment files while the in-memory vector doubles as the
+// read cache (the full store stays memory-resident; DESIGN.md §12). The
+// Replay* methods are the recovery path — they rebuild the identical
+// in-memory state from segment records WITHOUT re-logging, and verify that
+// replayed locations land exactly where the original appends did.
 #pragma once
 
 #include <vector>
@@ -33,8 +32,7 @@ class ContainerStore {
  public:
   static constexpr std::size_t kDefaultContainerSize = 4u << 20;  // 4 MB
 
-  explicit ContainerStore(std::size_t container_capacity = kDefaultContainerSize,
-                          SegmentLog* log = nullptr);
+  ContainerStore(std::size_t container_capacity, SegmentLog& log);
 
   // Appends one chunk; opens a new container when the current one cannot
   // fit it. Chunks never span containers. Dropping the returned location
@@ -77,7 +75,7 @@ class ContainerStore {
   void DiscardLocked(const ChunkLocation& loc) REED_REQUIRES(mu_);
 
   std::size_t capacity_;
-  SegmentLog* log_;  // null = memory-only (the pre-durability behaviour)
+  SegmentLog& log_;
   mutable SharedMutex mu_{LockRank::kStoreContainer};
   std::vector<Bytes> containers_ REED_GUARDED_BY(mu_);
   Stats stats_ REED_GUARDED_BY(mu_);

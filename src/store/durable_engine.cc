@@ -40,54 +40,59 @@ std::uint64_t LocKey(std::uint32_t container_id, std::uint32_t offset) {
   return (static_cast<std::uint64_t>(container_id) << 32) | offset;
 }
 
-}  // namespace
-
-DurableEngine::DurableEngine(std::string dir, DurabilityOptions options)
-    : dir_(std::move(dir)), options_(options) {
-  if (dir_.empty()) throw StoreError("DurableEngine: empty data dir");
-  (void)Metrics();
-  util::CreateDirectories(dir_);
-  segments_ = std::make_unique<SegmentLog>(dir_, options_);
-  wal_ = std::make_unique<Wal>(dir_ + "/wal.log", options_);
-  // Data before log: every group fsync of the WAL flushes the chunk
-  // segments first, so no durable index record can point at lost bytes.
-  wal_->set_pre_sync_hook([this] { segments_->Sync(); });
+// The store directory, created before the logs open files in it.
+std::string CreatedDir(std::string dir) {
+  util::CreateDirectories(dir);
+  return dir;
 }
 
-ObjectStore& DurableEngine::StoreForTag(std::uint8_t tag,
-                                        ObjectStore& data_objects,
-                                        ObjectStore& key_objects) {
+}  // namespace
+
+DurableEngine::DurableEngine(std::string dir, DurabilityOptions options,
+                             std::size_t container_capacity)
+    : dir_(CreatedDir(std::move(dir))),
+      options_(options),
+      segments_(dir_, options_),
+      wal_(dir_ + "/wal.log", options_),
+      containers_(container_capacity, segments_),
+      index_(wal_),
+      data_objects_(wal_, kDataStoreTag),
+      key_objects_(wal_, kKeyStoreTag) {
+  (void)Metrics();
+  // Data before log: every group fsync of the WAL flushes the chunk
+  // segments first, so no durable index record can point at lost bytes.
+  wal_.set_pre_sync_hook([this] { segments_.Sync(); });
+  Recover();
+}
+
+ObjectStore& DurableEngine::StoreForTag(std::uint8_t tag) {
   switch (tag) {
-    case kDataStoreTag: return data_objects;
-    case kKeyStoreTag: return key_objects;
+    case kDataStoreTag: return data_objects_;
+    case kKeyStoreTag: return key_objects_;
     default: throw StoreError("DurableEngine: unknown object store tag");
   }
 }
 
-void DurableEngine::ApplyMetadataRecord(const RecordView& rec,
-                                        FingerprintIndex& index,
-                                        ObjectStore& data_objects,
-                                        ObjectStore& key_objects) {
+void DurableEngine::ApplyMetadataRecord(const RecordView& rec) {
   switch (rec.type) {
     case RecordType::kIndexInsert: {
       IndexInsertRecord r = DecodeIndexInsert(rec.payload);
-      index.ReplayInsert(r.fp, r.loc);
+      index_.ReplayInsert(r.fp, r.loc);
       return;
     }
     case RecordType::kIndexErase: {
       IndexEraseRecord r = DecodeIndexErase(rec.payload);
-      index.ReplayErase(r.fp);
+      index_.ReplayErase(r.fp);
       return;
     }
     case RecordType::kObjectPut: {
       ObjectPutRecord r = DecodeObjectPut(rec.payload);
-      StoreForTag(r.store_tag, data_objects, key_objects)
-          .ReplayPut(r.name, std::move(r.value));
+      StoreForTag(r.store_tag).ReplayPut(r.name, std::move(r.value));
       return;
     }
     case RecordType::kObjectErase: {
       ObjectEraseRecord r = DecodeObjectErase(rec.payload);
-      StoreForTag(r.store_tag, data_objects, key_objects).ReplayErase(r.name);
+      StoreForTag(r.store_tag).ReplayErase(r.name);
       return;
     }
     default:
@@ -95,32 +100,27 @@ void DurableEngine::ApplyMetadataRecord(const RecordView& rec,
   }
 }
 
-void DurableEngine::Recover(ContainerStore& containers,
-                            FingerprintIndex& index, ObjectStore& data_objects,
-                            ObjectStore& key_objects) {
-  if (recovered_) throw StoreError("DurableEngine: Recover called twice");
-  recovered_ = true;
-
+void DurableEngine::Recover() {
   // 1. Data plane: segment files -> containers. Track which locations hold
   // live (not-discarded) chunks so step 4 can cross-check the index.
   std::unordered_map<std::uint64_t, std::uint32_t> live;  // key -> length
-  std::uint64_t torn = segments_->Replay(
-      [&](std::uint32_t id) { containers.ReplayBeginContainer(id); },
+  std::uint64_t torn = segments_.Replay(
+      [&](std::uint32_t id) { containers_.ReplayBeginContainer(id); },
       [&](const RecordView& rec) {
         ++recovery_stats_.replayed_records;
         if (rec.type == RecordType::kSegmentAppend) {
           SegmentAppendRecord a = DecodeSegmentAppend(rec.payload);
-          containers.ReplayAppend(a.container_id, a.offset, a.data);
+          containers_.ReplayAppend(a.container_id, a.offset, a.data);
           live[LocKey(a.container_id, a.offset)] =
               static_cast<std::uint32_t>(a.data.size());
         } else {
           SegmentDiscardRecord d = DecodeSegmentDiscard(rec.payload);
-          containers.ReplayDiscard(d.loc);
+          containers_.ReplayDiscard(d.loc);
           live.erase(LocKey(d.loc.container_id, d.loc.offset));
         }
       });
   recovery_stats_.discarded_tail += torn;
-  recovery_stats_.segments_sealed = segments_->segments_sealed();
+  recovery_stats_.segments_sealed = segments_.segments_sealed();
 
   // 2. Metadata plane, base state: the checkpoint. It was written with an
   // atomic rename, so it is either absent or complete — any malformation
@@ -143,7 +143,7 @@ void DurableEngine::Recover(ContainerStore& containers,
         complete = true;
         break;
       }
-      ApplyMetadataRecord(rec, index, data_objects, key_objects);
+      ApplyMetadataRecord(rec);
       ++applied;
       ++recovery_stats_.replayed_records;
     }
@@ -156,16 +156,16 @@ void DurableEngine::Recover(ContainerStore& containers,
   // constructor already cut the torn tail by CRC; what remains is valid and
   // replays idempotently (last writer wins per key).
   {
-    const Bytes& tail = wal_->recovered();
+    const Bytes& tail = wal_.recovered();
     std::size_t offset = 0;
     while (offset < tail.size()) {
       RecordView rec = DecodeRecord(tail, offset);
       offset += rec.encoded_size;
-      ApplyMetadataRecord(rec, index, data_objects, key_objects);
+      ApplyMetadataRecord(rec);
       ++recovery_stats_.replayed_records;
     }
-    recovery_stats_.discarded_tail += wal_->torn_tail_bytes();
-    wal_->DropRecovered();
+    recovery_stats_.discarded_tail += wal_.torn_tail_bytes();
+    wal_.DropRecovered();
   }
 
   // 4. Reconcile the planes. A crash can separate a chunk append from its
@@ -177,7 +177,7 @@ void DurableEngine::Recover(ContainerStore& containers,
   //     path (append survived, insert lost to a torn WAL tail), so future
   //     replays see the same container offsets.
   std::vector<chunk::Fingerprint> dangling;
-  index.ForEach(
+  index_.ForEach(
       [&](const chunk::Fingerprint& fp, const ChunkLocation& loc) {
         auto it = live.find(LocKey(loc.container_id, loc.offset));
         if (it == live.end() || it->second != loc.length) {
@@ -187,7 +187,7 @@ void DurableEngine::Recover(ContainerStore& containers,
         }
       });
   for (const chunk::Fingerprint& fp : dangling) {
-    index.ReplayErase(fp);
+    index_.ReplayErase(fp);
     ++recovery_stats_.dangling_erased;
   }
   std::vector<ChunkLocation> orphans;
@@ -204,7 +204,7 @@ void DurableEngine::Recover(ContainerStore& containers,
                      LocKey(b.container_id, b.offset);
             });
   for (const ChunkLocation& loc : orphans) {
-    containers.Discard(loc);
+    containers_.Discard(loc);
     ++recovery_stats_.orphans_discarded;
   }
 
@@ -215,26 +215,24 @@ void DurableEngine::Recover(ContainerStore& containers,
   Metrics().dangling_erased->Add(recovery_stats_.dangling_erased);
 }
 
-void DurableEngine::Commit() { wal_->CommitAll(); }
+void DurableEngine::Commit() { wal_.CommitAll(); }
 
-void DurableEngine::Checkpoint(const FingerprintIndex& index,
-                               const ObjectStore& data_objects,
-                               const ObjectStore& key_objects) {
+void DurableEngine::Checkpoint() {
   // Flush the data plane first so the checkpoint never outlives the chunk
   // bytes its index entries reference.
-  if (options_.fsync_policy != FsyncPolicy::kNone) segments_->Sync();
+  if (options_.fsync_policy != FsyncPolicy::kNone) segments_.Sync();
   Bytes out;
   std::uint64_t records = 0;
-  index.ForEach([&](const chunk::Fingerprint& fp, const ChunkLocation& loc) {
+  index_.ForEach([&](const chunk::Fingerprint& fp, const ChunkLocation& loc) {
     AppendRecord(out, RecordType::kIndexInsert, EncodeIndexInsert({fp, loc}));
     ++records;
   });
-  data_objects.ForEach([&](const std::string& name, const Bytes& value) {
+  data_objects_.ForEach([&](const std::string& name, const Bytes& value) {
     AppendRecord(out, RecordType::kObjectPut,
                  EncodeObjectPut({kDataStoreTag, name, value}));
     ++records;
   });
-  key_objects.ForEach([&](const std::string& name, const Bytes& value) {
+  key_objects_.ForEach([&](const std::string& name, const Bytes& value) {
     AppendRecord(out, RecordType::kObjectPut,
                  EncodeObjectPut({kKeyStoreTag, name, value}));
     ++records;
@@ -246,7 +244,7 @@ void DurableEngine::Checkpoint(const FingerprintIndex& index,
   // that already includes them); an interposed crash is safe either way:
   // before the rename the old checkpoint + full WAL replay, after it the
   // new checkpoint absorbs the stale records idempotently.
-  wal_->Reset();
+  wal_.Reset();
   Metrics().checkpoints->Increment();
 }
 

@@ -1,7 +1,8 @@
-// DurableEngine: the recovery brain of the persistent store (DESIGN.md
-// §12). Owns the WAL (metadata plane), the SegmentLog (data plane), and the
-// index checkpoint, and rebuilds a StorageServer's four in-memory stores
-// from disk on open:
+// DurableEngine: a StorageServer's store (DESIGN.md §12). Owns the WAL
+// (metadata plane), the SegmentLog (data plane) and the index checkpoint,
+// plus the four stores attached to them — containers, fingerprint index,
+// data objects and key objects — and rebuilds those stores from disk on
+// construction:
 //
 //   1. replay segment files -> ContainerStore (torn tail truncated by CRC);
 //   2. load the checkpoint, if any, into index + object stores;
@@ -20,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "store/container_store.h"
@@ -33,13 +33,19 @@ namespace reed::store {
 
 class DurableEngine {
  public:
-  // Opens (creating if needed) the store directory: scans + tail-truncates
-  // the WAL and the segment files. Stores attach to wal()/segments() after
-  // this, then Recover() replays into them.
-  DurableEngine(std::string dir, DurabilityOptions options);
+  // Opens (creating if needed) the store directory, attaches the four
+  // stores to its logs and recovers them from whatever it holds (steps 1-4
+  // above). Recovery is single-threaded: the engine is ready to serve once
+  // the constructor returns.
+  DurableEngine(std::string dir, DurabilityOptions options,
+                std::size_t container_capacity);
 
-  [[nodiscard]] Wal& wal() { return *wal_; }
-  [[nodiscard]] SegmentLog& segments() { return *segments_; }
+  [[nodiscard]] ContainerStore& containers() { return containers_; }
+  [[nodiscard]] FingerprintIndex& index() { return index_; }
+  [[nodiscard]] ObjectStore& data_objects() { return data_objects_; }
+  [[nodiscard]] ObjectStore& key_objects() { return key_objects_; }
+  [[nodiscard]] Wal& wal() { return wal_; }
+  [[nodiscard]] SegmentLog& segments() { return segments_; }
 
   struct RecoveryStats {
     std::uint64_t replayed_records = 0;   // checkpoint + WAL + segment records
@@ -49,39 +55,32 @@ class DurableEngine {
     std::uint64_t dangling_erased = 0;    // unreadable index entries dropped
   };
 
-  // Rebuilds the stores from disk (steps 1-4 above). Single-threaded;
-  // must run exactly once, before the server begins serving.
-  void Recover(ContainerStore& containers, FingerprintIndex& index,
-               ObjectStore& data_objects, ObjectStore& key_objects);
-
   // The group-commit durability point: called at the end of each mutating
   // batch (no caller locks held).
   void Commit();
 
   // Compacts index + objects into dir/index.ckpt (temp + fsync + rename)
   // and empties the WAL. Caller must be quiesced.
-  void Checkpoint(const FingerprintIndex& index,
-                  const ObjectStore& data_objects,
-                  const ObjectStore& key_objects);
+  void Checkpoint();
 
   [[nodiscard]] const RecoveryStats& recovery_stats() const {
     return recovery_stats_;
   }
-  [[nodiscard]] const std::string& dir() const { return dir_; }
 
  private:
-  void ApplyMetadataRecord(const RecordView& rec, FingerprintIndex& index,
-                           ObjectStore& data_objects,
-                           ObjectStore& key_objects);
-  ObjectStore& StoreForTag(std::uint8_t tag, ObjectStore& data_objects,
-                           ObjectStore& key_objects);
+  void Recover();
+  void ApplyMetadataRecord(const RecordView& rec);
+  ObjectStore& StoreForTag(std::uint8_t tag);
 
   const std::string dir_;
   const DurabilityOptions options_;
-  std::unique_ptr<SegmentLog> segments_;
-  std::unique_ptr<Wal> wal_;
+  SegmentLog segments_;
+  Wal wal_;
+  ContainerStore containers_;
+  FingerprintIndex index_;
+  ObjectStore data_objects_;
+  ObjectStore key_objects_;
   RecoveryStats recovery_stats_;
-  bool recovered_ = false;
 };
 
 // Tags the two object stores inside the shared WAL; values match

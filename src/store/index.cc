@@ -82,10 +82,8 @@ bool FingerprintIndex::Insert(const chunk::Fingerprint& fp,
   if (!shard.map.emplace(fp, loc).second) return false;
   // Logged under the shard lock: WAL order equals apply order per shard,
   // which is what makes last-writer-wins replay converge.
-  if (wal_ != nullptr) {
-    DiscardResult(wal_->Append(RecordType::kIndexInsert,
-                               EncodeIndexInsert({fp, loc})));
-  }
+  DiscardResult(
+      wal_.Append(RecordType::kIndexInsert, EncodeIndexInsert({fp, loc})));
   return true;
 }
 
@@ -93,10 +91,7 @@ bool FingerprintIndex::Erase(const chunk::Fingerprint& fp) {
   Shard& shard = ShardFor(fp);
   ShardLock lock(shard.mu, *Metrics().shard_contention);
   if (shard.map.erase(fp) == 0) return false;
-  if (wal_ != nullptr) {
-    DiscardResult(
-        wal_->Append(RecordType::kIndexErase, EncodeIndexErase({fp})));
-  }
+  DiscardResult(wal_.Append(RecordType::kIndexErase, EncodeIndexErase({fp})));
   return true;
 }
 
@@ -167,13 +162,9 @@ void ObjectStore::Put(const std::string& name, Bytes value) {
   // Encode the redo record before the apply consumes `value`; append it
   // under the shard lock so WAL order equals apply order (replay is
   // last-writer-wins per name).
-  if (wal_ != nullptr) {
-    Bytes payload = EncodeObjectPut({store_tag_, name, value});
-    PutLocked(shard, name, std::move(value));
-    DiscardResult(wal_->Append(RecordType::kObjectPut, payload));
-    return;
-  }
+  Bytes payload = EncodeObjectPut({store_tag_, name, value});
   PutLocked(shard, name, std::move(value));
+  DiscardResult(wal_.Append(RecordType::kObjectPut, payload));
 }
 
 Bytes ObjectStore::Get(const std::string& name) const {
@@ -197,10 +188,8 @@ bool ObjectStore::Erase(const std::string& name) {
   Shard& shard = ShardFor(name);
   ShardLock lock(shard.mu, *ObjMetrics().shard_contention);
   if (!EraseLocked(shard, name)) return false;
-  if (wal_ != nullptr) {
-    DiscardResult(wal_->Append(RecordType::kObjectErase,
-                               EncodeObjectErase({store_tag_, name})));
-  }
+  DiscardResult(wal_.Append(RecordType::kObjectErase,
+                            EncodeObjectErase({store_tag_, name})));
   return true;
 }
 

@@ -35,11 +35,10 @@ class FingerprintIndex {
  public:
   static constexpr std::size_t kNumShards = 8;
 
-  // With a WAL attached, every successful Insert/Erase appends a redo
-  // record under the shard lock (LockRank::kStoreWal ranks above
-  // kStoreShard), so recovery replays mutations in per-shard apply order.
-  // Null keeps the pre-durability memory-only behaviour.
-  explicit FingerprintIndex(Wal* wal = nullptr) : wal_(wal) {}
+  // Every successful Insert/Erase appends a redo record to `wal` under the
+  // shard lock (LockRank::kStoreWal ranks above kStoreShard), so recovery
+  // replays mutations in per-shard apply order.
+  explicit FingerprintIndex(Wal& wal) : wal_(wal) {}
 
   // Returns the existing location, or nullopt if the fingerprint is new.
   [[nodiscard]] std::optional<ChunkLocation> Lookup(
@@ -86,7 +85,7 @@ class FingerprintIndex {
     return shards_[(chunk::FingerprintHash{}(fp) >> 56) % kNumShards];
   }
 
-  Wal* wal_;  // null = memory-only
+  Wal& wal_;
   mutable std::array<Shard, kNumShards> shards_;
 };
 
@@ -95,8 +94,8 @@ class ObjectStore {
   static constexpr std::size_t kNumShards = 8;
 
   // `store_tag` distinguishes the data store from the key store inside the
-  // one shared WAL (server::StoreId values). Null wal = memory-only.
-  explicit ObjectStore(Wal* wal = nullptr, std::uint8_t store_tag = 0)
+  // one shared WAL (server::StoreId values).
+  ObjectStore(Wal& wal, std::uint8_t store_tag)
       : wal_(wal), store_tag_(store_tag) {}
 
   void Put(const std::string& name, Bytes value);
@@ -150,7 +149,7 @@ class ObjectStore {
   bool EraseLocked(Shard& shard, const std::string& name)
       REED_REQUIRES(shard.mu);
 
-  Wal* wal_;  // null = memory-only
+  Wal& wal_;
   std::uint8_t store_tag_;
   mutable std::array<Shard, kNumShards> shards_;
 };

@@ -40,7 +40,7 @@ FileRecipe FileRecipe::Deserialize(ByteSpan blob) {
   recipe.fingerprints.reserve(count);
   recipe.chunk_sizes.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    recipe.fingerprints.push_back(chunk::Fingerprint::FromBytes(r.Raw(32)));
+    recipe.fingerprints.push_back(chunk::Fingerprint::FromBytes(r.RawView(32)));
     recipe.chunk_sizes.push_back(r.U32());
   }
   r.ExpectEnd();

@@ -52,12 +52,12 @@ Wal::Wal(std::string path, DurabilityOptions options) : options_(options) {
   if (file_.Size() != valid) file_.Truncate(valid);
 }
 
-Wal::Writer::Writer(Wal* wal) : wal_(wal) {
-  if (wal_) wal_->writers_.fetch_add(1, std::memory_order_relaxed);
+Wal::Writer::Writer(Wal& wal) : wal_(wal) {
+  wal_.writers_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Wal::Writer::~Writer() {
-  if (wal_) wal_->writers_.fetch_sub(1, std::memory_order_relaxed);
+  wal_.writers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::uint64_t Wal::Append(RecordType type, ByteSpan payload) {

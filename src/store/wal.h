@@ -37,16 +37,16 @@ class Wal {
   // Marks one writer — its appends and its Commit, e.g. one PutChunks batch
   // or one PutObject — as in flight for its lifetime. A group-commit leader
   // dwells only when some other writer is in flight, so a lone writer never
-  // waits out the window. A null log (in-memory store) counts nothing.
+  // waits out the window.
   class Writer {
    public:
-    explicit Writer(Wal* wal);
+    explicit Writer(Wal& wal);
     ~Writer();
     Writer(const Writer&) = delete;
     Writer& operator=(const Writer&) = delete;
 
    private:
-    Wal* wal_;
+    Wal& wal_;
   };
 
   // Frames and appends one record; returns its LSN (1-based, monotone).

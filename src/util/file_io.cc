@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -169,6 +170,20 @@ std::vector<std::string> ListFiles(const std::string& dir) {
   }
   std::sort(names.begin(), names.end());
   return names;
+}
+
+ScratchDir::ScratchDir(const std::string& prefix) {
+  std::error_code ec;
+  std::filesystem::path base = std::filesystem::temp_directory_path(ec);
+  if (ec) throw FileError("temp directory: " + ec.message());
+  std::string pattern = (base / (prefix + "XXXXXX")).string();
+  if (::mkdtemp(pattern.data()) == nullptr) ThrowErrno("mkdtemp", pattern);
+  path_ = std::move(pattern);
+}
+
+ScratchDir::~ScratchDir() {
+  std::error_code ec;  // a leftover directory is not worth a throw
+  std::filesystem::remove_all(path_, ec);
 }
 
 }  // namespace reed::util

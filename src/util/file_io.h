@@ -77,4 +77,20 @@ void RemoveFileIfExists(const std::string& path);
 // Sorted names (not full paths) of regular files directly under `dir`.
 [[nodiscard]] std::vector<std::string> ListFiles(const std::string& dir);
 
+// A fresh directory `<temp dir>/<prefix>XXXXXX` made by mkdtemp, removed
+// with everything in it when the handle is destroyed (best effort: the
+// destructor never throws).
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& prefix);
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  ~ScratchDir();
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 }  // namespace reed::util

@@ -3,6 +3,7 @@
 // stored object, and concurrent-client behaviour.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <tuple>
 
@@ -25,14 +26,25 @@ SystemOptions FastSystem(std::uint64_t seed) {
   return opts;
 }
 
+// One cluster shared by the sweeps, built on first use.
+std::unique_ptr<ReedSystem> shared_system;
+
 ReedSystem& SharedSystem() {
-  static ReedSystem* system = [] {
-    auto* s = new ReedSystem(FastSystem(555));
-    s->RegisterUser("prop");
-    return s;
-  }();
-  return *system;
+  if (!shared_system) {
+    shared_system = std::make_unique<ReedSystem>(FastSystem(555));
+    shared_system->RegisterUser("prop");
+  }
+  return *shared_system;
 }
+
+// Destroys the shared cluster after the last test, so its servers remove
+// their scratch directories.
+class SharedSystemTeardown : public ::testing::Environment {
+ public:
+  void TearDown() override { shared_system.reset(); }
+};
+[[maybe_unused]] ::testing::Environment* const kSharedSystemTeardown =
+    ::testing::AddGlobalTestEnvironment(new SharedSystemTeardown);
 
 // ---------------------------------------------------------------------
 // Round-trip sweep: (scheme, avg chunk size, file size). File sizes hit

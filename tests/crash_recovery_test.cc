@@ -17,7 +17,7 @@
 // suite degrades to a reopen test instead of skipping.
 //
 // On failure the surviving store directory and the scenario parameters are
-// preserved under crash_artifacts/ (uploaded by the CI durability job).
+// preserved under crash_artifacts/ (uploaded by the CI faults job).
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -37,21 +37,17 @@
 #include "store/log_format.h"
 #include "util/fault_inject.h"
 #include "util/file_io.h"
+#include "test_dirs.h"
 
 namespace reed {
 namespace {
 
 using server::StorageServer;
 using server::StoreId;
+using testing::FreshDir;
 
 constexpr int kBatches = 12;
 constexpr int kChunksPerBatch = 4;
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 // The deterministic workload both sides reconstruct independently.
 Bytes ChunkBytes(int batch, int i) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "store/wal.h"
 #include "util/crc32.h"
 #include "util/file_io.h"
+#include "test_dirs.h"
 
 namespace reed {
 namespace {
@@ -32,12 +35,7 @@ using store::DurabilityOptions;
 using store::RecordType;
 using store::RecordView;
 using store::StoreError;
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using testing::FreshDir;
 
 Bytes Pattern(std::size_t n, std::uint8_t salt) {
   Bytes out(n);
@@ -256,7 +254,7 @@ TEST(WalTest, LoneWriterNeverDwells) {
   const std::uint64_t syncs = WalCounter("store.wal.syncs");
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 4; ++i) {
-    store::Wal::Writer writing(&wal);
+    store::Wal::Writer writing(wal);
     wal.Commit(wal.Append(RecordType::kObjectErase,
                           store::EncodeObjectErase({0, std::to_string(i)})));
   }
@@ -282,7 +280,7 @@ TEST(WalTest, ConcurrentWritersDwellAndRide) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&wal, t] {
       for (int i = 0; i < kCommits; ++i) {
-        store::Wal::Writer writing(&wal);
+        store::Wal::Writer writing(wal);
         wal.Commit(wal.Append(
             RecordType::kObjectErase,
             store::EncodeObjectErase({0, std::to_string(t * kCommits + i)})));
@@ -360,58 +358,41 @@ TEST(StorageServerDurableTest, IngestStageTimersRecordOncePerBatch) {
   std::filesystem::remove_all(dir);
 }
 
-// The harness every engine test drives: the same four stores StorageServer
-// bundles, attached to a fresh engine over one directory.
-struct EngineFixture {
-  explicit EngineFixture(const std::string& dir,
-                         std::size_t container_capacity = 256)
-      : engine(dir, DurabilityOptions{}),
-        containers(container_capacity, &engine.segments()),
-        index(&engine.wal()),
-        data_objects(&engine.wal(), store::kDataStoreTag),
-        key_objects(&engine.wal(), store::kKeyStoreTag) {
-    engine.Recover(containers, index, data_objects, key_objects);
-  }
-
-  store::DurableEngine engine;
-  store::ContainerStore containers;
-  store::FingerprintIndex index;
-  store::ObjectStore data_objects;
-  store::ObjectStore key_objects;
-};
+// Engine tests pack chunks into small containers so rotations happen.
+constexpr std::size_t kSmallContainers = 256;
 
 TEST(DurableEngineTest, RecoversChunksObjectsAndIndexAcrossReopen) {
   const std::string dir = FreshDir("engine_roundtrip");
   std::vector<Bytes> chunks;
   std::vector<ChunkLocation> locs;
   {
-    EngineFixture fx(dir);
+    store::DurableEngine fx(dir, {}, kSmallContainers);
     for (int i = 0; i < 10; ++i) {
       chunks.push_back(Pattern(100 + static_cast<std::size_t>(i), 9));
-      locs.push_back(fx.containers.Append(chunks.back()));
-      ASSERT_TRUE(fx.index.Insert(FpOf(chunks.back()), locs.back()));
+      locs.push_back(fx.containers().Append(chunks.back()));
+      ASSERT_TRUE(fx.index().Insert(FpOf(chunks.back()), locs.back()));
     }
-    fx.data_objects.Put("recipe/f1", Pattern(64, 10));
-    fx.key_objects.Put("keystate/f1", Pattern(48, 11));
-    fx.engine.Commit();
+    fx.data_objects().Put("recipe/f1", Pattern(64, 10));
+    fx.key_objects().Put("keystate/f1", Pattern(48, 11));
+    fx.Commit();
   }
-  EngineFixture fx(dir);
-  EXPECT_GT(fx.engine.recovery_stats().replayed_records, 0u);
-  EXPECT_EQ(fx.engine.recovery_stats().orphans_discarded, 0u);
-  EXPECT_EQ(fx.engine.recovery_stats().dangling_erased, 0u);
+  store::DurableEngine fx(dir, {}, kSmallContainers);
+  EXPECT_GT(fx.recovery_stats().replayed_records, 0u);
+  EXPECT_EQ(fx.recovery_stats().orphans_discarded, 0u);
+  EXPECT_EQ(fx.recovery_stats().dangling_erased, 0u);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    auto loc = fx.index.Lookup(FpOf(chunks[i]));
+    auto loc = fx.index().Lookup(FpOf(chunks[i]));
     ASSERT_TRUE(loc.has_value());
     EXPECT_EQ(*loc, locs[i]);
-    EXPECT_EQ(fx.containers.Read(*loc), chunks[i]);
+    EXPECT_EQ(fx.containers().Read(*loc), chunks[i]);
   }
-  EXPECT_EQ(fx.data_objects.Get("recipe/f1"), Pattern(64, 10));
-  EXPECT_EQ(fx.key_objects.Get("keystate/f1"), Pattern(48, 11));
+  EXPECT_EQ(fx.data_objects().Get("recipe/f1"), Pattern(64, 10));
+  EXPECT_EQ(fx.key_objects().Get("keystate/f1"), Pattern(48, 11));
   // Replayed appends land exactly where the originals did.
   Bytes next = Pattern(33, 12);
-  ChunkLocation resumed = fx.containers.Append(next);
+  ChunkLocation resumed = fx.containers().Append(next);
   EXPECT_GT(resumed.offset + 0u, 0u);
-  EXPECT_EQ(fx.containers.Read(resumed), next);
+  EXPECT_EQ(fx.containers().Read(resumed), next);
   std::filesystem::remove_all(dir);
 }
 
@@ -420,22 +401,21 @@ TEST(DurableEngineTest, SegmentRotationSealsAndRecovers) {
   std::vector<Bytes> chunks;
   {
     // 64-byte containers force a rotation roughly every chunk.
-    EngineFixture fx(dir, /*container_capacity=*/64);
+    store::DurableEngine fx(dir, {}, /*container_capacity=*/64);
     for (int i = 0; i < 6; ++i) {
       chunks.push_back(Pattern(50, static_cast<std::uint8_t>(13 + i)));
-      ASSERT_TRUE(
-          fx.index.Insert(FpOf(chunks.back()),
-                          fx.containers.Append(chunks.back())));
+      ASSERT_TRUE(fx.index().Insert(FpOf(chunks.back()),
+                                    fx.containers().Append(chunks.back())));
     }
-    fx.engine.Commit();
-    EXPECT_GE(fx.engine.segments().segments_sealed(), 5u);
+    fx.Commit();
+    EXPECT_GE(fx.segments().segments_sealed(), 5u);
   }
-  EngineFixture fx(dir, 64);
-  EXPECT_GE(fx.engine.recovery_stats().segments_sealed, 5u);
+  store::DurableEngine fx(dir, {}, 64);
+  EXPECT_GE(fx.recovery_stats().segments_sealed, 5u);
   for (const Bytes& c : chunks) {
-    auto loc = fx.index.Lookup(FpOf(c));
+    auto loc = fx.index().Lookup(FpOf(c));
     ASSERT_TRUE(loc.has_value());
-    EXPECT_EQ(fx.containers.Read(*loc), c);
+    EXPECT_EQ(fx.containers().Read(*loc), c);
   }
   std::filesystem::remove_all(dir);
 }
@@ -444,18 +424,18 @@ TEST(DurableEngineTest, CheckpointEmptiesWalAndRecoveryReplaysNothing) {
   const std::string dir = FreshDir("engine_ckpt");
   Bytes chunk = Pattern(80, 20);
   {
-    EngineFixture fx(dir);
-    ASSERT_TRUE(fx.index.Insert(FpOf(chunk), fx.containers.Append(chunk)));
-    fx.data_objects.Put("stub/f9", Pattern(32, 21));
-    fx.engine.Checkpoint(fx.index, fx.data_objects, fx.key_objects);
+    store::DurableEngine fx(dir, {}, kSmallContainers);
+    ASSERT_TRUE(fx.index().Insert(FpOf(chunk), fx.containers().Append(chunk)));
+    fx.data_objects().Put("stub/f9", Pattern(32, 21));
+    fx.Checkpoint();
   }
   EXPECT_EQ(util::File::OpenRead(dir + "/wal.log").Size(), 0u);
   EXPECT_TRUE(util::FileExists(dir + "/index.ckpt"));
-  EngineFixture fx(dir);
-  auto loc = fx.index.Lookup(FpOf(chunk));
+  store::DurableEngine fx(dir, {}, kSmallContainers);
+  auto loc = fx.index().Lookup(FpOf(chunk));
   ASSERT_TRUE(loc.has_value());
-  EXPECT_EQ(fx.containers.Read(*loc), chunk);
-  EXPECT_EQ(fx.data_objects.Get("stub/f9"), Pattern(32, 21));
+  EXPECT_EQ(fx.containers().Read(*loc), chunk);
+  EXPECT_EQ(fx.data_objects().Get("stub/f9"), Pattern(32, 21));
   std::filesystem::remove_all(dir);
 }
 
@@ -465,11 +445,11 @@ TEST(DurableEngineTest, ReconcilesDanglingIndexEntryFromTornSegmentTail) {
   Bytes lost = Pattern(44, 23);
   std::uint64_t cut;
   {
-    EngineFixture fx(dir);
-    ASSERT_TRUE(fx.index.Insert(FpOf(kept), fx.containers.Append(kept)));
+    store::DurableEngine fx(dir, {}, kSmallContainers);
+    ASSERT_TRUE(fx.index().Insert(FpOf(kept), fx.containers().Append(kept)));
     cut = util::File::OpenRead(dir + "/seg-000000.log").Size();
-    ASSERT_TRUE(fx.index.Insert(FpOf(lost), fx.containers.Append(lost)));
-    fx.engine.Commit();
+    ASSERT_TRUE(fx.index().Insert(FpOf(lost), fx.containers().Append(lost)));
+    fx.Commit();
   }
   // Crash shape: the second chunk's segment record is torn away while its
   // index insert survived in the WAL.
@@ -477,12 +457,12 @@ TEST(DurableEngineTest, ReconcilesDanglingIndexEntryFromTornSegmentTail) {
     util::File f = util::File::OpenAppend(dir + "/seg-000000.log");
     f.Truncate(cut);
   }
-  EngineFixture fx(dir);
-  EXPECT_EQ(fx.engine.recovery_stats().dangling_erased, 1u);
-  EXPECT_FALSE(fx.index.Lookup(FpOf(lost)).has_value());
-  auto loc = fx.index.Lookup(FpOf(kept));
+  store::DurableEngine fx(dir, {}, kSmallContainers);
+  EXPECT_EQ(fx.recovery_stats().dangling_erased, 1u);
+  EXPECT_FALSE(fx.index().Lookup(FpOf(lost)).has_value());
+  auto loc = fx.index().Lookup(FpOf(kept));
   ASSERT_TRUE(loc.has_value());
-  EXPECT_EQ(fx.containers.Read(*loc), kept);
+  EXPECT_EQ(fx.containers().Read(*loc), kept);
   std::filesystem::remove_all(dir);
 }
 
@@ -492,28 +472,29 @@ TEST(DurableEngineTest, ReconcilesOrphanChunkFromTornWalTail) {
   Bytes orphan = Pattern(44, 25);
   std::uint64_t cut;
   {
-    EngineFixture fx(dir);
-    ASSERT_TRUE(fx.index.Insert(FpOf(kept), fx.containers.Append(kept)));
+    store::DurableEngine fx(dir, {}, kSmallContainers);
+    ASSERT_TRUE(fx.index().Insert(FpOf(kept), fx.containers().Append(kept)));
     cut = util::File::OpenRead(dir + "/wal.log").Size();
     // Append lands in the segment log; its index insert is then torn away.
-    ASSERT_TRUE(fx.index.Insert(FpOf(orphan), fx.containers.Append(orphan)));
-    fx.engine.Commit();
+    ASSERT_TRUE(
+        fx.index().Insert(FpOf(orphan), fx.containers().Append(orphan)));
+    fx.Commit();
   }
   {
     util::File f = util::File::OpenAppend(dir + "/wal.log");
     f.Truncate(cut);
   }
-  EngineFixture fx(dir);
-  EXPECT_EQ(fx.engine.recovery_stats().orphans_discarded, 1u);
-  EXPECT_FALSE(fx.index.Lookup(FpOf(orphan)).has_value());
-  auto stats = fx.containers.stats();
+  store::DurableEngine fx(dir, {}, kSmallContainers);
+  EXPECT_EQ(fx.recovery_stats().orphans_discarded, 1u);
+  EXPECT_FALSE(fx.index().Lookup(FpOf(orphan)).has_value());
+  auto stats = fx.containers().stats();
   EXPECT_EQ(stats.chunks, 1u);
   EXPECT_EQ(stats.bytes, kept.size());
   // The repaired state survives ANOTHER reopen: the orphan discard went
   // through the logged path, so replay offsets stay aligned.
   Bytes more = Pattern(20, 26);
-  ASSERT_TRUE(fx.index.Insert(FpOf(more), fx.containers.Append(more)));
-  fx.engine.Commit();
+  ASSERT_TRUE(fx.index().Insert(FpOf(more), fx.containers().Append(more)));
+  fx.Commit();
   std::filesystem::remove_all(dir);
 }
 
@@ -523,47 +504,49 @@ TEST(DurableEngineTest, RepairedStateIsStableAcrossASecondReopen) {
   Bytes orphan = Pattern(44, 28);
   std::uint64_t cut;
   {
-    EngineFixture fx(dir);
-    ASSERT_TRUE(fx.index.Insert(FpOf(kept), fx.containers.Append(kept)));
+    store::DurableEngine fx(dir, {}, kSmallContainers);
+    ASSERT_TRUE(fx.index().Insert(FpOf(kept), fx.containers().Append(kept)));
     cut = util::File::OpenRead(dir + "/wal.log").Size();
-    ASSERT_TRUE(fx.index.Insert(FpOf(orphan), fx.containers.Append(orphan)));
-    fx.engine.Commit();
+    ASSERT_TRUE(
+        fx.index().Insert(FpOf(orphan), fx.containers().Append(orphan)));
+    fx.Commit();
   }
   {
     util::File f = util::File::OpenAppend(dir + "/wal.log");
     f.Truncate(cut);
   }
-  { EngineFixture fx(dir); }  // first recovery repairs
-  EngineFixture fx(dir);      // second must find nothing left to repair
-  EXPECT_EQ(fx.engine.recovery_stats().orphans_discarded, 0u);
-  EXPECT_EQ(fx.engine.recovery_stats().dangling_erased, 0u);
-  EXPECT_EQ(fx.containers.stats().chunks, 1u);
+  // The first recovery repairs; the second must find nothing left to repair.
+  { store::DurableEngine fx(dir, {}, kSmallContainers); }
+  store::DurableEngine fx(dir, {}, kSmallContainers);
+  EXPECT_EQ(fx.recovery_stats().orphans_discarded, 0u);
+  EXPECT_EQ(fx.recovery_stats().dangling_erased, 0u);
+  EXPECT_EQ(fx.containers().stats().chunks, 1u);
   std::filesystem::remove_all(dir);
 }
 
 TEST(DurableEngineTest, ObjectEraseReplaysAndPrefixCountersMatchRescan) {
   const std::string dir = FreshDir("engine_obj_erase");
   {
-    EngineFixture fx(dir);
-    fx.data_objects.Put("stub/a", Pattern(100, 60));
-    fx.data_objects.Put("stub/b", Pattern(50, 61));
-    fx.data_objects.Put("recipe/a", Pattern(25, 62));
-    fx.data_objects.Put("stub/a", Pattern(10, 63));  // overwrite shrinks
-    ASSERT_TRUE(fx.data_objects.Erase("stub/b"));
-    EXPECT_FALSE(fx.data_objects.Erase("stub/missing"));
-    fx.engine.Commit();
+    store::DurableEngine fx(dir, {}, kSmallContainers);
+    fx.data_objects().Put("stub/a", Pattern(100, 60));
+    fx.data_objects().Put("stub/b", Pattern(50, 61));
+    fx.data_objects().Put("recipe/a", Pattern(25, 62));
+    fx.data_objects().Put("stub/a", Pattern(10, 63));  // overwrite shrinks
+    ASSERT_TRUE(fx.data_objects().Erase("stub/b"));
+    EXPECT_FALSE(fx.data_objects().Erase("stub/missing"));
+    fx.Commit();
   }
-  EngineFixture fx(dir);
-  EXPECT_FALSE(fx.data_objects.Contains("stub/b"));
-  EXPECT_EQ(fx.data_objects.Get("stub/a"), Pattern(10, 63));
+  store::DurableEngine fx(dir, {}, kSmallContainers);
+  EXPECT_FALSE(fx.data_objects().Contains("stub/b"));
+  EXPECT_EQ(fx.data_objects().Get("stub/a"), Pattern(10, 63));
   // The O(1) per-directory counters must equal a full rescan after replay.
   std::uint64_t rescan = 0;
-  fx.data_objects.ForEach([&](const std::string& name, const Bytes& value) {
+  fx.data_objects().ForEach([&](const std::string& name, const Bytes& value) {
     if (name.starts_with("stub/")) rescan += value.size();
   });
-  EXPECT_EQ(fx.data_objects.TotalBytesWithPrefix("stub/"), rescan);
+  EXPECT_EQ(fx.data_objects().TotalBytesWithPrefix("stub/"), rescan);
   EXPECT_EQ(rescan, 10u);
-  EXPECT_EQ(fx.data_objects.total_bytes(), 35u);
+  EXPECT_EQ(fx.data_objects().total_bytes(), 35u);
   std::filesystem::remove_all(dir);
 }
 
@@ -609,10 +592,65 @@ TEST(StorageServerDurableTest, ReopenPreservesChunksObjectsAndDedup) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(StorageServerDurableTest, ReopenThrowsInMemoryMode) {
-  StorageServer server("mem");
-  EXPECT_THROW(server.Reopen(), StoreError);
-  server.Close();  // no-op, must not throw
+// A server built with no data_dir keeps its store in a scratch directory:
+// it survives a clean Close+Reopen and a cold Reopen like any other store,
+// and is gone once the server is destroyed.
+TEST(StorageServerDurableTest, ScratchDirServerReopensAndCleansUp) {
+  // The server makes its scratch directory under the temp directory, which
+  // honours TMPDIR: point it at an empty directory for the constructor, so
+  // the scratch directory is the only entry there.
+  const std::string tmp = FreshDir("scratch_tmp");
+  util::CreateDirectories(tmp);
+  auto entries = [&tmp] {
+    auto it = std::filesystem::directory_iterator(tmp);
+    return std::distance(begin(it), end(it));
+  };
+  {
+    const char* saved = std::getenv("TMPDIR");
+    const std::string old_tmpdir = saved != nullptr ? saved : "";
+    ::setenv("TMPDIR", tmp.c_str(), 1);
+    StorageServer server("scratch");
+    if (saved != nullptr) {
+      ::setenv("TMPDIR", old_tmpdir.c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+    EXPECT_EQ(entries(), 1);
+    std::vector<Bytes> payloads;
+    for (int i = 0; i < 4; ++i) {
+      payloads.push_back(Pattern(300, static_cast<std::uint8_t>(70 + i)));
+    }
+    std::vector<std::pair<chunk::Fingerprint, ByteSpan>> batch;
+    for (const Bytes& data : payloads) batch.emplace_back(FpOf(data), data);
+    ASSERT_EQ(server.PutChunks(batch).stored, batch.size());
+    server.PutObject(StoreId::kData, "stub/f1", Pattern(64, 80));
+    server.PutObject(StoreId::kData, "recipe/f1", Pattern(24, 81));
+    server.PutObject(StoreId::kKey, "keystate/f1", Pattern(32, 82));
+    const std::uint64_t stub_bytes =
+        server.ObjectBytesWithPrefix(StoreId::kData, "stub/");
+    EXPECT_EQ(stub_bytes, 64u);
+
+    for (bool checkpoint_first : {true, false}) {
+      SCOPED_TRACE(checkpoint_first ? "Close+Reopen" : "cold Reopen");
+      if (checkpoint_first) server.Close();
+      server.Reopen();
+      EXPECT_GT(server.RecoveryStats().replayed_records, 0u);
+      auto report = server.CheckConsistency();
+      EXPECT_TRUE(report.ok) << report.detail;
+      EXPECT_EQ(server.PutChunks(batch).duplicates, batch.size());
+      std::vector<chunk::Fingerprint> fps;
+      for (const auto& [fp, data] : batch) fps.push_back(fp);
+      EXPECT_EQ(server.GetChunks(fps), payloads);
+      EXPECT_EQ(server.GetObject(StoreId::kData, "stub/f1"), Pattern(64, 80));
+      EXPECT_EQ(server.GetObject(StoreId::kKey, "keystate/f1"),
+                Pattern(32, 82));
+      EXPECT_EQ(server.ObjectBytesWithPrefix(StoreId::kData, "stub/"),
+                stub_bytes);
+      EXPECT_EQ(server.ObjectBytesWithPrefix(StoreId::kData, "recipe/"), 24u);
+    }
+  }
+  EXPECT_EQ(entries(), 0) << "the scratch directory outlived its server";
+  std::filesystem::remove_all(tmp);
 }
 
 // Regression (per-prefix byte counters across recovery): replayed puts,

@@ -8,9 +8,11 @@
 //   2. no in-flight gauge leaks past the unwind (client.net.inflight_rpcs,
 //      client.pipeline.inflight_batches return to zero);
 //   3. every server's dedup state stays consistent — no orphaned container
-//      bytes, no dangling index entries (StorageServer::CheckConsistency);
-//   4. an immediate disarmed retry of the same drive succeeds and
-//      round-trips the file byte-identically.
+//      bytes, no dangling index entries (StorageServer::CheckConsistency) —
+//      and stays so, with every earlier file intact, after every server
+//      restarts from its logs;
+//   4. an immediate disarmed retry of the same drive, on the restarted
+//      servers, succeeds and round-trips the file byte-identically.
 //
 // The sweep runs twice over the one upload pipeline — a window of one
 // (depth 1: each batch stored before the next keygen) and an overlapped
@@ -174,6 +176,14 @@ void RunSweep(std::size_t depth) {
               1u);
     ExpectGaugesDrained();
     ExpectClusterConsistent(system);
+
+    // Crash-style restart (no checkpoint): recovery must rebuild a
+    // consistent state from whatever the aborted drive left in the logs,
+    // and keep every file stored before it.
+    system.ReopenServers(/*checkpoint_first=*/false);
+    ExpectClusterConsistent(system);
+    EXPECT_EQ(client->Download("clean"), clean)
+        << "restart lost a file stored before the fault";
 
     // Disarmed retry: the identical drive must now complete, deduplicating
     // against whatever the aborted attempt managed to store.

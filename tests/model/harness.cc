@@ -33,10 +33,9 @@ core::SystemOptions FastSystemOptions(const HarnessOptions& options) {
   opts.derivation_key_bits = 512;
   opts.num_data_servers = 4;
   opts.rng_seed = options.seed ^ 0xC0FFEEULL;
-  opts.data_dir = options.data_dir;
-  // The reopen cycle models a same-machine process restart (the page cache
-  // survives), so the no-fsync policy is honest here and keeps runs fast.
-  opts.durability.fsync_policy = store::FsyncPolicy::kNone;
+  // No data_dir: every server keeps its store in its own scratch directory
+  // without fsync. The reopen cycle models a same-machine process restart
+  // (the page cache survives), so that is honest here and keeps runs fast.
   return opts;
 }
 
@@ -670,8 +669,7 @@ class SequentialRun {
         << " --depth=" << options_.pipeline_depth;
     if (options_.bug != Bug::kNone) out << " --bug=" << BugName(options_.bug);
     if (options_.reopen_every > 0) {
-      out << " --reopen-every=" << options_.reopen_every
-          << " --data-dir=<fresh dir>";
+      out << " --reopen-every=" << options_.reopen_every;
     }
     out << "\n#\n";
     for (std::size_t i = 0; i < ops_.size(); ++i) {

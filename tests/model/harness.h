@@ -51,14 +51,13 @@ struct HarnessOptions {
   Bug bug = Bug::kNone;
   std::string repro_dir = ".";
   bool verbose = false;
-  // Durable-store mode (sequential runs only): the cluster persists under
-  // data_dir and every reopen_every ops all servers are restarted from disk
-  // — alternating clean (checkpoint + reopen) and crash-style (reopen only)
-  // — with the package-digest oracle checked across each restart. Every
-  // security invariant above must keep holding on the recovered state;
-  // this is what pins lazy-rekey key states surviving a restart.
-  std::size_t reopen_every = 0;  // 0 = never reopen (in-memory cluster)
-  std::string data_dir;          // required when reopen_every > 0
+  // Restart cycle (sequential runs only): every reopen_every ops all
+  // servers are restarted from their scratch directories — alternating
+  // clean (checkpoint + reopen) and crash-style (reopen only) — with the
+  // package-digest oracle checked across each restart. Every security
+  // invariant above must keep holding on the recovered state; this is what
+  // pins lazy-rekey key states surviving a restart.
+  std::size_t reopen_every = 0;  // 0 = never reopen
 };
 
 struct RunReport {

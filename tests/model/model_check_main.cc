@@ -6,20 +6,17 @@
 //   reed_model_check --seed=3 --ops=60 [--users=3] [--depth=2]
 //                    [--mode=sequential|concurrent] [--bug=none|
 //                    skip-stub-reencrypt|stale-keystate] [--repro-dir=DIR]
-//                    [--reopen-every=N --data-dir=DIR]
+//                    [--reopen-every=N]
 //
-// --reopen-every (sequential mode, with --data-dir) makes the cluster
-// durable and restarts every server from disk each N ops, checking that the
-// security oracles hold on the recovered state (DESIGN.md §12). The data
-// dir is WIPED first: each run must start from an empty store or the model
-// and the recovered state would diverge on op 0.
+// --reopen-every (sequential mode) restarts every server from its scratch
+// store directory each N ops, checking that the security oracles hold on
+// the recovered state (DESIGN.md §12).
 //
 // The --bug flags corrupt the stack at the harness level to prove the
 // checker bites; the WILL_FAIL ctests pin them.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 
 #include "model/harness.h"
@@ -65,8 +62,6 @@ int main(int argc, char** argv) {
       options.repro_dir = value;
     } else if (ParseFlag(argv[i], "--reopen-every", value)) {
       options.reopen_every = ParseUint(value, "--reopen-every");
-    } else if (ParseFlag(argv[i], "--data-dir", value)) {
-      options.data_dir = value;
     } else if (ParseFlag(argv[i], "--bug", value)) {
       if (value == "none") {
         options.bug = reed::modelcheck::Bug::kNone;
@@ -86,15 +81,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (options.reopen_every > 0 &&
-      (options.data_dir.empty() || mode != "sequential")) {
+  if (options.reopen_every > 0 && mode != "sequential") {
     std::fprintf(stderr,
-                 "reed_model_check: --reopen-every needs --data-dir and "
-                 "--mode=sequential\n");
+                 "reed_model_check: --reopen-every needs --mode=sequential\n");
     return 2;
-  }
-  if (!options.data_dir.empty()) {
-    std::filesystem::remove_all(options.data_dir);
   }
 
   reed::modelcheck::RunReport report;

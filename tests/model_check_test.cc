@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -150,17 +149,14 @@ TEST(ModelCheckTest, SequentialSerialPathMatchesModel) {
 }
 
 TEST(ModelCheckTest, SequentialSurvivesServerRestarts) {
-  // Durable cluster restarted from disk every few ops (alternating
-  // checkpoint-clean and crash-style WAL-replay reopens): every model
-  // diff and security oracle must keep holding on the recovered state.
+  // Cluster restarted from disk every few ops (alternating checkpoint-clean
+  // and crash-style WAL-replay reopens): every model diff and security
+  // oracle must keep holding on the recovered state.
   HarnessOptions options = QuickOptions(606);
   options.reopen_every = 7;
-  options.data_dir = ::testing::TempDir() + "/model_reopen_606";
-  std::filesystem::remove_all(options.data_dir);
   RunReport report = modelcheck::RunSequential(options);
   EXPECT_TRUE(report.ok) << report.divergence;
   EXPECT_EQ(report.ops_executed, options.num_ops);
-  std::filesystem::remove_all(options.data_dir);
 }
 
 TEST(ModelCheckTest, ConcurrentFinalStateIsExplainable) {

@@ -31,7 +31,8 @@ TEST(WireTest, RoundTripAllFieldTypes) {
   EXPECT_EQ(r.U64(), 0x0123456789ABCDEFULL);
   EXPECT_EQ(r.Blob(), ToBytes("payload"));
   EXPECT_EQ(r.Str(), "name");
-  EXPECT_EQ(r.Raw(3), ToBytes("raw"));
+  ByteSpan raw = r.RawView(3);
+  EXPECT_EQ(Bytes(raw.begin(), raw.end()), ToBytes("raw"));
   EXPECT_TRUE(r.AtEnd());
   r.ExpectEnd();
 }

@@ -9,19 +9,20 @@
 #include "client/storage_client.h"
 #include "crypto/random.h"
 #include "server/storage_server.h"
-#include "store/container_store.h"
-#include "store/index.h"
 #include "store/recipe.h"
+#include "test_dirs.h"
 
 namespace reed {
 namespace {
 
 using crypto::DeterministicRng;
+using testing::ScratchEngine;
 
 // --------------------------- container store ---------------------------
 
 TEST(ContainerStoreTest, AppendReadRoundTrip) {
-  store::ContainerStore cs(1024);
+  ScratchEngine fx(1024);
+  store::ContainerStore& cs = fx.engine.containers();
   DeterministicRng rng(1);
   std::vector<std::pair<store::ChunkLocation, Bytes>> stored;
   for (int i = 0; i < 20; ++i) {
@@ -34,7 +35,8 @@ TEST(ContainerStoreTest, AppendReadRoundTrip) {
 }
 
 TEST(ContainerStoreTest, OpensNewContainerWhenFull) {
-  store::ContainerStore cs(1000);
+  ScratchEngine fx(1000);
+  store::ContainerStore& cs = fx.engine.containers();
   DiscardResult(cs.Append(Bytes(600, 1)));
   EXPECT_EQ(cs.stats().containers, 1u);
   DiscardResult(cs.Append(Bytes(600, 2)));  // doesn't fit; new container
@@ -45,7 +47,8 @@ TEST(ContainerStoreTest, OpensNewContainerWhenFull) {
 }
 
 TEST(ContainerStoreTest, InvalidReadsThrow) {
-  store::ContainerStore cs;
+  ScratchEngine fx;
+  store::ContainerStore& cs = fx.engine.containers();
   auto loc = cs.Append(Bytes(10, 1));
   store::ChunkLocation bad = loc;
   bad.container_id = 99;
@@ -59,7 +62,8 @@ TEST(ContainerStoreTest, InvalidReadsThrow) {
 // --------------------------- index / object store ---------------------------
 
 TEST(FingerprintIndexTest, InsertLookup) {
-  store::FingerprintIndex index;
+  ScratchEngine fx;
+  store::FingerprintIndex& index = fx.engine.index();
   auto fp = chunk::Fingerprint::Of(ToBytes("chunk"));
   EXPECT_FALSE(index.Lookup(fp).has_value());
   EXPECT_TRUE(index.Insert(fp, {1, 2, 3}));
@@ -71,7 +75,8 @@ TEST(FingerprintIndexTest, InsertLookup) {
 }
 
 TEST(ObjectStoreTest, PutGetEraseAccounting) {
-  store::ObjectStore os;
+  ScratchEngine fx;
+  store::ObjectStore& os = fx.engine.data_objects();
   os.Put("a", Bytes(100, 1));
   os.Put("b", Bytes(50, 2));
   EXPECT_EQ(os.total_bytes(), 150u);
@@ -86,7 +91,8 @@ TEST(ObjectStoreTest, PutGetEraseAccounting) {
 }
 
 TEST(ObjectStoreTest, PrefixAccounting) {
-  store::ObjectStore os;
+  ScratchEngine fx;
+  store::ObjectStore& os = fx.engine.data_objects();
   os.Put("stub/f1", Bytes(100, 0));
   os.Put("stub/f2", Bytes(200, 0));
   os.Put("recipe/f1", Bytes(50, 0));
@@ -99,7 +105,8 @@ TEST(ObjectStoreTest, PrefixAccounting) {
 // overwrite (grow and shrink) and erase exactly, and must agree with scan
 // semantics for non-directory prefixes.
 TEST(ObjectStoreTest, PrefixAccountingSurvivesOverwriteAndErase) {
-  store::ObjectStore os;
+  ScratchEngine fx;
+  store::ObjectStore& os = fx.engine.data_objects();
   os.Put("stub/f1", Bytes(100, 1));
   os.Put("stub/f2", Bytes(200, 2));
   os.Put("stub/f1", Bytes(700, 3));  // overwrite grows
@@ -128,7 +135,8 @@ TEST(ObjectStoreTest, PrefixAccountingSurvivesOverwriteAndErase) {
 
 // Many names across every shard: counters must equal a brute-force scan.
 TEST(ObjectStoreTest, PrefixAccountingMatchesScanAcrossShards) {
-  store::ObjectStore os;
+  ScratchEngine fx;
+  store::ObjectStore& os = fx.engine.data_objects();
   DeterministicRng rng(6);
   std::uint64_t stub_bytes = 0, recipe_bytes = 0;
   for (int i = 0; i < 200; ++i) {

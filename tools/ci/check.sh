@@ -2,7 +2,7 @@
 # Local CI gate: build + test matrix across sanitizer and static-analysis
 # modes, plus the Python lints. Run from anywhere inside the repo:
 #
-#   tools/ci/check.sh                  # full matrix: plain, asan+ubsan, tsan, tsa, taint, lock, failpath, deadlock, faults, durability, model, loadgen, tidy
+#   tools/ci/check.sh                  # full matrix: plain, asan+ubsan, tsan, tsa, taint, lock, failpath, deadlock, faults, model, loadgen, tidy
 #   tools/ci/check.sh plain            # one mode only
 #   tools/ci/check.sh asan tsa         # subset
 #   tools/ci/check.sh --keep-going     # run every mode even after a failure
@@ -34,18 +34,18 @@
 #             quick-label test suite. Any rank violation or cycle aborts the
 #             offending test.
 #   faults    REED_FAULT_INJECT=ON build (named fault points compiled into
-#             the data path) + the quick suite and the failure-path sweep
-#             (tests/fault_sweep_test.cc): every site armed mid-drive must
+#             the data path) + the quick suite, the failure-path sweep
+#             (tests/fault_sweep_test.cc: every site armed mid-drive must
 #             propagate typed, drain gauges, leave dedup state consistent,
-#             and survive a disarmed retry.
-#   durability crash-recovery lane (DESIGN.md §12): shares the faults build
-#             tree (REED_FAULT_INJECT=ON) and runs the `durability` ctest
-#             label — children SIGKILLed at armed fault sites mid-upload and
-#             at every torn-WAL-tail truncation offset, then reopened and
-#             checked for consistency plus byte-identical re-download, and
-#             the durable model-checker sweep (security oracles across
-#             restarts). Failing scenarios preserve the surviving store dir
-#             plus a repro seed under <build>/tests/crash_artifacts/.
+#             recover across a server restart, and survive a disarmed
+#             retry) and the crash-recovery suite (`durability` label,
+#             DESIGN.md §12): children SIGKILLed at armed fault sites
+#             mid-upload and at every torn-WAL-tail truncation offset, then
+#             reopened and checked for consistency plus byte-identical
+#             re-download, and the model-checker restart sweep (security
+#             oracles across restarts). Failing crash scenarios preserve the
+#             surviving store dir plus a repro seed under
+#             <build>/tests/crash_artifacts/.
 #   model     model-based differential checking (DESIGN.md §11): the
 #             op-coverage lint (model_lint.py, both directions), then the
 #             `model` + `lint` ctest labels — the executable-spec gtest
@@ -83,7 +83,7 @@ for arg in "$@"; do
   esac
 done
 if [[ ${#MODES[@]} -eq 0 ]]; then
-  MODES=(plain asan tsan tsa taint lock failpath deadlock faults durability model loadgen tidy)
+  MODES=(plain asan tsan tsa taint lock failpath deadlock faults model loadgen tidy)
 fi
 
 GENERATOR_ARGS=()
@@ -188,18 +188,12 @@ run_mode() {
     faults)
       # Fault-point build: the sweep (label `fault`) arms every site in the
       # manifest mid-drive; the quick label keeps the unit suites alongside
-      # to prove the disarmed points are inert.
+      # to prove the disarmed points are inert. The crash-recovery suite
+      # (label `durability`) needs the same build: it is what makes the
+      # armed SIGKILL-at-site kills land (plain builds compile the sites out
+      # and the suite degrades to timed kills + reopen checks).
       cmake_args=(-DREED_SANITIZE=none -DREED_FAULT_INJECT=ON)
-      test_args=(-L "quick|fault")
-      ;;
-    durability)
-      # Crash-recovery lane: the fault build is what makes the armed
-      # SIGKILL-at-site kills land (plain builds compile the sites out and
-      # the suite degrades to timed kills + reopen checks). Shares the
-      # faults tree so the two lanes pay for one build.
-      cmake_args=(-DREED_SANITIZE=none -DREED_FAULT_INJECT=ON)
-      build_dir="build-ci-faults"
-      test_args=(-L durability)
+      test_args=(-L "quick|fault|durability")
       ;;
     model)
       # The op-coverage lint gates the lane up front: if a public client op
@@ -235,7 +229,7 @@ run_mode() {
       build_only=1
       ;;
     *)
-      echo "unknown mode: ${mode} (expected plain|nodiscard|asan|tsan|tsa|taint|lock|failpath|deadlock|faults|durability|model|loadgen|cov|tidy)" >&2
+      echo "unknown mode: ${mode} (expected plain|nodiscard|asan|tsan|tsa|taint|lock|failpath|deadlock|faults|model|loadgen|cov|tidy)" >&2
       exit 2
       ;;
   esac

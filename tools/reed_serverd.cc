@@ -7,14 +7,19 @@
 //       [--loops 2 --workers 4 --idle-timeout-ms 0
 //        --tenant-rate 0 --tenant-burst 0]
 //
-// --data-dir makes the store durable (DESIGN.md §12): startup recovers from
-// whatever the directory holds. --fsync picks the crash contract: none
-// (process crashes only), grouped (machine crashes, batched fsync), always.
+// --data-dir names the store directory (DESIGN.md §12): startup recovers
+// from whatever it holds. Without it the store lives in a scratch directory
+// that is removed at exit (SIGINT or SIGTERM), so nothing outlives the
+// daemon. --fsync picks the crash contract: none (process crashes only),
+// grouped (machine crashes, batched fsync), always.
 // Requests are served by the epoll front end (DESIGN.md §13) with --loops
 // event loops and --workers handler threads; --tenant-rate enables
 // per-tenant token-bucket admission (requests carrying the tenant envelope;
 // 0 = off).
+#include <pthread.h>
+
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 
 #include "net/async_server.h"
@@ -32,6 +37,14 @@ static store::FsyncPolicy ParseFsyncPolicy(const std::string& name) {
 }
 
 int main(int argc, char** argv) {
+  // SIGINT/SIGTERM end the daemon by returning from main, so the server is
+  // torn down and a scratch store directory removed. Blocked before any
+  // thread starts, so every thread inherits the mask and main takes them.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   try {
     cli::Args args(argc, argv);
     std::uint16_t port =
@@ -45,15 +58,13 @@ int main(int argc, char** argv) {
     opts.durability.group_commit_window =
         std::chrono::microseconds(args.GetInt("commit-window-us", 500));
     server::StorageServer storage(args.Get("name", "server"), opts);
-    if (!opts.data_dir.empty()) {
-      auto rs = storage.RecoveryStats();
-      std::printf(
-          "reed_serverd recovered %llu records (%llu torn bytes dropped, "
-          "%llu sealed segments)\n",
-          static_cast<unsigned long long>(rs.replayed_records),
-          static_cast<unsigned long long>(rs.discarded_tail),
-          static_cast<unsigned long long>(rs.segments_sealed));
-    }
+    auto rs = storage.RecoveryStats();
+    std::printf(
+        "reed_serverd recovered %llu records (%llu torn bytes dropped, "
+        "%llu sealed segments)\n",
+        static_cast<unsigned long long>(rs.replayed_records),
+        static_cast<unsigned long long>(rs.discarded_tail),
+        static_cast<unsigned long long>(rs.segments_sealed));
 
     auto handler = [&storage](ByteSpan req) {
       return storage.HandleRequest(req);
@@ -72,7 +83,8 @@ int main(int argc, char** argv) {
         storage.name().c_str(), server.port(), net_opts.loops,
         net_opts.workers);
     std::fflush(stdout);
-    server.Wait();
+    int signal = 0;
+    sigwait(&stop_signals, &signal);
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "reed_serverd: %s\n", e.what());

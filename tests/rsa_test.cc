@@ -96,6 +96,27 @@ TEST(RsaTest, FullDomainHashIsDeterministicAndInRange) {
   EXPECT_LT(h1, kp.pub.n);
 }
 
+// Pins every hashed byte of the expansion ("reed/fdh" ‖ counter ‖ data per
+// 32-byte block, truncated to |n| bytes, reduced mod n) for moduli of
+// 1023, 1024 and 2048 bits, against an independent implementation
+// (Python's hashlib).
+TEST(RsaTest, FullDomainHashKnownAnswer) {
+  crypto::Sha256 fold;
+  for (std::size_t bits : {1023u, 1024u, 2048u}) {
+    const BigInt n = (BigInt(1) << bits) - BigInt(1);
+    Bytes counting(100);
+    for (std::size_t i = 0; i < counting.size(); ++i) {
+      counting[i] = static_cast<std::uint8_t>(i);
+    }
+    for (const Bytes& data :
+         {Bytes{}, ToBytes("chunk-fingerprint"), counting}) {
+      fold.Update(FullDomainHash(data, n).ToBytesPadded((bits + 7) / 8));
+    }
+  }
+  EXPECT_EQ(HexEncode(fold.Finish()),
+            "0c93c7feefcbf014a310a4cfd6fd08f8d94686d56d9534e8a422ce190a2e8a2d");
+}
+
 TEST(RsaTest, KeyPairSerializationRoundTrip) {
   RsaKeyPair kp = TestKeyPair();
   Secret blob = SerializeKeyPair(kp);

@@ -4,7 +4,9 @@
 // client and server to model a tampering (or simply buggy) cloud.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "client/storage_client.h"
@@ -49,6 +51,31 @@ class CorruptingChannel : public net::RpcChannel {
   std::atomic<int> corrupted_{0};
 };
 
+// Forwards to a real server but swaps the first two fingerprints of every
+// kGetChunks request, so the server answers with two packages out of the
+// order the client asked for, as a server with an ordering bug would.
+class SwappingChannel : public net::RpcChannel {
+ public:
+  explicit SwappingChannel(server::StorageServer* srv) : srv_(srv) {}
+
+  [[nodiscard]] Bytes Call(ByteSpan request) override {
+    constexpr std::size_t kHeader = 1 + 4;
+    constexpr std::size_t kFp = chunk::Fingerprint::kSize;
+    Bytes req(request.begin(), request.end());
+    bool is_get_chunks =
+        !req.empty() &&
+        req[0] == static_cast<std::uint8_t>(server::Opcode::kGetChunks);
+    if (is_get_chunks && req.size() >= kHeader + 2 * kFp) {
+      std::swap_ranges(req.begin() + kHeader, req.begin() + kHeader + kFp,
+                       req.begin() + kHeader + kFp);
+    }
+    return srv_->HandleRequest(req);
+  }
+
+ private:
+  server::StorageServer* srv_;
+};
+
 // Counts calls, then forwards; used to observe stripe round-robin.
 class CountingChannel : public net::RpcChannel {
  public:
@@ -79,6 +106,20 @@ std::vector<std::pair<chunk::Fingerprint, Bytes>> MakeChunks(int n,
   return chunks;
 }
 
+// Runs a fetch that must fail the fingerprint gate, with the gate's error
+// (not a parse or decode error).
+void ExpectIntegrityFailure(client::StorageClient& client,
+                            const std::vector<chunk::Fingerprint>& fps) {
+  try {
+    (void)client.GetChunks(fps);
+    ADD_FAILURE() << "GetChunks accepted a batch that fails the gate";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("chunk integrity check failed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(StorageClientIntegrityTest, TamperedFetchThrows) {
   auto srv = std::make_unique<server::StorageServer>("honest-until-read");
   auto key = std::make_unique<server::StorageServer>("key");
@@ -93,8 +134,23 @@ TEST(StorageClientIntegrityTest, TamperedFetchThrows) {
 
   // The server stored the true bytes; the wire corrupts them on the way
   // back, so the client-side fingerprint check must refuse the batch.
-  EXPECT_THROW((void)client.GetChunks(fps), Error);
+  ExpectIntegrityFailure(client, fps);
   EXPECT_GT(corrupting->corrupted(), 0);
+}
+
+TEST(StorageClientIntegrityTest, SwappedOrderFetchThrows) {
+  auto srv = std::make_unique<server::StorageServer>("swaps-order");
+  auto key = std::make_unique<server::StorageServer>("key");
+  client::StorageClient client({std::make_shared<SwappingChannel>(srv.get())},
+                               ChannelTo(key.get()));
+
+  // Equal sizes, so the swapped response parses cleanly and only the
+  // fingerprint gate can tell.
+  auto chunks = MakeChunks(20, 14, 512);
+  std::vector<chunk::Fingerprint> fps;
+  for (const auto& [fp, data] : chunks) fps.push_back(fp);
+  EXPECT_EQ(client.PutChunks(chunks).stored, 20u);
+  ExpectIntegrityFailure(client, fps);
 }
 
 TEST(StorageClientIntegrityTest, HonestFetchPassesTheGate) {

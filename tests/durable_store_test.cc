@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iterator>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -276,14 +277,20 @@ TEST(WalTest, ConcurrentWritersDwellAndRide) {
   const std::uint64_t rides = WalCounter("store.wal.group_rides");
   constexpr int kThreads = 4;
   constexpr int kCommits = 20;
+  // Every writer holds its first record, appended and in flight, at the
+  // latch, so the first leader always finds the others in flight however
+  // late the threads start on a loaded host.
+  std::latch start(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&wal, t] {
+    threads.emplace_back([&wal, &start, t] {
       for (int i = 0; i < kCommits; ++i) {
         store::Wal::Writer writing(wal);
-        wal.Commit(wal.Append(
+        const std::uint64_t lsn = wal.Append(
             RecordType::kObjectErase,
-            store::EncodeObjectErase({0, std::to_string(t * kCommits + i)})));
+            store::EncodeObjectErase({0, std::to_string(t * kCommits + i)}));
+        if (i == 0) start.arrive_and_wait();
+        wal.Commit(lsn);
       }
     });
   }

@@ -51,6 +51,47 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
+// 256 messages hashed as one batch, as one upload unit's chunks are: arg 0
+// picks the kernel (0 per-message, 1 x16), arg 1 the lengths (0 Rabin-like,
+// uniform in 2-16 KiB; 1 all 8 KiB).
+void BM_Sha256Many(benchmark::State& state) {
+  const auto backend = static_cast<crypto::Sha256ManyBackend>(state.range(0));
+  if (!crypto::Sha256::Supports(backend)) {
+    state.SkipWithError("this CPU lacks the kernel");
+    return;
+  }
+  crypto::DeterministicRng rng(5);
+  const Bytes pool = FixedData(256 * 16384, 6);
+  std::vector<ByteSpan> messages;
+  std::int64_t bytes = 0;
+  for (std::size_t i = 0, off = 0; i < 256; ++i) {
+    std::uint64_t draw;
+    rng.Fill(MutableByteSpan(reinterpret_cast<std::uint8_t*>(&draw), sizeof(draw)));
+    const std::size_t n = state.range(1) == 1 ? 8192 : 2048 + draw % (14 * 1024 + 1);
+    messages.push_back(ByteSpan(pool).subspan(off, n));
+    off += n;
+    bytes += static_cast<std::int64_t>(n);
+  }
+  std::vector<crypto::Sha256Digest> digests(messages.size());
+  for (auto _ : state) {
+    crypto::Sha256::HashMany(messages, digests, backend);
+    benchmark::DoNotOptimize(digests.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+  std::string label = crypto::Sha256ManyBackendName(backend);
+  if (backend == crypto::Sha256ManyBackend::kPerMessage) {
+    label += crypto::Sha256::UsingHardware() ? " (sha-ni)" : " (portable)";
+  }
+  state.SetLabel(label + (state.range(1) == 1 ? ", 8 KiB" : ", 2-16 KiB"));
+}
+BENCHMARK(BM_Sha256Many)
+    ->ArgNames({"x16", "fixed"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
+
 // The durable store's record checksum over one 8,256-byte segment record
 // (an 8 KiB chunk and its framing): slice-by-8 against the byte loop.
 void BM_Crc32(benchmark::State& state) {
@@ -460,17 +501,29 @@ std::string SchemeLabel(aont::Scheme scheme) {
          crypto::AesBackendName(crypto::Aes256::Backend());
 }
 
+// One pool partition's EncryptMany: 64 distinct chunks under their own
+// keys, so the hash-key pass runs at the batch kernel's width.
 void BM_ReedEncrypt(benchmark::State& state) {
   auto scheme = static_cast<aont::Scheme>(state.range(0));
   std::size_t chunk_size = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t kChunks = 64;
   aont::ReedCipher cipher(scheme);
-  Bytes chunk = FixedData(chunk_size, 30);
-  Secret key(FixedData(32, 31));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cipher.Encrypt(chunk, key));
+  Bytes data = FixedData(kChunks * chunk_size, 30);
+  std::vector<ByteSpan> chunks;
+  std::vector<Secret> keys;
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    chunks.push_back(ByteSpan(data).subspan(i * chunk_size, chunk_size));
+    keys.emplace_back(FixedData(32, 31 + i));
   }
-  state.SetBytesProcessed(state.iterations() * state.range(1));
-  state.SetLabel(SchemeLabel(scheme));
+  std::vector<aont::SealedChunk> out(kChunks);
+  for (auto _ : state) {
+    cipher.EncryptMany(chunks, keys, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()));
+  state.SetLabel(std::string(SchemeLabel(scheme)) + ", sha " +
+                 crypto::Sha256ManyBackendName(crypto::Sha256::ManyBackend()));
 }
 BENCHMARK(BM_ReedEncrypt)
     ->Args({0, 8192})

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <vector>
 
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
@@ -53,16 +54,81 @@ SealedChunk ReedCipher::SplitPackage(Bytes package) const {
 }
 
 SealedChunk ReedCipher::Encrypt(ByteSpan chunk, const Secret& mle_key) const {
-  // Fires inside the encode pool's workers; ParallelFor forwards the first
-  // worker exception after joining the rest.
+  SealedChunk out;
+  EncryptMany(std::span<const ByteSpan>(&chunk, 1),
+              std::span<const Secret>(&mle_key, 1),
+              std::span<SealedChunk>(&out, 1));
+  return out;
+}
+
+void ReedCipher::EncryptMany(std::span<const ByteSpan> chunks,
+                             std::span<const Secret> mle_keys,
+                             std::span<SealedChunk> out) const {
+  // Fires inside the encode pool's workers; ParallelForRanges forwards the
+  // first worker exception after joining the rest.
   REED_FAULT_POINT("aont.encode");
-  ByteSpan key = mle_key.ExposeForCrypto();
-  if (key.size() != kMleKeySize) {
-    throw crypto::CryptoError("ReedCipher: MLE key must be 32 bytes");
+  if (mle_keys.size() != chunks.size() || out.size() != chunks.size()) {
+    throw crypto::CryptoError("ReedCipher: one key and one output per chunk");
   }
-  if (chunk.empty()) throw crypto::CryptoError("ReedCipher: empty chunk");
-  return scheme_ == Scheme::kBasic ? EncryptBasic(chunk, key)
-                                   : EncryptEnhanced(chunk, key);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (mle_keys[i].size() != kMleKeySize) {
+      throw crypto::CryptoError("ReedCipher: MLE key must be 32 bytes");
+    }
+    if (chunks[i].empty()) throw crypto::CryptoError("ReedCipher: empty chunk");
+  }
+  const bool basic = scheme_ == Scheme::kBasic;
+  // Until its mask pass an enhanced package holds K_M in the clear, so
+  // whatever is left of the packages is wiped on the way out.
+  std::vector<Bytes> packages(chunks.size());
+  struct WipePackages {
+    std::vector<Bytes>& packages;
+    ~WipePackages() {
+      for (Bytes& p : packages) SecureZero(p);
+    }
+  } wipe_packages{packages};
+  // The hashed part of each package: basic C = (M ‖ canary) ⊕ G(K_M);
+  // enhanced Y = C1 ‖ K_M with C1 = E(K_M, M) (deterministic CTR).
+  std::vector<ByteSpan> heads(chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const ByteSpan chunk = chunks[i];
+    const ByteSpan key = mle_keys[i].ExposeForCrypto();
+    packages[i].resize(PackageSize(chunk.size()));
+    MutableByteSpan head(packages[i].data(),
+                         packages[i].size() - kAontTailSize);
+    if (basic) {
+      crypto::AesCtr mask = MaskStream(key);
+      mask.Process(chunk, head.first(chunk.size()));
+      mask.Process(head.subspan(chunk.size()));  // the zero canary
+    } else {
+      crypto::AesCtr(key, ByteSpan(kMleIv, 16))
+          .Process(chunk, head.first(chunk.size()));
+      std::copy(key.begin(), key.end(), head.subspan(chunk.size()).begin());
+    }
+    heads[i] = head;
+  }
+  std::vector<crypto::Sha256Digest> hashes(chunks.size());
+  ScopedWipe wipe_hashes(std::span<std::uint8_t>(
+      reinterpret_cast<std::uint8_t*>(hashes.data()),
+      hashes.size() * sizeof(crypto::Sha256Digest)));
+  crypto::Sha256::HashMany(heads, hashes);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    MutableByteSpan package(packages[i]);
+    MutableByteSpan head = package.first(package.size() - kAontTailSize);
+    MutableByteSpan tail = package.subspan(head.size());
+    const crypto::Sha256Digest& h = hashes[i];
+    if (basic) {
+      // Tail: t = K_M ⊕ H(C).
+      std::copy(h.begin(), h.end(), tail.begin());
+      XorInto(tail, mle_keys[i].ExposeForCrypto());
+    } else {
+      // CAONT over Y with hash key h = H(Y): C2 = Y ⊕ G(h), and the tail
+      // by self-XOR (cheaper than a second hash pass): t = SelfXor(C2) ⊕ h.
+      MaskStream(h).Process(head);
+      SelfXorInto(tail, head, 0);
+      XorInto(tail, h);
+    }
+    out[i] = SplitPackage(std::move(packages[i]));
+  }
 }
 
 // The package trimmed ‖ stub, read where its two parts lie.
@@ -137,22 +203,6 @@ Bytes ReedCipher::Decrypt(ByteSpan trimmed_package, const Secret& stub) const {
 
 // --------------------------- basic scheme ---------------------------
 
-SealedChunk ReedCipher::EncryptBasic(ByteSpan chunk, ByteSpan mle_key) const {
-  // Head: C = (M ‖ canary) ⊕ G(K_M), canary = 32 zero bytes.
-  Bytes package(chunk.size() + kCanarySize + kAontTailSize);
-  MutableByteSpan head(package.data(), chunk.size() + kCanarySize);
-  crypto::AesCtr mask = MaskStream(mle_key);
-  mask.Process(chunk, head.first(chunk.size()));
-  mask.Process(head.subspan(chunk.size()));
-
-  // Tail: t = K_M ⊕ H(C)
-  crypto::Sha256Digest hc = crypto::Sha256::Hash(head);
-  MutableByteSpan tail(package.data() + head.size(), kAontTailSize);
-  std::copy(hc.begin(), hc.end(), tail.begin());
-  XorInto(tail, mle_key);
-  return SplitPackage(std::move(package));
-}
-
 void ReedCipher::DecryptBasic(const PackageView& package,
                               MutableByteSpan out) const {
   const std::size_t head_len = package.size() - kAontTailSize;
@@ -182,24 +232,6 @@ void ReedCipher::DecryptBasic(const PackageView& package,
 }
 
 // --------------------------- enhanced scheme ---------------------------
-
-SealedChunk ReedCipher::EncryptEnhanced(ByteSpan chunk, ByteSpan mle_key) const {
-  Bytes package(chunk.size() + kMleKeySize + kAontTailSize);
-  MutableByteSpan y(package.data(), chunk.size() + kMleKeySize);  // C1 ‖ K_M
-  // Step 1: MLE encryption, C1 = E(K_M, M) (deterministic CTR).
-  crypto::AesCtr(mle_key, ByteSpan(kMleIv, 16))
-      .Process(chunk, y.first(chunk.size()));
-  std::copy(mle_key.begin(), mle_key.end(), y.subspan(chunk.size()).begin());
-  // Step 2: CAONT over Y = C1 ‖ K_M with hash key h = H(Y): C2 = Y ⊕ G(h).
-  crypto::Sha256Digest h = crypto::Sha256::Hash(y);
-  ScopedWipe wipe_h(h);
-  MaskStream(h).Process(y);
-  // Tail via self-XOR (cheaper than a second hash pass): t = SelfXor(C2) ⊕ h.
-  MutableByteSpan tail(package.data() + y.size(), kAontTailSize);
-  SelfXorInto(tail, y, 0);
-  XorInto(tail, h);
-  return SplitPackage(std::move(package));
-}
 
 void ReedCipher::DecryptEnhanced(const PackageView& package,
                                  MutableByteSpan out) const {

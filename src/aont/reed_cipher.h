@@ -18,6 +18,8 @@
 // uploaded or needed again (paper §IV-D, footnote 1).
 #pragma once
 
+#include <span>
+
 #include "aont/aont.h"
 #include "util/bytes.h"
 #include "util/secret.h"
@@ -48,8 +50,19 @@ class ReedCipher {
   Scheme scheme() const { return scheme_; }
   std::size_t stub_size() const { return stub_size_; }
 
-  // Deterministically seals `chunk` under its 32-byte MLE key.
+  // Deterministically seals `chunk` under its 32-byte MLE key: EncryptMany
+  // of one.
   [[nodiscard]] SealedChunk Encrypt(ByteSpan chunk, const Secret& mle_key) const;
+
+  // Seals chunks[i] under mle_keys[i] into out[i] for every i. Per chunk
+  // it computes C1 (enhanced) or the masked head (basic), hashes every
+  // chunk's Y = C1 ‖ K_M (basic: C) as one Sha256::HashMany batch, then
+  // masks, writes the tail and splits. Byte for byte what Encrypt gives
+  // each chunk. The three spans must be the same length; throws before any
+  // work on a key that is not 32 bytes or an empty chunk.
+  void EncryptMany(std::span<const ByteSpan> chunks,
+                   std::span<const Secret> mle_keys,
+                   std::span<SealedChunk> out) const;
 
   // Reverts the package trimmed_package ‖ stub into `out`, where the stub
   // is the stub_size() bytes of `stubs` at `stub_offset` (so a restore
@@ -73,9 +86,7 @@ class ReedCipher {
   // Internals operate on raw spans after the public entry points expose
   // the Secret inputs (aont is a sanctioned ExposeForCrypto module).
   struct PackageView;
-  SealedChunk EncryptBasic(ByteSpan chunk, ByteSpan mle_key) const;
   void DecryptBasic(const PackageView& package, MutableByteSpan out) const;
-  SealedChunk EncryptEnhanced(ByteSpan chunk, ByteSpan mle_key) const;
   void DecryptEnhanced(const PackageView& package, MutableByteSpan out) const;
   SealedChunk SplitPackage(Bytes package) const;
 

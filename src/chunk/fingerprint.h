@@ -9,6 +9,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "crypto/sha256.h"
 #include "util/bytes.h"
@@ -23,6 +25,18 @@ struct Fingerprint {
     Fingerprint fp;
     fp.bytes = crypto::Sha256::Hash(data);
     return fp;
+  }
+
+  // out[i] = Of(data[i]) for every i, hashed as one batch
+  // (crypto::Sha256::HashMany). The spans must be the same length.
+  static void OfMany(std::span<const ByteSpan> data,
+                     std::span<Fingerprint> out) {
+    if (out.size() != data.size()) {
+      throw Error("Fingerprint::OfMany: one fingerprint per input");
+    }
+    std::vector<crypto::Sha256Digest> digests(data.size());
+    crypto::Sha256::HashMany(data, digests);
+    for (std::size_t i = 0; i < digests.size(); ++i) out[i].bytes = digests[i];
   }
 
   static Fingerprint FromBytes(ByteSpan b) {

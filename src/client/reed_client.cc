@@ -5,6 +5,7 @@
 #include <deque>
 #include <future>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "crypto/sha256.h"
@@ -146,6 +147,19 @@ Bytes PublicKeyStateEnvelope(const Secret& wrapped) {
                     "key-store upload (crossing 2 of 2)");
 }
 
+// The chunks refs[begin, end) of `data`, as views: one pool partition's
+// batch.
+std::vector<ByteSpan> ChunkViews(ByteSpan data,
+                                 std::span<const chunk::ChunkRef> refs,
+                                 std::size_t begin, std::size_t end) {
+  std::vector<ByteSpan> views;
+  views.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
+    views.push_back(data.subspan(refs[i].offset, refs[i].length));
+  }
+  return views;
+}
+
 }  // namespace
 
 ReedClient::ReedClient(std::string user_id, ClientOptions options,
@@ -196,9 +210,10 @@ std::vector<aont::SealedChunk> ReedClient::EncryptChunks(
     throw Error("ReedClient: chunk/key count mismatch");
   }
   std::vector<aont::SealedChunk> sealed(refs.size());
-  pool_.ParallelFor(refs.size(), [&](std::size_t i) {
-    sealed[i] = cipher_.Encrypt(data.subspan(refs[i].offset, refs[i].length),
-                                mle_keys[i]);
+  pool_.ParallelForRanges(refs.size(), [&](std::size_t begin, std::size_t end) {
+    cipher_.EncryptMany(ChunkViews(data, refs, begin, end),
+                        std::span(mle_keys).subspan(begin, end - begin),
+                        std::span(sealed).subspan(begin, end - begin));
   });
   return sealed;
 }
@@ -345,9 +360,9 @@ UploadResult ReedClient::UploadStream(
     schedfuzz::Perturb("client.upload.keygen");
     obs::ScopedTimer fp_timer(*m.fingerprint_us);
     std::vector<chunk::Fingerprint> fps(refs.size());
-    pool_.ParallelFor(refs.size(), [&](std::size_t i) {
-      fps[i] =
-          chunk::Fingerprint::Of(data.subspan(refs[i].offset, refs[i].length));
+    pool_.ParallelForRanges(refs.size(), [&](std::size_t begin, std::size_t end) {
+      chunk::Fingerprint::OfMany(ChunkViews(data, refs, begin, end),
+                                 std::span(fps).subspan(begin, end - begin));
     });
     (void)fp_timer.Stop();
     std::vector<Secret> keys =
@@ -379,17 +394,25 @@ UploadResult ReedClient::UploadStream(
     const std::size_t n = refs.size();
     result.chunk_count += n;
 
-    // CAONT encode, with the trimmed-package fingerprint folded into the
-    // same parallel worker that produced the package (no second serial
-    // SHA-256 pass).
+    // CAONT encode, with the trimmed-package fingerprints folded into the
+    // same parallel partition that produced the packages (no second serial
+    // SHA-256 pass). Each partition makes one EncryptMany and one batch of
+    // package fingerprints, so the hashing runs at lane width.
     REED_FAULT_POINT("client.upload.encode");
     obs::ScopedTimer encode_timer(*m.encode_us);
     std::vector<aont::SealedChunk> sealed(n);
     std::vector<chunk::Fingerprint> package_fps(n);
-    pool_.ParallelFor(n, [&](std::size_t i) {
-      sealed[i] = cipher_.Encrypt(
-          data.subspan(refs[i].offset, refs[i].length), unit.keys[i]);
-      package_fps[i] = chunk::Fingerprint::Of(sealed[i].trimmed_package);
+    pool_.ParallelForRanges(n, [&](std::size_t begin, std::size_t end) {
+      const std::span<aont::SealedChunk> out =
+          std::span(sealed).subspan(begin, end - begin);
+      cipher_.EncryptMany(ChunkViews(data, refs, begin, end),
+                          std::span(unit.keys).subspan(begin, end - begin),
+                          out);
+      std::vector<ByteSpan> packages;
+      packages.reserve(out.size());
+      for (const aont::SealedChunk& c : out) packages.push_back(c.trimmed_package);
+      chunk::Fingerprint::OfMany(
+          packages, std::span(package_fps).subspan(begin, end - begin));
     });
     (void)encode_timer.Stop();
     schedfuzz::Perturb("client.upload.encode");

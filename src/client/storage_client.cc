@@ -233,20 +233,28 @@ StorageClient::FetchedChunks StorageClient::GetChunks(
     out.frames[s] = CallServer(s, req.bytes());
     net::Reader r(out.frames[s]);
     CheckStatus(r);
-    for (std::size_t slot : slots[s]) {
-      ByteSpan package = r.BlobView();
-      // Integrity gate: the fingerprint doubles as a MAC over the trimmed
-      // package (it is what dedup keyed on), so recompute it before any
-      // decode work trusts the bytes. Catches tampered payloads AND
-      // honest-server bugs that swap response ordering.
-      if (chunk::Fingerprint::Of(package) != fps[slot]) {
+    std::vector<ByteSpan> packages;
+    packages.reserve(slots[s].size());
+    for (std::size_t i = 0; i < slots[s].size(); ++i) {
+      packages.push_back(r.BlobView());
+    }
+    r.ExpectEnd();
+    // Integrity gate: the fingerprint doubles as a MAC over the trimmed
+    // package (it is what dedup keyed on), so recompute it before any
+    // decode work trusts the bytes. Catches tampered payloads AND
+    // honest-server bugs that swap response ordering. The whole frame is
+    // hashed as one batch.
+    std::vector<chunk::Fingerprint> got(packages.size());
+    chunk::Fingerprint::OfMany(packages, got);
+    for (std::size_t i = 0; i < packages.size(); ++i) {
+      const std::size_t slot = slots[s][i];
+      if (got[i] != fps[slot]) {
         throw Error(
             "StorageClient: chunk integrity check failed for fingerprint " +
             fps[slot].ToHex());
       }
-      out.chunks[slot] = package;
+      out.chunks[slot] = packages[i];
     }
-    r.ExpectEnd();
   });
   return out;
 }

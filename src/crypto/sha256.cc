@@ -1,7 +1,11 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
+#include "crypto/crypto_error.h"
 #include "util/secure.h"
 
 #if defined(__x86_64__)
@@ -199,11 +203,351 @@ const bool kHaveShaNi = DetectShaNi();
 const bool kHaveShaNi = false;
 #endif  // REED_X86
 
+constexpr std::array<std::uint32_t, 8> kInitialState = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+// One message's blocks, on whichever one-message backend this CPU has.
+void ProcessOne(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                std::size_t num_blocks) {
+#if defined(REED_X86)
+  if (kHaveShaNi) {
+    ProcessShaNi(state, data, num_blocks);
+    return;
+  }
+#endif
+  ProcessPortable(state, data, num_blocks);
+}
+
+void PutDigest(const std::array<std::uint32_t, 8>& state, Sha256Digest& out) {
+  for (int i = 0; i < 8; ++i) {
+    out[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
+  }
+}
+
+#if defined(REED_X86)
+
+// CPUID, read once; libgcc's check for avx512f includes the OS's support
+// for the zmm and mask state (XCR0).
+struct CpuX16 {
+  bool avx512 = false;
+  CpuX16() {
+    __builtin_cpu_init();
+    avx512 = __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512bw") != 0;
+  }
+};
+
+const CpuX16 kCpuX16;
+
+#define REED_X16 __attribute__((target("avx512f,avx512bw")))
+
+// GCC 12's _mm512_undefined_epi32 (under _mm512_ror_epi32 and
+// _mm512_srli_epi32) self-initializes a local, which -Wuninitialized
+// reports at every use (GCC PR 105593, fixed in GCC 13).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+constexpr std::size_t kLanes = 16;
+
+REED_X16 inline __m512i Add(__m512i a, __m512i b) {
+  return _mm512_add_epi32(a, b);
+}
+// Three-way XOR, Ch and Maj are each one ternary-logic instruction.
+REED_X16 inline __m512i Xor3(__m512i a, __m512i b, __m512i c) {
+  return _mm512_ternarylogic_epi32(a, b, c, 0x96);
+}
+REED_X16 inline __m512i BigSigma0(__m512i a) {
+  return Xor3(_mm512_ror_epi32(a, 2), _mm512_ror_epi32(a, 13),
+              _mm512_ror_epi32(a, 22));
+}
+REED_X16 inline __m512i BigSigma1(__m512i e) {
+  return Xor3(_mm512_ror_epi32(e, 6), _mm512_ror_epi32(e, 11),
+              _mm512_ror_epi32(e, 25));
+}
+REED_X16 inline __m512i SmallSigma0(__m512i w) {
+  return Xor3(_mm512_ror_epi32(w, 7), _mm512_ror_epi32(w, 18),
+              _mm512_srli_epi32(w, 3));
+}
+REED_X16 inline __m512i SmallSigma1(__m512i w) {
+  return Xor3(_mm512_ror_epi32(w, 17), _mm512_ror_epi32(w, 19),
+              _mm512_srli_epi32(w, 10));
+}
+
+// Round i of all sixteen lanes, on state words named in rotated order.
+#define REED_X16_ROUND(a, b, c, d, e, f, g, h, i, wi)                        \
+  do {                                                                      \
+    const __m512i t1 = Add(                                                 \
+        Add(h, BigSigma1(e)),                                               \
+        Add(_mm512_ternarylogic_epi32(e, f, g, 0xCA),                       \
+            Add(_mm512_set1_epi32(static_cast<int>(kK[i])), wi)));          \
+    d = Add(d, t1);                                                         \
+    h = Add(t1, Add(BigSigma0(a), _mm512_ternarylogic_epi32(a, b, c, 0xE8))); \
+  } while (0)
+
+// Rounds kI0..kI0+15 over the rolling schedule w (w[j] holds W[kI0 + j]
+// mod 16). With kExtend, each w[j] is first extended from the sixteen words
+// before it. Inlined whole, so every index is a constant and w and the
+// state stay in registers.
+template <bool kExtend, int kI0>
+REED_X16 __attribute__((always_inline)) inline void Rounds16(
+    __m512i& a, __m512i& b, __m512i& c, __m512i& d, __m512i& e, __m512i& f,
+    __m512i& g, __m512i& h, __m512i (&w)[16]) {
+#define REED_X16_W(k)                                                       \
+  (kExtend ? (w[(k) & 15] = Add(Add(SmallSigma1(w[((k) + 14) & 15]),        \
+                                    w[((k) + 9) & 15]),                     \
+                                Add(SmallSigma0(w[((k) + 1) & 15]),         \
+                                    w[(k) & 15])))                          \
+           : w[(k) & 15])
+#define REED_X16_EIGHT(j)                                                   \
+  REED_X16_ROUND(a, b, c, d, e, f, g, h, kI0 + (j) + 0, REED_X16_W((j) + 0)); \
+  REED_X16_ROUND(h, a, b, c, d, e, f, g, kI0 + (j) + 1, REED_X16_W((j) + 1)); \
+  REED_X16_ROUND(g, h, a, b, c, d, e, f, kI0 + (j) + 2, REED_X16_W((j) + 2)); \
+  REED_X16_ROUND(f, g, h, a, b, c, d, e, kI0 + (j) + 3, REED_X16_W((j) + 3)); \
+  REED_X16_ROUND(e, f, g, h, a, b, c, d, kI0 + (j) + 4, REED_X16_W((j) + 4)); \
+  REED_X16_ROUND(d, e, f, g, h, a, b, c, kI0 + (j) + 5, REED_X16_W((j) + 5)); \
+  REED_X16_ROUND(c, d, e, f, g, h, a, b, kI0 + (j) + 6, REED_X16_W((j) + 6)); \
+  REED_X16_ROUND(b, c, d, e, f, g, h, a, kI0 + (j) + 7, REED_X16_W((j) + 7))
+  REED_X16_EIGHT(0);
+  REED_X16_EIGHT(8);
+#undef REED_X16_EIGHT
+#undef REED_X16_W
+}
+
+#undef REED_X16_ROUND
+
+// Loads one 64-byte block per lane and transposes them, so w[j] holds
+// message word j of all sixteen lanes, byte-swapped to big-endian words.
+REED_X16 __attribute__((always_inline)) inline void LoadTransposed(const std::uint8_t* const (&p)[kLanes],
+                                    __m512i (&w)[16]) {
+  const __m512i bswap = _mm512_set4_epi32(0x0c0d0e0f, 0x08090a0b,
+                                          0x04050607, 0x00010203);
+  __m512i r[16], t[16];
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    r[l] = _mm512_shuffle_epi8(_mm512_loadu_si512(p[l]), bswap);
+  }
+  // Within each 128-bit quarter: interleave rows pairwise, then by pairs
+  // of pairs, so u[4i + j] holds word 4q + j of rows 4i..4i+3 in quarter q.
+  for (int i = 0; i < 16; i += 2) {
+    t[i] = _mm512_unpacklo_epi32(r[i], r[i + 1]);
+    t[i + 1] = _mm512_unpackhi_epi32(r[i], r[i + 1]);
+  }
+  for (int i = 0; i < 16; i += 4) {
+    r[i] = _mm512_unpacklo_epi64(t[i], t[i + 2]);
+    r[i + 1] = _mm512_unpackhi_epi64(t[i], t[i + 2]);
+    r[i + 2] = _mm512_unpacklo_epi64(t[i + 1], t[i + 3]);
+    r[i + 3] = _mm512_unpackhi_epi64(t[i + 1], t[i + 3]);
+  }
+  // Then gather quarter q of the four row groups into word 4q + j.
+  for (int j = 0; j < 4; ++j) {
+    const __m512i even0 = _mm512_shuffle_i32x4(r[j], r[4 + j], 0x88);
+    const __m512i odd0 = _mm512_shuffle_i32x4(r[j], r[4 + j], 0xDD);
+    const __m512i even1 = _mm512_shuffle_i32x4(r[8 + j], r[12 + j], 0x88);
+    const __m512i odd1 = _mm512_shuffle_i32x4(r[8 + j], r[12 + j], 0xDD);
+    w[j] = _mm512_shuffle_i32x4(even0, even1, 0x88);
+    w[8 + j] = _mm512_shuffle_i32x4(even0, even1, 0xDD);
+    w[4 + j] = _mm512_shuffle_i32x4(odd0, odd1, 0x88);
+    w[12 + j] = _mm512_shuffle_i32x4(odd0, odd1, 0xDD);
+  }
+}
+
+// Runs `blocks` blocks in every lane: lane l reads from p[l] and moves on
+// by step[l] bytes a block (0 for an idle lane). `state` holds the
+// chaining values, word j of lane l at state[j][l].
+REED_X16 void X16Blocks(std::uint32_t (&state)[8][kLanes],
+                        const std::uint8_t* (&p)[kLanes],
+                        const std::size_t (&step)[kLanes], std::size_t blocks) {
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    __m512i w[16];
+    LoadTransposed(p, w);
+    // The chaining values stay in `state` so that w and the working
+    // variables have the registers.
+    __m512i a = _mm512_load_si512(state[0]), b = _mm512_load_si512(state[1]);
+    __m512i c = _mm512_load_si512(state[2]), d = _mm512_load_si512(state[3]);
+    __m512i e = _mm512_load_si512(state[4]), f = _mm512_load_si512(state[5]);
+    __m512i g = _mm512_load_si512(state[6]), h = _mm512_load_si512(state[7]);
+    Rounds16<false, 0>(a, b, c, d, e, f, g, h, w);
+    Rounds16<true, 16>(a, b, c, d, e, f, g, h, w);
+    Rounds16<true, 32>(a, b, c, d, e, f, g, h, w);
+    Rounds16<true, 48>(a, b, c, d, e, f, g, h, w);
+    const __m512i out[8] = {a, b, c, d, e, f, g, h};
+    for (int j = 0; j < 8; ++j) {
+      _mm512_store_si512(state[j], Add(out[j], _mm512_load_si512(state[j])));
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) p[l] += step[l];
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+void WipeWords(std::span<std::uint32_t> words) {
+  SecureZero(std::span<std::uint8_t>(
+      reinterpret_cast<std::uint8_t*>(words.data()), words.size_bytes()));
+}
+
+// The lanes of one HashMany call. Each lane works through its message's
+// whole blocks in place, then through one or two tail blocks built here:
+// the message's last partial block, the 0x80 byte, zeros and the bit
+// length. A lane whose tail ends takes the next message in the same pass.
+// Messages start longest first, so the pass ends on short ones. The tail
+// may hold secret bytes (K_M ends CAONT's Y), so it and the chaining values
+// are wiped when the call ends.
+class X16Lanes {
+ public:
+  static constexpr std::size_t kIdle = ~std::size_t{0};
+
+  X16Lanes(std::span<const ByteSpan> messages, std::span<Sha256Digest> digests)
+      : messages_(messages), digests_(digests), order_(messages.size()) {
+    for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+    std::stable_sort(order_.begin(), order_.end(),
+                     [&](std::size_t x, std::size_t y) {
+                       return messages[x].size() > messages[y].size();
+                     });
+    for (std::size_t l = 0; l < kLanes; ++l) Refill(l);
+  }
+
+  ~X16Lanes() {
+    SecureZero(std::span<std::uint8_t>(&tail_[0][0], sizeof(tail_)));
+    WipeWords(std::span<std::uint32_t>(&state_[0][0], 8 * kLanes));
+  }
+
+  X16Lanes(const X16Lanes&) = delete;
+  X16Lanes& operator=(const X16Lanes&) = delete;
+
+  void Run() {
+    while (active_ > 0) {
+      // Once nothing is left to refill, a few busy lanes finish faster one
+      // message at a time than as a mostly idle vector.
+      if (next_ == messages_.size() && active_ <= HandOffLanes()) {
+        FinishOneByOne();
+        return;
+      }
+      std::size_t run = ~std::size_t{0};
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        if (msg_[l] != kIdle) run = std::min(run, left_[l]);
+      }
+      X16Blocks(state_, ptr_, step_, run);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        if (msg_[l] == kIdle) continue;
+        left_[l] -= run;
+        if (left_[l] > 0) continue;
+        if (!in_tail_[l]) {
+          EnterTail(l);
+        } else {
+          digests_[msg_[l]] = LaneDigest(l);
+          Refill(l);
+        }
+      }
+    }
+  }
+
+ private:
+  // With SHA-NI one block costs about a seventh of a sixteen-lane pass.
+  static std::size_t HandOffLanes() { return kHaveShaNi ? 6 : 1; }
+
+  // Starts the next message in lane l, or idles the lane.
+  void Refill(std::size_t l) {
+    for (int j = 0; j < 8; ++j) state_[j][l] = kInitialState[j];
+    if (next_ == messages_.size()) {
+      if (msg_[l] != kIdle) --active_;
+      msg_[l] = kIdle;
+      ptr_[l] = kZeroBlock;
+      step_[l] = 0;
+      return;
+    }
+    if (msg_[l] == kIdle) ++active_;
+    msg_[l] = order_[next_++];
+    const ByteSpan m = messages_[msg_[l]];
+    const std::size_t whole = m.size() / kSha256BlockSize;
+    const std::size_t rest = m.size() % kSha256BlockSize;
+    std::uint8_t* tail = tail_[l];
+    if (rest > 0) std::memcpy(tail, m.data() + whole * kSha256BlockSize, rest);
+    tail_blocks_[l] = rest < 56 ? 1 : 2;
+    const std::size_t tail_size = tail_blocks_[l] * kSha256BlockSize;
+    tail[rest] = 0x80;
+    std::memset(tail + rest + 1, 0, tail_size - rest - 1 - 8);
+    PutU64(MutableByteSpan(tail + tail_size - 8, 8), std::uint64_t{m.size()} * 8);
+    step_[l] = kSha256BlockSize;
+    if (whole > 0) {
+      ptr_[l] = m.data();
+      left_[l] = whole;
+      in_tail_[l] = false;
+    } else {
+      EnterTail(l);
+    }
+  }
+
+  void EnterTail(std::size_t l) {
+    ptr_[l] = tail_[l];
+    left_[l] = tail_blocks_[l];
+    in_tail_[l] = true;
+  }
+
+  std::array<std::uint32_t, 8> LaneState(std::size_t l) const {
+    std::array<std::uint32_t, 8> out;
+    for (int j = 0; j < 8; ++j) out[j] = state_[j][l];
+    return out;
+  }
+
+  Sha256Digest LaneDigest(std::size_t l) const {
+    std::array<std::uint32_t, 8> st = LaneState(l);
+    Sha256Digest d;
+    PutDigest(st, d);
+    WipeWords(st);
+    return d;
+  }
+
+  // Finishes every busy lane on the one-message backend, from where the
+  // lane stands in its message.
+  void FinishOneByOne() {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      if (msg_[l] == kIdle) continue;
+      std::array<std::uint32_t, 8> st = LaneState(l);
+      ProcessOne(st, ptr_[l], left_[l]);
+      if (!in_tail_[l]) ProcessOne(st, tail_[l], tail_blocks_[l]);
+      PutDigest(st, digests_[msg_[l]]);
+      WipeWords(st);
+    }
+    active_ = 0;
+  }
+
+  static constexpr std::uint8_t kZeroBlock[kSha256BlockSize] = {};
+
+  std::span<const ByteSpan> messages_;
+  std::span<Sha256Digest> digests_;
+  std::vector<std::size_t> order_;
+  std::size_t next_ = 0;
+  std::size_t active_ = 0;
+  alignas(64) std::uint32_t state_[8][kLanes];
+  const std::uint8_t* ptr_[kLanes] = {};
+  std::size_t step_[kLanes] = {};
+  std::size_t left_[kLanes] = {};
+  std::size_t msg_[kLanes] = {kIdle, kIdle, kIdle, kIdle, kIdle, kIdle,
+                              kIdle, kIdle, kIdle, kIdle, kIdle, kIdle,
+                              kIdle, kIdle, kIdle, kIdle};
+  bool in_tail_[kLanes] = {};
+  std::size_t tail_blocks_[kLanes] = {};
+  alignas(64) std::uint8_t tail_[kLanes][2 * kSha256BlockSize];
+};
+
+#endif  // REED_X86
+
 }  // namespace
 
+const char* Sha256ManyBackendName(Sha256ManyBackend backend) {
+  return backend == Sha256ManyBackend::kX16 ? "x16" : "per-message";
+}
+
 void Sha256::Reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  state_ = kInitialState;
   total_len_ = 0;
   buffer_len_ = 0;
 }
@@ -217,13 +561,7 @@ Sha256::~Sha256() {
 bool Sha256::UsingHardware() { return kHaveShaNi; }
 
 void Sha256::ProcessBlocks(const std::uint8_t* data, std::size_t num_blocks) {
-#if defined(REED_X86)
-  if (kHaveShaNi) {
-    ProcessShaNi(state_, data, num_blocks);
-    return;
-  }
-#endif
-  ProcessPortable(state_, data, num_blocks);
+  ProcessOne(state_, data, num_blocks);
 }
 
 void Sha256::Update(ByteSpan data) {
@@ -266,12 +604,7 @@ Sha256Digest Sha256::Finish() {
   Update(ByteSpan(len_be, 8));
 
   Sha256Digest digest;
-  for (int i = 0; i < 8; ++i) {
-    digest[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    digest[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    digest[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+  PutDigest(state_, digest);
   Reset();
   return digest;
 }
@@ -285,6 +618,44 @@ Sha256Digest Sha256::Hash(ByteSpan data) {
 Bytes Sha256::HashToBytes(ByteSpan data) {
   Sha256Digest d = Hash(data);
   return Bytes(d.begin(), d.end());
+}
+
+bool Sha256::Supports(Sha256ManyBackend backend) {
+#if defined(REED_X86)
+  if (backend == Sha256ManyBackend::kX16) return kCpuX16.avx512;
+#endif
+  return backend == Sha256ManyBackend::kPerMessage;
+}
+
+Sha256ManyBackend Sha256::ManyBackend() {
+  return Supports(Sha256ManyBackend::kX16) ? Sha256ManyBackend::kX16
+                                           : Sha256ManyBackend::kPerMessage;
+}
+
+void Sha256::HashMany(std::span<const ByteSpan> messages,
+                      std::span<Sha256Digest> digests) {
+  HashMany(messages, digests, ManyBackend());
+}
+
+void Sha256::HashMany(std::span<const ByteSpan> messages,
+                      std::span<Sha256Digest> digests,
+                      Sha256ManyBackend backend) {
+  if (!Supports(backend)) {
+    throw CryptoError(std::string("Sha256::HashMany: this CPU has no ") +
+                      Sha256ManyBackendName(backend) + " kernel");
+  }
+  if (messages.size() != digests.size()) {
+    throw CryptoError("Sha256::HashMany: one digest per message");
+  }
+#if defined(REED_X86)
+  if (backend == Sha256ManyBackend::kX16) {
+    X16Lanes(messages, digests).Run();
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    digests[i] = Hash(messages[i]);
+  }
 }
 
 }  // namespace reed::crypto

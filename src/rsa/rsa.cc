@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "bigint/mont.h"
 #include "bigint/prime.h"
 #include "crypto/sha256.h"
 
@@ -91,19 +92,31 @@ BigInt PrivateApply(const RsaPrivateKey& key, const BigInt& m) {
 }
 
 BigInt FullDomainHash(ByteSpan data, const BigInt& n) {
-  std::size_t nbytes = (n.BitLength() + 7) / 8;
-  Bytes expanded;
-  expanded.reserve(nbytes + crypto::kSha256DigestSize);
-  std::uint32_t counter = 0;
-  while (expanded.size() < nbytes) {
-    Bytes input = ToBytes("reed/fdh");
-    AppendU32(input, counter++);
-    Append(input, data);
-    crypto::Sha256Digest block = crypto::Sha256::Hash(input);
-    expanded.insert(expanded.end(), block.begin(), block.end());
+  // Block i of the expansion is H("reed/fdh" ‖ BE32(i) ‖ data), streamed
+  // into one hasher; the blocks land in a fixed buffer as wide as the
+  // widest modulus the Montgomery contexts take, so nothing is allocated
+  // per block.
+  constexpr std::size_t kMaxBytes = 8 * bigint::MontContext::kMaxLimbs;
+  const std::size_t nbytes = (n.BitLength() + 7) / 8;
+  if (nbytes > kMaxBytes) {
+    throw Error("FullDomainHash: modulus wider than 2048 bits");
   }
-  expanded.resize(nbytes);
-  return BigInt::FromBytes(expanded) % n;
+  static constexpr std::uint8_t kLabel[] = {'r', 'e', 'e', 'd',
+                                            '/', 'f', 'd', 'h'};
+  std::array<std::uint8_t, kMaxBytes> expanded;
+  crypto::Sha256 hasher;
+  for (std::size_t off = 0, counter = 0; off < nbytes;
+       off += crypto::kSha256DigestSize, ++counter) {
+    std::uint8_t counter_be[4];
+    PutU32(counter_be, static_cast<std::uint32_t>(counter));
+    hasher.Update(kLabel);
+    hasher.Update(counter_be);
+    hasher.Update(data);
+    const crypto::Sha256Digest block = hasher.Finish();
+    std::copy_n(block.begin(), std::min(block.size(), nbytes - off),
+                expanded.begin() + off);
+  }
+  return BigInt::FromBytes(ByteSpan(expanded).first(nbytes)) % n;
 }
 
 Bytes SerializePublicKey(const RsaPublicKey& key) {

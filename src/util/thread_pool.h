@@ -62,10 +62,21 @@ class ThreadPool {
   // The first exception thrown by any partition is rethrown to the caller.
   template <typename F>
   void ParallelFor(std::size_t count, F&& body) {
+    ParallelForRanges(count, [&body](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) body(i);
+    });
+  }
+
+  // Runs body(begin, end) once per partition of [0, count), so a partition
+  // can batch its items into one call (Sha256::HashMany hashes a whole
+  // partition's chunks at lane width). Same blocking and exceptions as
+  // ParallelFor.
+  template <typename F>
+  void ParallelForRanges(std::size_t count, F&& body) {
     if (count == 0) return;
     std::size_t parts = std::min(count, num_threads());
     if (parts <= 1) {
-      for (std::size_t i = 0; i < count; ++i) body(i);
+      body(std::size_t{0}, count);
       return;
     }
     std::vector<std::future<void>> futures;
@@ -76,9 +87,7 @@ class ThreadPool {
         std::size_t begin = p * chunk;
         std::size_t end = std::min(count, begin + chunk);
         if (begin >= end) break;
-        futures.push_back(Submit([&body, begin, end] {
-          for (std::size_t i = begin; i < end; ++i) body(i);
-        }));
+        futures.push_back(Submit([&body, begin, end] { body(begin, end); }));
       }
     } catch (...) {
       // A mid-loop Submit failure must not leave queued tasks holding a

@@ -3,6 +3,9 @@
 // properties, and the MLE-key-leakage distinction between the schemes.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "aont/aont.h"
 #include "aont/reed_cipher.h"
 #include "crypto/random.h"
@@ -168,6 +171,54 @@ TEST_P(ReedCipherTest, WrongStubSizeRejected) {
 TEST_P(ReedCipherTest, InvalidInputsRejected) {
   EXPECT_THROW(cipher_.Encrypt({}, TestKey()), Error);
   EXPECT_THROW(cipher_.Encrypt(TestChunk(100), Secret(Bytes(16, 0))), Error);
+}
+
+TEST_P(ReedCipherTest, EncryptManyMatchesEncryptByteForByte) {
+  // Sizes around a block, the stub and Rabin's range, more than sixteen of
+  // them so the batch hash refills its lanes.
+  std::vector<Bytes> chunks;
+  std::vector<Secret> keys;
+  for (std::size_t size : {1u, 31u, 55u, 56u, 63u, 64u, 65u, 100u, 119u, 120u,
+                           128u, 1000u, 2048u, 4095u, 4096u, 8191u, 8192u,
+                           12345u, 16384u, 3u, 777u}) {
+    chunks.push_back(TestChunk(size, 40 + size));
+    keys.push_back(TestKey(90 + size));
+  }
+  // Two chunks under one key, as a duplicate inside one unit is.
+  chunks.push_back(chunks[5]);
+  keys.push_back(TestKey(90 + 64));
+  std::vector<ByteSpan> views(chunks.begin(), chunks.end());
+  std::vector<SealedChunk> many(chunks.size());
+  cipher_.EncryptMany(views, keys, many);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    SCOPED_TRACE(chunks[i].size());
+    const SealedChunk one = cipher_.Encrypt(chunks[i], keys[i]);
+    EXPECT_EQ(many[i].trimmed_package, one.trimmed_package);
+    EXPECT_TRUE(many[i].stub.ConstantTimeEquals(one.stub));
+    EXPECT_EQ(cipher_.Decrypt(many[i].trimmed_package, many[i].stub),
+              chunks[i]);
+  }
+  std::vector<SealedChunk> none;
+  cipher_.EncryptMany({}, {}, none);
+}
+
+TEST_P(ReedCipherTest, EncryptManyRejectsBadInputs) {
+  std::vector<Bytes> chunks(10, TestChunk(300));
+  std::vector<ByteSpan> views(chunks.begin(), chunks.end());
+  std::vector<Secret> keys(10, TestKey());
+  std::vector<SealedChunk> out(10);
+  keys[5] = Secret(Bytes(31, 7));  // one short key in the batch
+  EXPECT_THROW(cipher_.EncryptMany(views, keys, out), Error);
+  keys[5] = TestKey();
+  views[9] = ByteSpan();  // one empty chunk
+  EXPECT_THROW(cipher_.EncryptMany(views, keys, out), Error);
+  views[9] = chunks[9];
+  std::vector<SealedChunk> short_out(9);
+  EXPECT_THROW(cipher_.EncryptMany(views, keys, short_out), Error);
+  EXPECT_THROW(cipher_.EncryptMany(views, std::span(keys).first(9), out),
+               Error);
+  cipher_.EncryptMany(views, keys, out);
+  EXPECT_EQ(cipher_.Decrypt(out[9].trimmed_package, out[9].stub), chunks[9]);
 }
 
 TEST_P(ReedCipherTest, ConfigurableStubSize) {

@@ -526,7 +526,7 @@ class X16Lanes {
   std::vector<std::size_t> order_;
   std::size_t next_ = 0;
   std::size_t active_ = 0;
-  alignas(64) std::uint32_t state_[8][kLanes];
+  alignas(64) std::uint32_t state_[8][kLanes] = {};
   const std::uint8_t* ptr_[kLanes] = {};
   std::size_t step_[kLanes] = {};
   std::size_t left_[kLanes] = {};
@@ -535,7 +535,7 @@ class X16Lanes {
                               kIdle, kIdle, kIdle, kIdle};
   bool in_tail_[kLanes] = {};
   std::size_t tail_blocks_[kLanes] = {};
-  alignas(64) std::uint8_t tail_[kLanes][2 * kSha256BlockSize];
+  alignas(64) std::uint8_t tail_[kLanes][2 * kSha256BlockSize] = {};
 };
 
 #endif  // REED_X86

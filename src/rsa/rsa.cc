@@ -103,11 +103,11 @@ BigInt FullDomainHash(ByteSpan data, const BigInt& n) {
   }
   static constexpr std::uint8_t kLabel[] = {'r', 'e', 'e', 'd',
                                             '/', 'f', 'd', 'h'};
-  std::array<std::uint8_t, kMaxBytes> expanded;
+  std::array<std::uint8_t, kMaxBytes> expanded{};
   crypto::Sha256 hasher;
   for (std::size_t off = 0, counter = 0; off < nbytes;
        off += crypto::kSha256DigestSize, ++counter) {
-    std::uint8_t counter_be[4];
+    std::uint8_t counter_be[4] = {};
     PutU32(counter_be, static_cast<std::uint32_t>(counter));
     hasher.Update(kLabel);
     hasher.Update(counter_be);

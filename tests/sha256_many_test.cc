@@ -186,9 +186,9 @@ TEST_P(Sha256ManyTest, RejectsMismatchedSpans) {
 INSTANTIATE_TEST_SUITE_P(
     Kernels, Sha256ManyTest,
     ::testing::Values(Sha256ManyBackend::kPerMessage, Sha256ManyBackend::kX16),
-    [](const ::testing::TestParamInfo<Sha256ManyBackend>& info) {
-      return info.param == Sha256ManyBackend::kX16 ? std::string("x16")
-                                                   : std::string("PerMessage");
+    [](const ::testing::TestParamInfo<Sha256ManyBackend>& kernel) {
+      return kernel.param == Sha256ManyBackend::kX16 ? std::string("x16")
+                                                     : std::string("PerMessage");
     });
 
 TEST(Sha256ManyDispatchTest, DetectedKernelIsSupported) {

@@ -568,7 +568,8 @@ void Sha256::Update(ByteSpan data) {
   total_len_ += data.size();
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
-  if (buffer_len_ > 0) {
+  // An empty span may carry a null pointer, which memcpy must not get.
+  if (buffer_len_ > 0 && n > 0) {
     std::size_t take = std::min(n, kSha256BlockSize - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, p, take);
     buffer_len_ += take;

@@ -65,6 +65,14 @@ TEST(Sha256Test, FinishResetsForReuse) {
   EXPECT_EQ(h.Finish(), first);
 }
 
+TEST(Sha256Test, EmptyUpdateAfterAPartialBlock) {
+  // An empty Bytes has a null data(); under UBSan a memcpy from it fails.
+  Sha256 h;
+  h.Update(ToBytes("abc"));
+  h.Update(Bytes{});
+  EXPECT_EQ(h.Finish(), Sha256::Hash(ToBytes("abc")));
+}
+
 // Lengths straddling the padding boundary (55/56/57 and 63/64/65 bytes).
 class Sha256PaddingTest : public ::testing::TestWithParam<std::size_t> {};
 

@@ -324,16 +324,16 @@ REED_X16 __attribute__((always_inline)) inline void Rounds16(
 
 // Loads one 64-byte block per lane and transposes them, so w[j] holds
 // message word j of all sixteen lanes, byte-swapped to big-endian words.
-REED_X16 __attribute__((always_inline)) inline void LoadTransposed(const std::uint8_t* const (&p)[kLanes],
-                                    __m512i (&w)[16]) {
+REED_X16 __attribute__((always_inline)) inline void LoadTransposed(
+    const std::uint8_t* const (&p)[kLanes], __m512i (&w)[16]) {
   const __m512i bswap = _mm512_set4_epi32(0x0c0d0e0f, 0x08090a0b,
                                           0x04050607, 0x00010203);
   __m512i r[16], t[16];
   for (std::size_t l = 0; l < kLanes; ++l) {
     r[l] = _mm512_shuffle_epi8(_mm512_loadu_si512(p[l]), bswap);
   }
-  // Within each 128-bit quarter: interleave rows pairwise, then by pairs
-  // of pairs, so u[4i + j] holds word 4q + j of rows 4i..4i+3 in quarter q.
+  // Within each 128-bit quarter q: interleave rows pairwise, then by pairs
+  // of pairs, so that r[4i + j] holds word 4q + j of rows 4i..4i+3.
   for (int i = 0; i < 16; i += 2) {
     t[i] = _mm512_unpacklo_epi32(r[i], r[i + 1]);
     t[i + 1] = _mm512_unpackhi_epi32(r[i], r[i + 1]);

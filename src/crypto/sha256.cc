@@ -560,10 +560,6 @@ Sha256::~Sha256() {
 
 bool Sha256::UsingHardware() { return kHaveShaNi; }
 
-void Sha256::ProcessBlocks(const std::uint8_t* data, std::size_t num_blocks) {
-  ProcessOne(state_, data, num_blocks);
-}
-
 void Sha256::Update(ByteSpan data) {
   total_len_ += data.size();
   const std::uint8_t* p = data.data();
@@ -576,13 +572,13 @@ void Sha256::Update(ByteSpan data) {
     p += take;
     n -= take;
     if (buffer_len_ == kSha256BlockSize) {
-      ProcessBlocks(buffer_.data(), 1);
+      ProcessOne(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
   std::size_t full = n / kSha256BlockSize;
   if (full > 0) {
-    ProcessBlocks(p, full);
+    ProcessOne(state_, p, full);
     p += full * kSha256BlockSize;
     n -= full * kSha256BlockSize;
   }

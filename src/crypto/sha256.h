@@ -70,8 +70,6 @@ class Sha256 {
   [[nodiscard]] static bool UsingHardware();
 
  private:
-  void ProcessBlocks(const std::uint8_t* data, std::size_t num_blocks);
-
   std::array<std::uint32_t, 8> state_;
   std::uint64_t total_len_ = 0;
   std::array<std::uint8_t, kSha256BlockSize> buffer_;

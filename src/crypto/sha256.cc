@@ -247,7 +247,7 @@ const CpuX16 kCpuX16;
 
 // GCC 12's _mm512_undefined_epi32 (under _mm512_ror_epi32 and
 // _mm512_srli_epi32) self-initializes a local, which -Wuninitialized
-// reports at every use (GCC PR 105593, fixed in GCC 13).
+// reports at every use (GCC bug 105593, fixed in GCC 13).
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
